@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .coefficient import as_callable
 from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure
@@ -83,7 +82,10 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes/weights for integral_{-1}^{1} (1+x)^beta phi(x) dx.
+    # Nodes/weights for integral_{-1}^{1} (1+x)^beta phi(x) dx.  scipy is
+    # imported here, not at module level, so importing the package stays cheap.
+    from scipy.special import roots_jacobi
+
     nodes, weights = roots_jacobi(order, 0.0, beta)
     return nodes, weights
 

@@ -23,16 +23,11 @@ from hadamard_bvp import (
     parse_expr,
     reference_bound_kappa0,
 )
+from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
 EX_B = FracParams(sigma=1.5, kappa=0.25, t1=1.0, t2=math.e)
 
-# Closed-form values, frozen from the analytic expressions evaluated at
-# double precision.
-A_BOUND = 2.3549027135495548
-A_EIGEN = 4.0463865404810962
-A_GAMMA = 0.90640247705547708
-B_BOUND = 2.4208657543527619
 ABS_LNT_MINUS_HALF = 0.43830162717073368  # integral of |ln t - 1/2| over [1, e]
 
 
@@ -46,11 +41,11 @@ def _random_params(rng):
 
 def test_reference_bounds():
     rep = lyapunov_report(EX_A)
-    assert abs(rep.bound - A_BOUND) <= 1e-12 * A_BOUND
-    assert abs(rep.eigen_bound - A_EIGEN) <= 1e-12 * A_EIGEN
-    assert abs(rep.gamma_sk - A_GAMMA) <= 1e-12
+    assert abs(rep.bound - EX_A_REF["bound"]) <= 1e-12 * EX_A_REF["bound"]
+    assert abs(rep.eigen_bound - EX_A_REF["eigen_bound"]) <= 1e-12 * EX_A_REF["eigen_bound"]
+    assert abs(rep.gamma_sk - EX_A_REF["gamma_sk"]) <= 1e-12
     assert rep.q_integral is None and rep.verdict is None
-    assert abs(lyapunov_bound(EX_B) - B_BOUND) <= 1e-12 * B_BOUND
+    assert abs(lyapunov_bound(EX_B) - EX_B_REF["bound"]) <= 1e-12 * EX_B_REF["bound"]
 
 
 def test_bound_is_reciprocal_of_kernel_max():
@@ -92,13 +87,13 @@ def test_constant_coefficient_verdicts():
     v = nonexistence_check(EX_A, Constant(1.0))
     assert v.kind is VerdictKind.NoNontrivialSolution
     assert abs(v.q_integral - (math.e - 1.0)) <= 1e-9
-    assert abs(v.bound - A_BOUND) <= 1e-12 * A_BOUND
+    assert abs(v.bound - EX_A_REF["bound"]) <= 1e-12 * EX_A_REF["bound"]
     assert nonexistence_check(EX_A, Constant(10.0)).kind is VerdictKind.Inconclusive
 
 
 def test_verdict_flips_at_critical_scaling():
     # For q = c the integral is c (t2 - t1); the flip happens at c = bound / width.
-    critical = A_BOUND / (math.e - 1.0)
+    critical = EX_A_REF["bound"] / (math.e - 1.0)
     below = nonexistence_check(EX_A, Constant(0.99 * critical))
     above = nonexistence_check(EX_A, Constant(1.01 * critical))
     assert below.kind is VerdictKind.NoNontrivialSolution

@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
 from hadamard_bvp import __version__
 from hadamard_bvp.cli import _to_json, main
+from hadamard_bvp.selftest import EX_A_REF
 
 E_STR = "2.718281828459045"
 PP_A = ["--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", E_STR]
@@ -33,8 +36,8 @@ def test_bound_json_round_trip(capsys):
     assert obj["command"] == "bound"
     assert obj["version"] == __version__
     assert obj["params"]["sigma"] == 1.75
-    assert obj["payload"]["bound"] == pytest.approx(2.3549027135495548, rel=1e-13)
-    assert obj["payload"]["gamma_sk"] == pytest.approx(0.90640247705547708, rel=1e-13)
+    assert obj["payload"]["bound"] == pytest.approx(EX_A_REF["bound"], rel=1e-13)
+    assert obj["payload"]["gamma_sk"] == pytest.approx(EX_A_REF["gamma_sk"], rel=1e-13)
     # Serialization is canonical: parsing and re-emitting reproduces the bytes.
     assert _to_json(obj) == out.strip()
 
@@ -75,7 +78,7 @@ def test_green_eval(capsys):
         ["green", "eval", *PP_A, "--t", root_e, "--s", root_e, "--json"], capsys
     )
     obj = json.loads(out)
-    assert obj["payload"]["value"] == pytest.approx(0.33458131187096824, rel=1e-12)
+    assert obj["payload"]["value"] == pytest.approx(EX_A_REF["diag_value"], rel=1e-12)
 
 
 def test_green_max(capsys):
@@ -83,8 +86,8 @@ def test_green_max(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["payload"]["branch"] == "LeftEdge"
-    assert obj["payload"]["max_abs_g"] == pytest.approx(0.42464599248463041, rel=1e-12)
-    assert obj["payload"]["x2"] == pytest.approx(0.5, rel=1e-12)
+    assert obj["payload"]["max_abs_g"] == pytest.approx(EX_A_REF["max_abs_g"], rel=1e-12)
+    assert obj["payload"]["x2"] == pytest.approx(EX_A_REF["x2"], rel=1e-12)
 
 
 def test_green_grid(tmp_path, capsys):
@@ -186,3 +189,16 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(["bound", *PP_A], capsys)
     _, second, _ = run(["bound", *PP_A], capsys)
     assert first == second
+    _, first, _ = run(["eigen", *PP_A, "--json"], capsys)
+    _, second, _ = run(["eigen", *PP_A, "--json"], capsys)
+    assert first == second
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside the functions that use it, so commands
+    # that never reach them do not pay for it at start-up.
+    code = "import hadamard_bvp.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

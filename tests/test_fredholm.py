@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from hadamard_bvp import (
     Constant,
+    ConvergenceFailure,
     DomainInvalid,
     Expression,
     FracParams,
@@ -18,13 +19,12 @@ from hadamard_bvp import (
     parse_expr,
     residual_check,
 )
+from hadamard_bvp.cli import main
 from hadamard_bvp.fredholm import MATRIX_MAX_N, _nodes_weights
+from hadamard_bvp.selftest import EX_A_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
 EX_B = FracParams(sigma=1.5, kappa=0.25, t1=1.0, t2=math.e)
-
-# Frozen n = 400 estimate for EX_A; the analytic threshold is 4.0463865404810962.
-EX_A_LAMBDA_400 = 8.5180539552077068
 
 
 def test_matrix_boundary_structure():
@@ -76,15 +76,36 @@ def test_rows_approximate_kernel_integrals():
             assert abs(float(K[i].sum()) - ref) <= tol * ref
 
 
+@pytest.mark.parametrize("p", [EX_A, EX_B], ids=["EX_A", "EX_B"])
+def test_eigenvalue_estimate_matches_dense_solver(p):
+    K = nystrom_matrix(p, Constant(1.0), 400)
+    dense = 1.0 / float(np.max(np.abs(np.linalg.eigvals(K))))
+    res = min_eigenvalue_modulus(p, 400)
+    assert res.n == 400
+    assert abs(res.lambda_min - dense) <= 1e-12 * dense
+    assert abs(res.dominant_mu * res.lambda_min - 1.0) <= 1e-15
+
+
 def test_reference_eigenvalue_estimate():
     res = min_eigenvalue_modulus(EX_A, 400)
-    assert res.n == 400
-    assert abs(res.lambda_min - EX_A_LAMBDA_400) <= 1e-9 * EX_A_LAMBDA_400
-    assert abs(res.dominant_mu * res.lambda_min - 1.0) <= 1e-15
     assert res.lambda_min >= 4.0463865405
-    assert res.analytic_bound == pytest.approx(4.0463865404810962, rel=1e-12)
+    assert res.analytic_bound == pytest.approx(EX_A_REF["eigen_bound"], rel=1e-12)
     assert res.satisfied is True
     assert res.eigenvector_boundary_residual == 0.0
+
+
+def test_arpack_no_convergence_is_convergence_failure(monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    with pytest.raises(ConvergenceFailure):
+        min_eigenvalue_modulus(EX_A, 64)
+    argv = ["eigen", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", "2", "--n", "64"]
+    assert main(argv) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_estimate_stabilises_under_refinement():

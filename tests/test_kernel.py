@@ -1,7 +1,7 @@
 """Green's function kernel: closed forms against independent references.
 
-The frozen numbers were produced by a 50-digit evaluation of the closed
-forms; the brute-force comparisons are an independent route through direct
+The frozen numbers (shared with the embedded selftest) were produced by a
+50-digit evaluation of the closed forms; the brute-force comparisons are an independent route through direct
 grid search.
 """
 
@@ -29,30 +29,10 @@ from hadamard_bvp import (
     xi2,
     zeta,
 )
+from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
 
 EX_A = validate(1.75, 0.5, 1.0, math.e)
 EX_B = validate(1.5, 0.25, 1.0, math.e)
-
-# 50-digit reference values for EX_A / EX_B.
-A_REF = {
-    "delta": 1.0,
-    "x2": 0.5,
-    "t_star": 1.6487212707001281,
-    "omega": 0.30326532985631671,
-    "t_hat": 1.1175190687418636,
-    "mho": 0.38490017945975051,
-    "max_abs_g": 0.42464599248463041,
-    "diag_value": 0.33458131187096824,  # G(sqrt(e), sqrt(e))
-}
-B_REF = {
-    "delta": 1.0625,
-    "x2": 0.35961179679779243,
-    "t_star": 1.4327730994804238,
-    "omega": 0.37441253213886333,
-    "t_hat": 1.0644944589178594,
-    "mho": 0.25,
-    "max_abs_g": 0.41307536289527054,
-}
 
 
 def _random_params(rng):
@@ -65,31 +45,31 @@ def _random_params(rng):
 
 def test_reference_set_a():
     rep = green_max(EX_A)
-    assert abs(rep.delta - A_REF["delta"]) <= 1e-12
-    assert abs(rep.x2 - A_REF["x2"]) <= 1e-12
-    assert abs(rep.t_star - A_REF["t_star"]) <= 1e-12
-    assert abs(rep.t_hat - A_REF["t_hat"]) <= 1e-12
-    assert abs(rep.omega - A_REF["omega"]) <= 1e-12
-    assert abs(rep.mho - A_REF["mho"]) <= 1e-12
-    assert abs(rep.max_abs_g - A_REF["max_abs_g"]) <= 1e-12
+    assert abs(rep.delta - EX_A_REF["delta"]) <= 1e-12
+    assert abs(rep.x2 - EX_A_REF["x2"]) <= 1e-12
+    assert abs(rep.t_star - EX_A_REF["t_star"]) <= 1e-12
+    assert abs(rep.t_hat - EX_A_REF["t_hat"]) <= 1e-12
+    assert abs(rep.omega - EX_A_REF["omega"]) <= 1e-12
+    assert abs(rep.mho - EX_A_REF["mho"]) <= 1e-12
+    assert abs(rep.max_abs_g - EX_A_REF["max_abs_g"]) <= 1e-12
     assert rep.branch is MaxBranch.LeftEdge
 
 
 def test_reference_set_b():
     rep = green_max(EX_B)
-    assert abs(rep.delta - B_REF["delta"]) <= 1e-12
-    assert abs(rep.x2 - B_REF["x2"]) <= 1e-12
-    assert abs(rep.t_star - B_REF["t_star"]) <= 1e-12
-    assert abs(rep.t_hat - B_REF["t_hat"]) <= 1e-12
-    assert abs(rep.omega - B_REF["omega"]) <= 1e-12
-    assert rep.mho == B_REF["mho"]  # closed form is exactly 1/4 here
-    assert abs(rep.max_abs_g - B_REF["max_abs_g"]) <= 1e-12
+    assert abs(rep.delta - EX_B_REF["delta"]) <= 1e-12
+    assert abs(rep.x2 - EX_B_REF["x2"]) <= 1e-12
+    assert abs(rep.t_star - EX_B_REF["t_star"]) <= 1e-12
+    assert abs(rep.t_hat - EX_B_REF["t_hat"]) <= 1e-12
+    assert abs(rep.omega - EX_B_REF["omega"]) <= 1e-12
+    assert rep.mho == EX_B_REF["mho"]  # closed form is exactly 1/4 here
+    assert abs(rep.max_abs_g - EX_B_REF["max_abs_g"]) <= 1e-12
     assert rep.branch is MaxBranch.Diagonal
 
 
 def test_green_point_values():
     r = math.sqrt(math.e)
-    assert abs(green_eval(EX_A, r, r) - A_REF["diag_value"]) <= 1e-12
+    assert abs(green_eval(EX_A, r, r) - EX_A_REF["diag_value"]) <= 1e-12
     # Boundary zeros: G(t1, s) = 0 and G(t, t2) = 0.
     for s in (1.0, 1.5, math.e):
         assert green_eval(EX_A, 1.0, s) == 0.0
@@ -100,7 +80,7 @@ def test_green_point_values():
 
 def test_xi2_left_edge_matches_zeta():
     th = t_hat(EX_A)
-    assert abs(xi2(EX_A, th, 1.0) + A_REF["mho"]) <= 1e-12
+    assert abs(xi2(EX_A, th, 1.0) + EX_A_REF["mho"]) <= 1e-12
     assert abs(zeta(EX_A, th) - mho(EX_A)) <= 1e-12
 
 
