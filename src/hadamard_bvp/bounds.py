@@ -9,6 +9,12 @@ zero solution.  The eigenvalue variant multiplies the bound by (t2 - t1) and
 compares against |lambda|.  Equality is always classified Inconclusive: the
 necessary condition is non-strict, so only a strict violation of it proves
 nonexistence.
+
+The adaptive quadrature below runs on Python floats only: its 15-node
+Gauss-Legendre rule is written out as literals (equal, bit for bit, to
+``numpy.polynomial.legendre.leggauss(15)``) and its scan grid is built with
+the same arithmetic as ``numpy.linspace``, so the bound and verdict commands
+never import numpy and the coefficient only ever sees plain floats.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .coefficient import Coefficient, as_callable
 from .errors import DomainInvalid, OrderOutOfRange, QuadratureFailure, ZeroLambda
@@ -39,7 +43,20 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 # Fixed 15-node Gauss-Legendre rule used on every adaptive panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_GL_NODES = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+)
+_GL_WEIGHTS = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +120,12 @@ def _gauss_panel(f, a: float, b: float) -> float:
     return half * total
 
 
+def _scan_grid(t1: float, t2: float) -> list[float]:
+    """257 equally spaced points from t1 to t2, equal to numpy.linspace(t1, t2, 257)."""
+    step = (t2 - t1) / 256
+    return [t1 + i * step for i in range(256)] + [t2]
+
+
 def _bisect_sign_change(f, a: float, b: float, fa: float, width: float) -> float:
     """Narrow a bracket with f(a)*f(b) < 0 down to `width` and return its midpoint."""
     while b - a > width:
@@ -140,7 +163,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         return abs(value)
 
     # Locate kinks of |q| at sign changes of q on a fixed scan grid.
-    scan = np.linspace(t1, t2, 257)
+    scan = _scan_grid(t1, t2)
     scan_vals = [qf(t) for t in scan]
     breakpoints = [t1]
     for left, right, f_left, f_right in zip(scan, scan[1:], scan_vals, scan_vals[1:]):
@@ -148,10 +171,10 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
             raise QuadratureFailure("coefficient not finite on the scan grid")
         if f_left == 0.0:
             if left != t1:
-                breakpoints.append(float(left))
+                breakpoints.append(left)
         elif f_right != 0.0 and (f_left < 0.0) != (f_right < 0.0):
             breakpoints.append(
-                _bisect_sign_change(qf, float(left), float(right), f_left, 1e-12 * (t2 - t1))
+                _bisect_sign_change(qf, left, right, f_left, 1e-12 * (t2 - t1))
             )
     breakpoints.append(t2)
 

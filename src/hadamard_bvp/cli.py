@@ -6,7 +6,13 @@ Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 analytic bound and must never pass silently).
 
 All output is deterministic for identical flags.  Reals in JSON and CSV are
-printed with 17 significant digits, which round-trips doubles exactly.
+printed with 17 significant digits, which round-trips doubles exactly.  A
+result that is not finite is never printed: it exits 3 instead.
+
+numpy is imported only where arrays are used (`green grid`, `eigen`,
+`selftest` and table coefficients) and scipy only by `eigen` and `selftest`,
+so `bound`, `check` with an expression or a constant, `green eval` and
+`green max` start without loading either.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .bounds import lyapunov_report, nonexistence_check
@@ -29,20 +33,23 @@ from .errors import (
     EvalError,
     ExpressionSyntaxError,
     HadamardBVPError,
+    NonFiniteResult,
     QuadratureFailure,
     ResourceLimit,
     UnknownIdentifier,
 )
-from .fredholm import min_eigenvalue_modulus
 from .kernel import green_eval, green_max, _green_xy
 from .params import FracParams, validate
-from .selftest import run_selftests
 
 __all__ = ["main", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
 
 _USAGE_ERROR = 2
 _NUMERICAL_ERROR = 3
 _BOUND_VIOLATION = 4
+
+# Largest accepted `green grid --n`; the CSV has n^2 rows of about 58 bytes,
+# so this caps the file at 4M rows, about 230 MB.
+GRID_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -186,20 +193,28 @@ def cmd_green(args) -> RunReport:
     else:
         if args.n < 2:
             raise DomainInvalid(f"grid needs --n >= 2, got {args.n}")
+        if args.n > GRID_MAX_N:
+            raise ResourceLimit(f"grid --n {args.n} exceeds cap {GRID_MAX_N}")
+        import numpy as np
+
         us = np.linspace(0.0, p.L, args.n)
+        s_texts = [_fmt_real(p.t1 * math.exp(u)) for u in us]
         with open(args.out, "w", newline="") as fh:
             fh.write("t,s,G\n")
             for ui in us:
                 g_row = _green_xy(p, np.full(args.n, ui), us)
-                t = p.t1 * math.exp(ui)
-                for uj, g in zip(us, g_row):
-                    s = p.t1 * math.exp(uj)
-                    fh.write(f"{_fmt_real(t)},{_fmt_real(s)},{_fmt_real(g)}\n")
+                t_text = _fmt_real(p.t1 * math.exp(ui))
+                fh.writelines(
+                    f"{t_text},{s_text},{_fmt_real(g)}\n"
+                    for s_text, g in zip(s_texts, g_row.tolist())
+                )
         payload = {"path": args.out, "rows": args.n * args.n}
     return RunReport("green", _params_dict(p), payload, [], __version__)
 
 
 def cmd_eigen(args) -> RunReport:
+    from .fredholm import min_eigenvalue_modulus
+
     p = _params_from(args)
     result = min_eigenvalue_modulus(p, args.n)
     payload = {
@@ -214,6 +229,8 @@ def cmd_eigen(args) -> RunReport:
 
 
 def cmd_selftest(args) -> RunReport:
+    from .selftest import run_selftests
+
     results = run_selftests(name_filter=args.filter, seed=args.seed)
     payload = {
         "total": len(results),
@@ -261,7 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g_eval.add_argument("--s", type=_real, required=True)
     gsub.add_parser("max", parents=[common, pp], help="closed-form maximum report")
     g_grid = gsub.add_parser("grid", parents=[common, pp], help="CSV grid of G values")
-    g_grid.add_argument("--n", type=int, default=100, help="grid points per axis")
+    g_grid.add_argument(
+        "--n", type=int, default=100, help=f"grid points per axis (2 to {GRID_MAX_N})"
+    )
     g_grid.add_argument("--out", required=True, help="output CSV path")
 
     p_eigen = sub.add_parser("eigen", parents=[common, pp], help="Nystrom eigenvalue check")
@@ -284,7 +303,13 @@ _DISPATCH = {
 
 # Errors mapped to the numerical-failure exit code; every other package
 # error (validation, parsing, resource caps) maps to the usage code.
-_NUMERICAL_EXC = (QuadratureFailure, ConvergenceFailure, DifferenceInstability, EvalError)
+_NUMERICAL_EXC = (
+    QuadratureFailure,
+    ConvergenceFailure,
+    DifferenceInstability,
+    EvalError,
+    NonFiniteResult,
+)
 _USAGE_EXC = (
     DomainInvalid,
     ResourceLimit,
@@ -295,10 +320,24 @@ _USAGE_EXC = (
 )
 
 
+def _is_finite(value) -> bool:
+    """False if any float in value, at any depth of lists and dicts, is inf or nan."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_is_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_finite, value))
+    return True
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _DISPATCH[args.command](args)
+        for key, value in report.payload.items():
+            if not _is_finite(value):
+                raise NonFiniteResult(f"{key} is not finite")
     except _NUMERICAL_EXC as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR

@@ -19,8 +19,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DomainInvalid,
     EvalError,
@@ -372,19 +370,24 @@ class Table(Coefficient):
         object.__setattr__(self, "points", pts)
 
     @cached_property
-    def _log_knots(self) -> np.ndarray:
-        return np.log(np.array([t for t, _ in self.points]))
+    def _interp_args(self) -> tuple:
+        """(np.interp, ln t at the knots, values), built on first evaluation.
 
-    @cached_property
-    def _values(self) -> np.ndarray:
-        return np.array([v for _, v in self.points])
+        The knot logs come from np.log, not math.log: the two differ in the
+        last bit for some t, and the interpolated values must not change.
+        """
+        import numpy as np
+
+        log_knots = np.log(np.array([t for t, _ in self.points]))
+        return np.interp, log_knots, np.array([v for _, v in self.points])
 
     def eval(self, t: float) -> float:
         if not (self.points[0][0] <= t <= self.points[-1][0]):
             raise OutOfTableRange(
                 f"t={t!r} outside table range [{self.points[0][0]!r}, {self.points[-1][0]!r}]"
             )
-        return float(np.interp(math.log(t), self._log_knots, self._values))
+        interp, log_knots, values = self._interp_args
+        return float(interp(math.log(t), log_knots, values))
 
 
 def eval_coefficient(q: Coefficient, t: float) -> float:

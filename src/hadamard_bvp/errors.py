@@ -35,6 +35,10 @@ class ConvergenceFailure(HadamardBVPError):
     """An iterative eigenvalue computation failed to settle within budget."""
 
 
+class NonFiniteResult(HadamardBVPError):
+    """A computed result overflowed to infinity or is NaN."""
+
+
 class ZeroLambda(DomainInvalid):
     """The eigenvalue candidate is zero, for which the test is vacuous."""
 

@@ -16,8 +16,7 @@ conditions exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import eigenvalue_bound
 from .coefficient import Coefficient, Constant, eval_coefficient
@@ -25,6 +24,9 @@ from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .kernel import _green_xy
 from .operators import _gauss_legendre
 from .params import FracParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check"]
 
@@ -60,6 +62,8 @@ def _nodes_weights(p: FracParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     in u = ln(t/t1)); the endpoints are appended with zero weight so the
     boundary rows/columns are represented explicitly.
     """
+    import numpy as np
+
     interior = n - 2
     panels, rem = divmod(interior, _PANEL_ORDER)
     edges = np.linspace(0.0, p.L, panels + (1 if rem else 0) + 1)
@@ -80,6 +84,8 @@ def _nodes_weights(p: FracParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
     """K[i][j] = w_j * G(t_i, s_j) * q(s_j) on the log-uniform node set."""
+    import numpy as np
+
     if not (isinstance(n, int) and n >= 8):
         raise DomainInvalid(f"nystrom matrix needs integer n >= 8, got {n!r}")
     if n > MATRIX_MAX_N:
@@ -101,7 +107,8 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
     values.  Raises ConvergenceFailure if ARPACK does not converge.
     """
     # Imported here so that commands which never solve an eigenproblem do not
-    # load scipy.
+    # load numpy or scipy.
+    import numpy as np
     from scipy.sparse.linalg import ArpackError, eigs
 
     if not (isinstance(n, int) and n >= 32):
@@ -139,6 +146,8 @@ def residual_check(
     ``x_samples`` is a sequence of (t, value) pairs covering [t1, t2];
     values are interpolated linearly in ln t onto the Nystrom nodes.
     """
+    import numpy as np
+
     pairs = sorted((float(t), float(v)) for t, v in x_samples)
     if not pairs:
         raise DomainInvalid("x_samples must be non-empty")

@@ -30,12 +30,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainInvalid, ResourceLimit
 from .gammafn import gamma
 from .params import FracParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GreenMaxReport",
@@ -210,6 +212,8 @@ def green_max(p: FracParams) -> GreenMaxReport:
 
 def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorised G on log-coordinate arrays (broadcasting, signed)."""
+    import numpy as np
+
     a = p.sigma - 1.0
     b = p.sigma - p.kappa - 1.0
     s = p.t1 * np.exp(y)
@@ -248,6 +252,8 @@ def green_max_bruteforce(
     Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16.
     """
+    import numpy as np
+
     if n < 16:
         raise DomainInvalid(f"bruteforce grid needs n >= 16, got {n}")
     if n > BRUTEFORCE_MAX_N:

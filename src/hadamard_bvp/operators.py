@@ -28,12 +28,14 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coefficient import as_callable
 from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure
 from .gammafn import gamma, reciprocal_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureConfig",
@@ -77,6 +79,8 @@ class OperatorKind(enum.Enum):
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(order)
 
 
@@ -98,11 +102,9 @@ def _geometric_cuts(width: float, panels: int, ratio: float, floor: float) -> li
     return cuts
 
 
-def _eval_f(fe, t1: float, us: np.ndarray) -> np.ndarray:
-    out = np.empty(len(us))
-    for i, u in enumerate(us):
-        out[i] = fe(t1 * math.exp(u))
-    if not np.all(np.isfinite(out)):
+def _eval_f(fe, t1: float, us: np.ndarray) -> list[float]:
+    out = [fe(t1 * math.exp(u)) for u in us]
+    if not all(map(math.isfinite, out)):
         raise QuadratureFailure("integrand not finite at a quadrature node")
     return out
 
@@ -113,6 +115,8 @@ def hadamard_integral(order: float, f, t1: float, t: float, cfg: QuadratureConfi
     Order 0 is the identity (returns f(t)).  For order > 0 the value is
     (1/Gamma(order)) * integral_{t1}^{t} (ln(t/s))^(order-1) f(s)/s ds.
     """
+    import numpy as np
+
     if not (math.isfinite(order) and order >= 0.0):
         raise DomainInvalid(f"integral order must be >= 0, got {order!r}")
     if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 <= t):

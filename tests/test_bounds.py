@@ -23,6 +23,7 @@ from hadamard_bvp import (
     parse_expr,
     reference_bound_kappa0,
 )
+from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
 from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
@@ -123,6 +124,25 @@ def test_integral_of_sign_flipping_line():
     got = integrate_abs_q(lambda t: t - 2.0, 1.0, math.e, tol=1e-10)
     exact = 0.5 + 0.5 * (math.e - 2.0) ** 2
     assert abs(got - exact) <= 1e-9
+
+
+def test_panel_rule_is_leggauss_15():
+    # The rule is written out as literals so that bounds needs no numpy.
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert _GL_NODES == tuple(nodes.tolist())
+    assert _GL_WEIGHTS == tuple(weights.tolist())
+    assert all(type(v) is float for v in _GL_NODES + _GL_WEIGHTS)
+
+
+@pytest.mark.parametrize("t1", [1e-3, 0.37, 1.0, 2.5, 1e4])
+def test_scan_grid_is_linspace(t1):
+    rng = np.random.default_rng(int(t1 * 1000))
+    widths = np.exp(rng.uniform(math.log(1e-9), math.log(3.0), 8)).tolist() + [1e-9, 3.0]
+    for L in widths:
+        t2 = t1 * math.exp(L)
+        scan = _scan_grid(t1, t2)
+        assert scan == np.linspace(t1, t2, 257).tolist()
+        assert all(type(t) is float for t in scan)
 
 
 def test_quadrature_rejects_non_finite_values():

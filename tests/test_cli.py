@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from hadamard_bvp import __version__
-from hadamard_bvp.cli import _to_json, main
+from hadamard_bvp.cli import GRID_MAX_N, _to_json, main
 from hadamard_bvp.selftest import EX_A_REF
 
 E_STR = "2.718281828459045"
@@ -121,6 +122,17 @@ def test_green_grid_rejects_tiny_n(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_green_grid_rejects_n_above_cap(tmp_path, capsys):
+    out_path = tmp_path / "big.csv"
+    code, out, err = run(
+        ["green", "grid", *PP_A, "--n", str(GRID_MAX_N + 1), "--out", str(out_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds cap" in err
+    assert not out_path.exists()
+
+
 def test_eigen(capsys):
     code, out, _ = run(["eigen", *PP_A, "--n", "64", "--json"], capsys)
     assert code == 0
@@ -173,6 +185,31 @@ def test_numerical_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_non_finite_result_exit_code(capsys):
+    # eigen_bound = bound * (t2 - t1) overflows; inf must not reach the JSON.
+    argv = ["bound", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1e300", "--t2", "1.7e308",
+            "--json"]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "eigen_bound is not finite" in err
+
+
+def test_division_by_zero_in_expression(capsys):
+    # The scan grid hits t = 2 exactly; the evaluator sees a plain float zero.
+    argv = ["check", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", "3",
+            "--q-expr", "1/(t-2)"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+    assert "np.float64" not in err
+    assert "division by zero" in err
+
+
 def test_selftest_filter(capsys):
     code, out, _ = run(["selftest", "--filter", "green", "--json"], capsys)
     assert code == 0
@@ -194,10 +231,40 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+_LOADED_ARRAY_MODULES = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+)
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside the functions that use it, so commands
-    # that never reach them do not pay for it at start-up.
-    code = "import hadamard_bvp.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # numpy and scipy are imported only inside the functions that use them,
+    # so commands that never reach them do not pay for them at start-up.
+    code = "import hadamard_bvp.cli, sys; " + _LOADED_ARRAY_MODULES
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound"],
+        ["check", "--q-expr", "ln(t)"],
+        ["check", "--q-const", "0.5"],
+        ["green", "eval", "--t", "1.5", "--s", "2"],
+        ["green", "max"],
+    ],
+    ids=["bound", "check-expr", "check-const", "green-eval", "green-max"],
+)
+def test_scalar_commands_load_no_numpy(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from hadamard_bvp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({[*argv, *PP_A, '--json']!r}) == 0\n"
+        + _LOADED_ARRAY_MODULES
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
