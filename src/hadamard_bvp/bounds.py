@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coefficient import Coefficient, as_callable
-from .errors import DomainInvalid, OrderOutOfRange, QuadratureFailure, ZeroLambda
+from .errors import (
+    DomainInvalid,
+    OrderOutOfRange,
+    QuadratureFailure,
+    ResultUnderflow,
+    ZeroLambda,
+)
 from .gammafn import gamma
 from .kernel import mho, omega
 from .params import FracParams, Verdict
@@ -76,8 +82,17 @@ def lyapunov_bound(p: FracParams) -> float:
 
 
 def eigenvalue_bound(p: FracParams) -> float:
-    """lyapunov_bound(p) * (t2 - t1); the |lambda| threshold."""
-    return lyapunov_bound(p) * (p.t2 - p.t1)
+    """lyapunov_bound(p) * (t2 - t1); the |lambda| threshold.
+
+    Raises ResultUnderflow when the product rounds to zero (t1 near
+    1e-300): a zero threshold would be wrong, not merely imprecise.
+    """
+    bound = lyapunov_bound(p)
+    width = p.t2 - p.t1
+    product = bound * width
+    if product == 0.0:
+        raise ResultUnderflow(f"eigen_bound = {bound!r} * {width!r} underflows to 0")
+    return product
 
 
 def lyapunov_report(
@@ -85,11 +100,10 @@ def lyapunov_report(
     q_integral: Optional[float] = None,
     verdict: Optional[Verdict] = None,
 ) -> LyapunovReport:
-    bound = lyapunov_bound(p)
     return LyapunovReport(
         gamma_sk=gamma(p.sigma - p.kappa),
-        bound=bound,
-        eigen_bound=bound * (p.t2 - p.t1),
+        bound=lyapunov_bound(p),
+        eigen_bound=eigenvalue_bound(p),
         q_integral=q_integral,
         verdict=verdict,
     )

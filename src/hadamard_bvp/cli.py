@@ -18,6 +18,7 @@ so `bound`, `check` with an expression or a constant, `green eval` and
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -36,6 +37,7 @@ from .errors import (
     NonFiniteResult,
     QuadratureFailure,
     ResourceLimit,
+    ResultUnderflow,
     UnknownIdentifier,
 )
 from .kernel import green_eval, green_max, _green_xy
@@ -65,10 +67,13 @@ def _fmt_real(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _to_json(value, indent: int = 0) -> str:
-    """Serialize with fixed float formatting (17 significant digits)."""
+def _to_json(value) -> str:
+    """Serialize with fixed float formatting (17 significant digits).
+
+    Raises NonFiniteResult for inf or nan, which JSON cannot represent.
+    """
     if isinstance(value, dict):
-        items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in value.items())
+        items = ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
@@ -77,11 +82,12 @@ def _to_json(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{value!r} has no JSON representation")
         return _fmt_real(value)
     if value is None:
         return "null"
-    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return '"' + text + '"'
+    return json.dumps(str(value), ensure_ascii=False)
 
 
 def _render(report: RunReport, as_json: bool) -> str:
@@ -309,6 +315,7 @@ _NUMERICAL_EXC = (
     DifferenceInstability,
     EvalError,
     NonFiniteResult,
+    ResultUnderflow,
 )
 _USAGE_EXC = (
     DomainInvalid,

@@ -39,6 +39,10 @@ class NonFiniteResult(HadamardBVPError):
     """A computed result overflowed to infinity or is NaN."""
 
 
+class ResultUnderflow(HadamardBVPError):
+    """A product of positive factors rounded to zero in double precision."""
+
+
 class ZeroLambda(DomainInvalid):
     """The eigenvalue candidate is zero, for which the test is vacuous."""
 

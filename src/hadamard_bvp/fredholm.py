@@ -94,7 +94,8 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
     qvals = np.array([eval_coefficient(q, float(t)) for t in s])
     u = np.log(s / p.t1)
     g = _green_xy(p, u[:, None], u[None, :])
-    return g * (w * qvals)[None, :]
+    g *= (w * qvals)[None, :]
+    return g
 
 
 def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainInvalid, ResourceLimit
+from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .gammafn import gamma
 from .params import FracParams
 
@@ -95,27 +95,28 @@ def _log_coord(p: FracParams, t: float, name: str) -> float:
     return min(max(math.log(t / p.t1), 0.0), p.L)
 
 
+def _xi_log(p: FracParams, x: float, y: float, s: float, below: bool) -> float:
+    """Xi at log coordinates x = ln(t/t1), y = ln(s/t1); ``below`` selects Xi2 (s <= t)."""
+    a = p.sigma - 1.0
+    b = p.sigma - p.kappa - 1.0
+    upper = x**a * max(p.L - y, 0.0) ** b
+    if not below:
+        return upper / (p.L**a * s)
+    return (upper / p.L**a - max(x - y, 0.0) ** b) / s
+
+
 def xi1(p: FracParams, t: float, s: float) -> float:
     """Upper-triangle kernel branch, valid for t1 <= t <= s <= t2."""
     if not (p.t1 <= t <= s <= p.t2):
         raise DomainInvalid(f"xi1 needs t1 <= t <= s <= t2, got t={t!r}, s={s!r}")
-    x = _log_coord(p, t, "t")
-    y = _log_coord(p, s, "s")
-    a = p.sigma - 1.0
-    b = p.sigma - p.kappa - 1.0
-    return x**a * max(p.L - y, 0.0) ** b / (p.L**a * s)
+    return _xi_log(p, _log_coord(p, t, "t"), _log_coord(p, s, "s"), s, False)
 
 
 def xi2(p: FracParams, t: float, s: float) -> float:
     """Lower-triangle kernel branch, valid for t1 <= s <= t <= t2."""
     if not (p.t1 <= s <= t <= p.t2):
         raise DomainInvalid(f"xi2 needs t1 <= s <= t <= t2, got t={t!r}, s={s!r}")
-    x = _log_coord(p, t, "t")
-    y = _log_coord(p, s, "s")
-    a = p.sigma - 1.0
-    b = p.sigma - p.kappa - 1.0
-    upper = x**a * max(p.L - y, 0.0) ** b / p.L**a
-    return (upper - max(x - y, 0.0) ** b) / s
+    return _xi_log(p, _log_coord(p, t, "t"), _log_coord(p, s, "s"), s, True)
 
 
 def green_eval(p: FracParams, t: float, s: float) -> float:
@@ -156,10 +157,16 @@ def critical_x2(p: FracParams) -> float:
     """
     a = p.sigma - 1.0
     bc = p.L + 2.0 * a - p.kappa
-    x1 = 0.5 * (bc + math.sqrt(discriminant(p)))
-    assert x1 > p.L, "larger stationarity root must fall beyond the domain"
+    delta = discriminant(p)
+    if not delta > 0.0:
+        raise ConvergenceFailure(f"stationarity discriminant {delta!r} is not positive")
+    x1 = 0.5 * (bc + math.sqrt(delta))
     x2 = a * p.L / x1
-    assert 0.0 < x2 < p.L
+    # The larger root must fall beyond the domain and the smaller inside it.
+    if not (x1 > p.L and 0.0 < x2 < p.L):
+        raise ConvergenceFailure(
+            f"stationarity roots {x2!r}, {x1!r} do not bracket as 0 < x2 < L={p.L!r} < x1"
+        )
     return x2
 
 
@@ -211,15 +218,25 @@ def green_max(p: FracParams) -> GreenMaxReport:
 
 
 def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorised G on log-coordinate arrays (broadcasting, signed)."""
+    """Vectorised G on log-coordinate arrays (broadcasting, signed, not 0-d).
+
+    Computes (x^a (L - y)^b / L^a - max(x - y, 0)^b) / (s Gamma(sigma - kappa))
+    in two result-sized buffers; the power of x - y runs only below the
+    diagonal, where it is nonzero.
+    """
     import numpy as np
 
     a = p.sigma - 1.0
     b = p.sigma - p.kappa - 1.0
-    s = p.t1 * np.exp(y)
-    upper = np.power(x, a) * np.power(np.maximum(p.L - y, 0.0), b) / p.L**a
-    lower = np.power(np.maximum(x - y, 0.0), b)
-    return (upper - lower) / (s * gamma(p.sigma - p.kappa))
+    scale = p.t1 * np.exp(y) * gamma(p.sigma - p.kappa)
+    g = np.power(x, a) * np.power(np.maximum(p.L - y, 0.0), b)
+    g /= p.L**a
+    d = x - y
+    np.maximum(d, 0.0, out=d)
+    np.power(d, b, out=d, where=d > 0.0)
+    g -= d
+    g /= scale
+    return g
 
 
 def _golden_line_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -264,28 +281,32 @@ def green_max_bruteforce(
     best_ix = best_iy = 0
     for row0 in range(0, n, block):
         rows = xs[row0 : row0 + block]
-        vals = np.abs(_green_xy(p, rows[:, None], xs[None, :]))
+        vals = _green_xy(p, rows[:, None], xs[None, :])
+        np.abs(vals, out=vals)
         flat = int(np.argmax(vals))
         i, j = divmod(flat, n)
         if vals[i, j] > best_val:
             best_val = float(vals[i, j])
             best_ix, best_iy = row0 + i, j
 
+    # The line searches evaluate single points, on plain floats.
     x0, y0 = float(xs[best_ix]), float(xs[best_iy])
-    h = p.L / (n - 1)
+    L = p.L
+    gamma_sk = gamma(p.sigma - p.kappa)
+    h = L / (n - 1)
     directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
     for _ in range(6):
         for dx, dy in directions:
             def section(c: float) -> float:
-                xx = min(max(x0 + c * dx, 0.0), p.L)
-                yy = min(max(y0 + c * dy, 0.0), p.L)
-                return abs(float(_green_xy(p, np.asarray(xx), np.asarray(yy))))
+                xx = min(max(x0 + c * dx, 0.0), L)
+                yy = min(max(y0 + c * dy, 0.0), L)
+                return abs(_xi_log(p, xx, yy, p.t1 * math.exp(yy), xx > yy)) / gamma_sk
 
             c_best, v_best = _golden_line_max(section, -2.0 * h, 2.0 * h)
             if v_best > best_val:
                 best_val = v_best
-                x0 = min(max(x0 + c_best * dx, 0.0), p.L)
-                y0 = min(max(y0 + c_best * dy, 0.0), p.L)
+                x0 = min(max(x0 + c_best * dx, 0.0), L)
+                y0 = min(max(y0 + c_best * dy, 0.0), L)
         h *= 0.25
 
     return best_val, (p.t1 * math.exp(x0), p.t1 * math.exp(y0))

@@ -102,7 +102,7 @@ def _geometric_cuts(width: float, panels: int, ratio: float, floor: float) -> li
     return cuts
 
 
-def _eval_f(fe, t1: float, us: np.ndarray) -> list[float]:
+def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
     out = [fe(t1 * math.exp(u)) for u in us]
     if not all(map(math.isfinite, out)):
         raise QuadratureFailure("integrand not finite at a quadrature node")
@@ -140,29 +140,33 @@ def hadamard_integral(order: float, f, t1: float, t: float, cfg: QuadratureConfi
     n_left = max(1, (3 * cfg.panels) // 5)
     n_right = max(1, cfg.panels - n_left)
     mid = 0.5 * U
-    total = 0.0
 
+    # The whole mesh is built as arrays, one row of Gauss nodes per panel,
+    # and f is evaluated once over all of its nodes.
     # Left half, u in [0, mid]: kernel smooth, f possibly singular at u = 0.
-    cuts = _geometric_cuts(mid, n_left, ratio, floor)
-    left_panels = [(cuts[i + 1], cuts[i]) for i in range(len(cuts) - 1)]
-    left_panels.append((0.0, cuts[-1]))
-    for lo, hi in left_panels:
-        half = 0.5 * (hi - lo)
-        u = 0.5 * (hi + lo) + half * xg
-        total += half * float(np.dot(wg, np.power(U - u, beta) * _eval_f(fe, t1, u)))
+    hi = np.array(_geometric_cuts(mid, n_left, ratio, floor))
+    lo = np.append(hi[1:], 0.0)
+    half = 0.5 * (hi - lo)
+    u_left = (0.5 * (hi + lo))[:, None] + half[:, None] * xg
+    w_left = np.power(U - u_left, beta) * (half[:, None] * wg)
 
     # Right half in w = U - u, w in [0, mid]: kernel w^beta singular at the
     # terminal panel, which gets the Gauss-Jacobi rule.
-    cuts = _geometric_cuts(mid, n_right, ratio, floor)
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i + 1], cuts[i]
-        half = 0.5 * (hi - lo)
-        w = 0.5 * (hi + lo) + half * xg
-        total += half * float(np.dot(wg, np.power(w, beta) * _eval_f(fe, t1, U - w)))
-    h_last = cuts[-1]
+    cuts = np.array(_geometric_cuts(mid, n_right, ratio, floor))
+    hi, lo = cuts[:-1], cuts[1:]
+    half = 0.5 * (hi - lo)
+    w_right = (0.5 * (hi + lo))[:, None] + half[:, None] * xg
+    h_last = float(cuts[-1])
     xj, wj = _gauss_jacobi(cfg.order, beta)
-    w = 0.5 * h_last * (1.0 + xj)
-    total += (0.5 * h_last) ** (beta + 1.0) * float(np.dot(wj, _eval_f(fe, t1, U - w)))
+    w_end = 0.5 * h_last * (1.0 + xj)
+
+    nodes = np.concatenate((u_left.ravel(), (U - w_right).ravel(), U - w_end))
+    weights = np.concatenate((
+        w_left.ravel(),
+        (np.power(w_right, beta) * (half[:, None] * wg)).ravel(),
+        (0.5 * h_last) ** (beta + 1.0) * wj,
+    ))
+    total = float(np.dot(weights, _eval_f(fe, t1, nodes.tolist())))
 
     if not math.isfinite(total):
         raise QuadratureFailure(f"integral of order {order!r} at t={t!r} is not finite")

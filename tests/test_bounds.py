@@ -24,6 +24,7 @@ from hadamard_bvp import (
     reference_bound_kappa0,
 )
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
+from hadamard_bvp.errors import ResultUnderflow
 from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
@@ -67,6 +68,17 @@ def test_eigen_bound_is_exact_width_multiple():
 def test_eigen_bound_vanishes_with_interval_width():
     p = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=1.0 + 1e-6)
     assert 0.0 < eigenvalue_bound(p) < 1e-3
+
+
+def test_eigen_bound_underflow_is_an_error():
+    p = FracParams(sigma=1.75, kappa=0.5, t1=1e-300, t2=2.7e-300)
+    assert lyapunov_bound(p) > 0.0
+    with pytest.raises(ResultUnderflow):
+        eigenvalue_bound(p)
+    with pytest.raises(ResultUnderflow):
+        lyapunov_report(p)
+    with pytest.raises(ResultUnderflow):
+        lambda_nonexistence_check(p, 1.0)
 
 
 def test_lambda_verdicts():

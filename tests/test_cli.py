@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import warnings
 import pytest
 
 from hadamard_bvp import __version__
+from hadamard_bvp.errors import NonFiniteResult
 from hadamard_bvp.cli import GRID_MAX_N, _to_json, main
 from hadamard_bvp.selftest import EX_A_REF
 
@@ -114,6 +116,29 @@ def test_green_grid(tmp_path, capsys):
     assert max(g for _, _, g in values) > 0.3
 
 
+# SHA-256 of `green grid --n 64` for the paper's example, as written before
+# the kernel was evaluated in place; any change to a digit of G shows here.
+GRID_64_SHA256 = "c194ca3b56819aef980d2ca199f475a3d8c876cf982ce03f02df0b3ef896c463"
+
+
+def test_green_grid_bytes_are_frozen(tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(["green", "grid", *PP_A, "--n", "64", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GRID_64_SHA256
+
+
+@pytest.mark.parametrize("name", ["tab\there.csv", "new\nline.csv", 'quote"back\\slash.csv'])
+def test_green_grid_json_escapes_path(tmp_path, capsys, name):
+    out_path = tmp_path / name
+    code, out, _ = run(
+        ["green", "grid", *PP_A, "--n", "3", "--out", str(out_path), "--json"], capsys
+    )
+    assert code == 0
+    assert out.count("\n") == 1  # one line of JSON, the newline is the terminator
+    assert json.loads(out)["payload"]["path"] == str(out_path)
+
+
 def test_green_grid_rejects_tiny_n(tmp_path, capsys):
     code, _, err = run(
         ["green", "grid", *PP_A, "--n", "1", "--out", str(tmp_path / "x.csv")], capsys
@@ -193,6 +218,32 @@ def test_non_finite_result_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "eigen_bound is not finite" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "check"])
+def test_eigen_bound_underflow_exit_code(capsys, command):
+    # bound ~2.4e-300 times width 1.7e-300 rounds to 0, which is not a threshold.
+    argv = [command, "--sigma", "1.75", "--kappa", "0.5", "--t1", "1e-300", "--t2", "2.7e-300",
+            "--json"]
+    if command == "check":
+        argv += ["--q-const", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "underflows" in err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_to_json_rejects_non_finite(value):
+    with pytest.raises(NonFiniteResult):
+        _to_json({"payload": {"x": [1.0, value]}})
+
+
+def test_to_json_escapes_strings():
+    text = 'tab\tnew\nline "quoted" back\\slash \x01 é'
+    out = _to_json({"key\n": text})
+    assert json.loads(out) == {"key\n": text}
+    assert "é" in out  # not escaped to \u00e9
 
 
 def test_division_by_zero_in_expression(capsys):

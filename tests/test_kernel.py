@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hadamard_bvp import (
+    ConvergenceFailure,
     DomainInvalid,
     MaxBranch,
     ResourceLimit,
@@ -29,6 +30,10 @@ from hadamard_bvp import (
     xi2,
     zeta,
 )
+from hadamard_bvp import kernel
+from hadamard_bvp.cli import main
+from hadamard_bvp.gammafn import gamma
+from hadamard_bvp.kernel import _green_xy
 from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
 
 EX_A = validate(1.75, 0.5, 1.0, math.e)
@@ -195,3 +200,49 @@ def test_bruteforce_limits():
         green_max_bruteforce(EX_A, 8)
     with pytest.raises(ResourceLimit):
         green_max_bruteforce(EX_A, 100000)
+
+
+def _green_xy_reference(p, x, y):
+    # The out-of-place expression _green_xy replaced; it must agree bit for bit.
+    a = p.sigma - 1.0
+    b = p.sigma - p.kappa - 1.0
+    s = p.t1 * np.exp(y)
+    upper = np.power(x, a) * np.power(np.maximum(p.L - y, 0.0), b) / p.L**a
+    lower = np.power(np.maximum(x - y, 0.0), b)
+    return (upper - lower) / (s * gamma(p.sigma - p.kappa))
+
+
+@pytest.mark.parametrize("shape", ["square", "grid-row", "single"])
+def test_green_xy_is_bit_identical_to_reference(shape):
+    rng = np.random.default_rng(16)
+    for p in (EX_A, EX_B, *(_random_params(rng) for _ in range(8))):
+        u = np.linspace(0.0, p.L, 301)
+        if shape == "square":  # includes the diagonal x == y
+            x, y = u[:, None], u[None, :]
+        elif shape == "grid-row":  # how `green grid` evaluates one row
+            x, y = np.full(u.size, u[117]), u
+        else:
+            x, y = u[200:201, None], u[None, 57:58]
+        got = _green_xy(p, x, y)
+        assert got.shape == np.broadcast_shapes(x.shape, y.shape)
+        assert np.array_equal(got, _green_xy_reference(p, x, y))
+
+
+def test_critical_x2_rejects_non_positive_discriminant(monkeypatch):
+    monkeypatch.setattr(kernel, "discriminant", lambda p: 0.0)
+    with pytest.raises(ConvergenceFailure, match="discriminant"):
+        critical_x2(EX_A)
+
+
+def test_critical_x2_rejects_roots_out_of_place(monkeypatch, capsys):
+    # With a vanishing square root the larger root of EX_A is 0.5 * 2.0 = L,
+    # not beyond the domain as the invariant requires.
+    monkeypatch.setattr(kernel, "discriminant", lambda p: 1e-300)
+    with pytest.raises(ConvergenceFailure, match="do not bracket"):
+        critical_x2(EX_A)
+    argv = ["bound", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1",
+            "--t2", "2.718281828459045", "--json"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "do not bracket" in captured.err

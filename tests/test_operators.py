@@ -14,6 +14,8 @@ from hadamard_bvp import (
     hadamard_integral,
     power_rule_reference,
 )
+from hadamard_bvp.gammafn import gamma
+from hadamard_bvp.operators import DEFAULT_CONFIG, _gauss_jacobi, _gauss_legendre, _geometric_cuts
 
 # Closed-form anchor values (power rule evaluated at double precision).
 I_HALF_SQRTLOG_AT_2 = 0.61428569471388805  # order 1/2 integral of (ln s)^(1/2) at t=2
@@ -183,3 +185,62 @@ def test_argument_validation():
         hadamard_derivative(2.5, lambda s: 1.0, 1.0, 2.0)
     with pytest.raises(DomainInvalid):
         hadamard_derivative(0.5, lambda s: 1.0, 2.0, 2.0)
+
+
+def _per_panel_integral(order, f, t1, U, cfg=DEFAULT_CONFIG):
+    # The panel-by-panel sum hadamard_integral evaluated before its mesh was
+    # built as arrays: same nodes and weights, summed one panel at a time.
+    beta = order - 1.0
+    ratio = 2.0 ** (-cfg.grading)
+    xg, wg = _gauss_legendre(cfg.order)
+    floor = max(5e-14 * max(1.0, U), 3e-16 / ((1.0 - float(xg[-1])) / 2.0))
+    n_left = max(1, (3 * cfg.panels) // 5)
+    n_right = max(1, cfg.panels - n_left)
+    mid = 0.5 * U
+    fv = lambda us: np.array([f(t1 * math.exp(u)) for u in us])
+    total = 0.0
+    cuts = _geometric_cuts(mid, n_left, ratio, floor)
+    for lo, hi in [*zip(cuts[1:], cuts), (0.0, cuts[-1])]:
+        half = 0.5 * (hi - lo)
+        u = 0.5 * (hi + lo) + half * xg
+        total += half * float(np.dot(wg, np.power(U - u, beta) * fv(u)))
+    cuts = _geometric_cuts(mid, n_right, ratio, floor)
+    for lo, hi in zip(cuts[1:], cuts):
+        half = 0.5 * (hi - lo)
+        w = 0.5 * (hi + lo) + half * xg
+        total += half * float(np.dot(wg, np.power(w, beta) * fv(U - w)))
+    xj, wj = _gauss_jacobi(cfg.order, beta)
+    w = 0.5 * cuts[-1] * (1.0 + xj)
+    total += (0.5 * cuts[-1]) ** (beta + 1.0) * float(np.dot(wj, fv(U - w)))
+    return total / gamma(order)
+
+
+@pytest.mark.parametrize("order", [0.3, 0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("U", [1e-6, 0.5, 3.0])
+def test_integral_matches_per_panel_sum(order, U):
+    t1 = 0.7
+    t = t1 * math.exp(U)
+    for f in (lambda s: 1.0 + math.cos(s), lambda s: math.log(s / t1) ** -0.4):
+        got = hadamard_integral(order, f, t1, t)
+        ref = _per_panel_integral(order, f, t1, math.log(t / t1))
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def _nodes(order, t1, t):
+    seen = []
+    hadamard_integral(order, lambda s: seen.append(s) or 1.0, t1, t)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("where", ["right-half", "end-panel"])
+def test_single_non_finite_node_rejected(where):
+    t1, t, order = 1.0, 2.0, 0.5
+    nodes = _nodes(order, t1, t)
+    # The Gauss-Jacobi end panel holds the `order` nodes closest to t.
+    end = nodes[-DEFAULT_CONFIG.order:]
+    right = [s for s in nodes[:-DEFAULT_CONFIG.order] if s > t1 * math.sqrt(t / t1)]
+    assert right
+    bad = right[len(right) // 2] if where == "right-half" else end[len(end) // 2]
+    for value in (math.inf, math.nan):
+        with pytest.raises(QuadratureFailure):
+            hadamard_integral(order, lambda s: value if s == bad else 1.0, t1, t)
