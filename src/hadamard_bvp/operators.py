@@ -86,12 +86,23 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes/weights for integral_{-1}^{1} (1+x)^beta phi(x) dx.  scipy is
-    # imported here, not at module level, so importing the package stays cheap.
-    from scipy.special import roots_jacobi
+    """Nodes/weights for integral_{-1}^{1} (1+x)^beta phi(x) dx, beta > -1.
 
-    nodes, weights = roots_jacobi(order, 0.0, beta)
-    return nodes, weights
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Jacobi(0, beta) recurrence, and each weight is the total
+    mass 2^(beta+1)/(beta+1) times the squared first component of its
+    normalised eigenvector.
+    """
+    import numpy as np
+
+    k = np.arange(1.0, order)
+    s = 2.0 * k + beta
+    diag = np.empty(order)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
 
 
 def _geometric_cuts(width: float, panels: int, ratio: float, floor: float) -> list[float]:

@@ -21,12 +21,36 @@ __all__ = ["FracParams", "Verdict", "VerdictKind", "validate"]
 
 @dataclass(frozen=True)
 class FracParams:
-    """Validated parameter bundle; construct via :func:`validate`."""
+    """Validated parameter bundle.
+
+    Construction checks every invariant, with exact floating-point
+    comparisons and no epsilon slack: sigma = 2.0 is accepted while
+    kappa = sigma - 1 is rejected even when the difference is one ulp.
+    """
 
     sigma: float
     kappa: float
     t1: float
     t2: float
+
+    def __post_init__(self):
+        sigma, kappa, t1, t2 = self.sigma, self.kappa, self.t1, self.t2
+        for name, value in (("sigma", sigma), ("kappa", kappa), ("t1", t1), ("t2", t2)):
+            if not math.isfinite(value):
+                raise DomainInvalid(f"{name} must be finite, got {value!r}")
+        if not 1.0 < sigma <= 2.0:
+            raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
+        if kappa == sigma - 1.0:
+            raise BoundaryOrderUnsupported(
+                f"kappa = sigma - 1 = {kappa!r} is excluded: the kernel exponent "
+                "sigma - kappa - 1 vanishes there"
+            )
+        if not 0.0 < kappa < sigma - 1.0:
+            raise OrderOutOfRange(
+                f"kappa must satisfy 0 < kappa < sigma - 1 = {sigma - 1.0!r}, got {kappa!r}"
+            )
+        if not 0.0 < t1 < t2:
+            raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
 
     @property
     def L(self) -> float:
@@ -62,26 +86,5 @@ class Verdict:
 
 
 def validate(sigma: float, kappa: float, t1: float, t2: float) -> FracParams:
-    """Check all parameter invariants and return a frozen bundle.
-
-    Comparisons are exact in floating point; no epsilon slack is applied
-    anywhere, so e.g. sigma = 2.0 is accepted while kappa = sigma - 1 is
-    rejected even when the difference is one ulp.
-    """
-    for name, value in (("sigma", sigma), ("kappa", kappa), ("t1", t1), ("t2", t2)):
-        if not math.isfinite(value):
-            raise DomainInvalid(f"{name} must be finite, got {value!r}")
-    if not 1.0 < sigma <= 2.0:
-        raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
-    if kappa == sigma - 1.0:
-        raise BoundaryOrderUnsupported(
-            f"kappa = sigma - 1 = {kappa!r} is excluded: the kernel exponent "
-            "sigma - kappa - 1 vanishes there"
-        )
-    if not 0.0 < kappa < sigma - 1.0:
-        raise OrderOutOfRange(
-            f"kappa must satisfy 0 < kappa < sigma - 1 = {sigma - 1.0!r}, got {kappa!r}"
-        )
-    if not 0.0 < t1 < t2:
-        raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
+    """Return the frozen bundle; :class:`FracParams` checks the invariants."""
     return FracParams(sigma=sigma, kappa=kappa, t1=t1, t2=t2)

@@ -4,7 +4,9 @@ Each check is a named callable that takes the seed for randomized checks
 and returns (ok, detail).  Reference numbers were computed independently at
 50-digit precision (mpmath) from the closed forms and are frozen here; the
 checks assert the double-precision code reproduces them to stated
-tolerances.  The tests import the same reference dictionaries.
+tolerances.  ``lambda_min`` has no closed form: it is the Nystrom estimate
+on a mesh graded at ratio 0.5 instead of 0.2, where n = 1000 to 4000 agree
+to 5e-15 relative.  The tests import the same reference dictionaries.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EX_A_REF = {
     "diag_value": 0.33458131187096824,  # G(sqrt(e), sqrt(e))
     "bound": 2.3549027135495548,
     "eigen_bound": 4.0463865404810962,
+    "lambda_min": 8.52800752070978,
 }
 EX_B = validate(1.5, 0.25, 1.0, math.e)
 EX_B_REF = {
@@ -51,6 +54,7 @@ EX_B_REF = {
     "mho": 0.25,
     "max_abs_g": 0.41307536289527054,
     "bound": 2.4208657543527619,
+    "lambda_min": 7.93111312499393,
 }
 
 _SWEEP_PARAMS = (EX_A, EX_B, validate(1.9, 0.3, 0.5, 4.0))
@@ -277,21 +281,25 @@ def _check_nystrom_structure(_seed: int):
 
 
 def _check_nystrom_eigen(_seed: int):
-    res = fredholm.min_eigenvalue_modulus(EX_A, 128)
-    if res.lambda_min < EX_A_REF["eigen_bound"]:
-        return False, f"lambda_min {res.lambda_min!r} below analytic bound"
-    if res.eigenvector_boundary_residual > 1e-3:
-        return False, f"boundary residual {res.eigenvector_boundary_residual!r}"
-    if not res.satisfied:
-        return False, "satisfied flag false"
-    return True, f"lambda_min {res.lambda_min:.6f} >= {res.analytic_bound:.6f}"
+    worst = 0.0
+    for p, ref in ((EX_A, EX_A_REF), (EX_B, EX_B_REF)):
+        res = fredholm.min_eigenvalue_modulus(p, 128)
+        err = abs(res.lambda_min - ref["lambda_min"]) / ref["lambda_min"]
+        if err > 1e-8:
+            return False, f"lambda_min {res.lambda_min!r} vs reference {ref['lambda_min']!r}"
+        worst = max(worst, err)
+        if res.eigenvector_boundary_residual > 1e-3:
+            return False, f"boundary residual {res.eigenvector_boundary_residual!r}"
+        if not res.satisfied:
+            return False, f"lambda_min {res.lambda_min!r} below analytic bound"
+    return True, f"lambda_min at n=128 within {worst:.1e} of the references, above the bounds"
 
 
 def _check_residual(seed: int):
     p = validate(1.9, 0.3, 1.0, math.e)
     n = 80
     K = fredholm.nystrom_matrix(p, Constant(1.0), n)
-    s, _ = fredholm._nodes_weights(p, n)
+    s = fredholm._nodes(p, n)
     v = np.ones(n)
     for _ in range(600):
         w = K @ v

@@ -297,6 +297,21 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_eigen_loads_no_scipy_special():
+    # The Gauss-Jacobi rules of the Nystrom near field are built with numpy.
+    code = (
+        "import contextlib, io, sys\n"
+        "from hadamard_bvp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({['eigen', *PP_A, '--n', '64', '--json']!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

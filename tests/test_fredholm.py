@@ -20,7 +20,9 @@ from hadamard_bvp import (
     residual_check,
 )
 from hadamard_bvp.cli import main
-from hadamard_bvp.fredholm import MATRIX_MAX_N, _nodes_weights
+from hadamard_bvp.errors import ResultUnderflow
+from hadamard_bvp.fredholm import MATRIX_MAX_N, _mesh, _nodes
+from hadamard_bvp.kernel import _green_xy
 from hadamard_bvp.selftest import EX_A_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
@@ -38,10 +40,17 @@ def test_matrix_boundary_structure():
     assert np.all(K[:, -1] == 0.0)
     inner = K[1:-1, 1:-1]
     assert np.all(np.isfinite(inner))
-    # Strictly above the diagonal (t <= s) the kernel is positive; below it
-    # the sign flips near the left edge, so the matrix must not be wholly
-    # non-negative.
-    assert np.all(inner[np.triu_indices_from(inner)] > 0.0)
+    # For t <= s the kernel is positive at every pair of interior nodes.
+    m = _mesh(EX_A, 64)
+    u = m.u[1:-1]
+    g = _green_xy(EX_A, u[:, None], u[None, :])
+    assert np.all(g[np.triu_indices_from(g)] > 0.0)
+    # Product weights on x_i's own panel are signed by construction, but on
+    # every panel right of it K[i][j] = (x_i/L)^a S[j] q_j / Gamma > 0.
+    panel = m.panel[1:-1]
+    assert np.all(inner[panel[None, :] > panel[:, None]] > 0.0)
+    # Below the diagonal the sign flips near the left edge, so the matrix
+    # must not be wholly non-negative.
     assert float(inner.min()) < 0.0
 
 
@@ -55,25 +64,46 @@ def test_coefficient_scales_columns():
     K3 = nystrom_matrix(EX_A, Constant(3.0), 32)
     assert np.allclose(K3, 3.0 * K1, rtol=1e-15, atol=0.0)
     Kq = nystrom_matrix(EX_A, Expression(parse_expr("ln(t)")), 32)
-    s, _ = _nodes_weights(EX_A, 32)
+    s = _nodes(EX_A, 32)
     assert np.allclose(Kq, K1 * np.log(s)[None, :], rtol=1e-15, atol=0.0)
 
 
 def test_rows_approximate_kernel_integrals():
     # Row i of K @ ones approximates the s-integral of G(t_i, s); compare
     # against an independent adaptive integrator that is told about the
-    # diagonal kink.  The composite rule is low-order at the kink and the
-    # weakly singular right edge, hence the modest tolerances.
-    for n, tol in ((200, 1e-2), (800, 1e-3)):
+    # diagonal kink.  The rows are the nodes nearest a quarter, half and
+    # three quarters of the way across [0, L] in ln(t/t1).  Product weights
+    # integrate q v = 1 exactly, so only the integrator's own error is left.
+    for n in (200, 800):
         K = nystrom_matrix(EX_B, Constant(1.0), n)
-        s, _ = _nodes_weights(EX_B, n)
-        for i in (n // 4, n // 2, 3 * n // 4):
+        s = _nodes(EX_B, n)
+        for frac in (0.25, 0.5, 0.75):
+            i = int(np.argmin(np.abs(np.log(s) - frac * EX_B.L)))
             ti = float(s[i])
             ref, quad_err = quad(
                 lambda t: green_eval(EX_B, ti, t), 1.0, math.e, points=[ti], limit=200
             )
             assert quad_err < 1e-8
-            assert abs(float(K[i].sum()) - ref) <= tol * ref
+            assert abs(float(K[i].sum()) - ref) <= 1e-8 * ref
+
+
+@pytest.mark.parametrize(
+    "p",
+    [EX_B, FracParams(1.1, 0.095, 0.5, 3.0), FracParams(2.0, 0.02, 1.0, 1.02)],
+    ids=["EX_B", "sigma-1.1", "narrow"],
+)
+def test_product_weights_integrate_polynomials_exactly(p):
+    # n = 66 gives eight order-8 panels and no remainder panel, so q v = u^k
+    # is interpolated exactly for k < 8 and K u^k is the exact operator:
+    # int_0^x (x-y)^b y^k dy = B(b+1, k+1) x^(b+k+1).
+    a, b = p.sigma - 1.0, p.sigma - p.kappa - 1.0
+    u = _mesh(p, 66).u
+    K = nystrom_matrix(p, Constant(1.0), 66)
+    for k in range(8):
+        beta = math.gamma(b + 1.0) * math.gamma(k + 1.0) / math.gamma(b + k + 2.0)
+        exact = ((u / p.L) ** a * p.L ** (b + k + 1.0) - u ** (b + k + 1.0)) * beta
+        exact /= math.gamma(p.sigma - p.kappa)
+        assert np.max(np.abs(K @ u**k - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("p", [EX_A, EX_B], ids=["EX_A", "EX_B"])
@@ -92,6 +122,33 @@ def test_reference_eigenvalue_estimate():
     assert res.analytic_bound == pytest.approx(EX_A_REF["eigen_bound"], rel=1e-12)
     assert res.satisfied is True
     assert res.eigenvector_boundary_residual == 0.0
+
+
+@pytest.mark.parametrize("sigma", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("ratio", [0.02, 0.5, 0.95])
+@pytest.mark.parametrize("L", [0.02, 1.0, 2.4])
+def test_estimate_is_converged_at_128(sigma, ratio, L):
+    # kappa/(sigma-1) near 0 and near 1, narrow and wide intervals.
+    p = FracParams(sigma=sigma, kappa=ratio * (sigma - 1.0), t1=1.0, t2=math.exp(L))
+    coarse = min_eigenvalue_modulus(p, 64).lambda_min
+    fine = min_eigenvalue_modulus(p, 128).lambda_min
+    assert abs(coarse - fine) <= 1e-5 * fine
+
+
+def test_underflowing_bound_fails_before_assembly(monkeypatch, capsys):
+    import hadamard_bvp.fredholm as fredholm
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("nystrom_matrix called")
+
+    monkeypatch.setattr(fredholm, "nystrom_matrix", no_assembly)
+    p = FracParams(sigma=1.75, kappa=0.5, t1=1e-300, t2=2.7e-300)
+    with pytest.raises(ResultUnderflow):
+        min_eigenvalue_modulus(p, 2048)
+    argv = ["eigen", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1e-300", "--t2", "2.7e-300",
+            "--n", "2048"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_arpack_no_convergence_is_convergence_failure(monkeypatch, capsys):
@@ -138,7 +195,7 @@ def test_residual_of_zero_candidate_is_zero():
 def test_residual_of_discrete_eigenpair_is_tiny():
     p = FracParams(sigma=1.9, kappa=0.3, t1=1.0, t2=math.e)
     K = nystrom_matrix(p, Constant(1.0), 80)
-    s, _ = _nodes_weights(p, 80)
+    s = _nodes(p, 80)
     v = np.ones(80)
     for _ in range(600):
         v = K @ v

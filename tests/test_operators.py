@@ -22,6 +22,24 @@ I_HALF_SQRTLOG_AT_2 = 0.61428569471388805  # order 1/2 integral of (ln s)^(1/2) 
 D_QUARTER_LOG12_AT_2 = 0.79380669177872275  # order 1/4 derivative of (ln t)^1.2 at t=2
 
 
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 0.25, 0.9])
+def test_gauss_jacobi_matches_reference_rules(beta):
+    # Nodes against scipy; weights against a 30-digit mpmath rule, since
+    # roots_jacobi's own weights are off by up to 1.2e-12 relative here.
+    import mpmath
+    from scipy.special import roots_jacobi
+
+    for order in range(2, 17):
+        x, w = _gauss_jacobi(order, beta)
+        assert np.max(np.abs(x - roots_jacobi(order, 0.0, beta)[0])) <= 1e-14
+        with mpmath.workdps(30):
+            X, W = mpmath.gauss_quadrature(order, "jacobi", 0, mpmath.mpf(beta))
+            x_ref = np.array([float(v) for v in X])
+            w_ref = np.array([float(v) for v in W])
+        assert np.max(np.abs(x - x_ref)) <= 1e-14
+        assert np.max(np.abs(w - w_ref)) <= 1e-14 * w_ref.sum()
+
+
 def test_order_zero_is_identity():
     f = lambda s: 3.0 * s + 1.0
     assert hadamard_integral(0.0, f, 1.0, 2.5) == f(2.5)

@@ -5,6 +5,7 @@ import pytest
 from hadamard_bvp import (
     BoundaryOrderUnsupported,
     DomainInvalid,
+    FracParams,
     OrderOutOfRange,
     Verdict,
     VerdictKind,
@@ -53,6 +54,24 @@ def test_domain_rejections():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainInvalid):
             validate(1.75, 0.5, 1.0, bad)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((3.0, 2.5, 1, 2), OrderOutOfRange),
+        ((1.75, 0.75, 1.0, 2.0), BoundaryOrderUnsupported),
+        ((1.75, 0.9, 1.0, 2.0), OrderOutOfRange),
+        ((1.75, 0.5, 2.0, 2.0), DomainInvalid),
+        ((1.75, 0.5, 1.0, math.nan), DomainInvalid),
+    ],
+)
+def test_direct_construction_is_validated(args, error):
+    # There is one construction path: FracParams itself checks the invariants.
+    with pytest.raises(error):
+        FracParams(*args)
+    with pytest.raises(error):
+        validate(*args)
 
 
 def test_verdict_factory_strictness():
