@@ -144,6 +144,8 @@ def _bisect_sign_change(f, a: float, b: float, fa: float, width: float) -> float
     """Narrow a bracket with f(a)*f(b) < 0 down to `width` and return its midpoint."""
     while b - a > width:
         mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent floats
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

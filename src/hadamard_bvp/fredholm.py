@@ -7,16 +7,13 @@ operator becomes (1/Gamma(sigma - kappa)) times
     (x/L)^a int_0^L (L - y)^b q v dy - int_0^x (x - y)^b q v dy,
 
 with a = sigma - 1 and b = sigma - kappa - 1.  ``nystrom_matrix``
-discretizes it by product integration (Atkinson, The Numerical Solution of
-Integral Equations of the Second Kind, CUP 1997, ch. 4): q v is
-interpolated on order-8 Gauss-Legendre panels and the weights integrate
-(x - y)^b against each Lagrange basis function, so neither the (x - y)^b
-kink on the diagonal nor the (L - y)^b end singularity costs accuracy.
-About half of the panels grade geometrically toward u = 0, where the
-eigenfunction behaves like u^a.  With q = 1 the reciprocal of the spectral
-radius of K estimates the smallest eigenvalue modulus of the associated
-eigenproblem, which the analytic bound must stay below; at n = 128 it is
-within about 1e-9 relative of its converged value.
+discretizes it on the product-integration core in ``operators``, with
+order-8 panels of which about half grade toward u = 0, where the
+eigenfunction behaves like u^a; neither the (x - y)^b kink on the diagonal
+nor the (L - y)^b end singularity costs accuracy.  With q = 1 the
+reciprocal of the spectral radius of K estimates the smallest eigenvalue
+modulus of the associated eigenproblem, which the analytic bound must stay
+below; at n = 128 it is within about 1e-9 relative of its converged value.
 
 Boundary structure: the node set contains t1 and t2 explicitly with zero
 quadrature weight.  G(t1, .) = 0 and G(., t2) contributes nothing, so row 0
@@ -28,16 +25,14 @@ conditions exactly.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .bounds import eigenvalue_bound
 from .coefficient import Coefficient, Constant, eval_coefficient
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .gammafn import gamma
-from .operators import _gauss_jacobi, _gauss_legendre
+from .operators import _graded_mesh, _Mesh, _product_weights
 from .params import FracParams
 
 if TYPE_CHECKING:
@@ -51,12 +46,6 @@ MATRIX_MAX_N = 4000
 _PANEL_ORDER = 8
 # Width ratio of the geometric panels inside the first uniform panel.
 _GRADING = 0.2
-# The rule for the panel left of a row's own panel halves its pieces toward
-# the row; the last piece, 2 * 0.5^6 = 0.031 wide in that panel's reference
-# interval [-1, 1], is narrower than the gap between it and the row, which
-# is at least 0.0397 on every mesh (the first node of an order-8 panel next
-# to one as wide).
-_ADJACENT_HALVINGS = 6
 
 
 @dataclass(frozen=True)
@@ -79,18 +68,6 @@ class NystromResult:
     eigenvector_boundary_residual: float
 
 
-# Panels on [0, L] in u = ln(s/t1) and the n nodes they carry.  ``u[0] = 0``
-# and ``u[-1] = L`` are the boundary nodes with zero weight ``w``; the
-# interior nodes are the Gauss-Legendre nodes of the panels, in order.
-# ``panel[i]`` is the panel of node i and ``ref[i]`` its coordinate in that
-# panel's reference interval [-1, 1]; the boundary nodes count as the left
-# end of the first panel and the right end of the last.  Panel k spans
-# ``edges[k:k+2]``, has order ``orders[k]`` and starts at node ``first[k]``.
-# (A plain namedtuple: a dataclass or typing.NamedTuple would add about 1-2
-# ms to every command's start-up.)
-_Mesh = namedtuple("_Mesh", "edges orders first u w panel ref")
-
-
 def _mesh(p: FracParams, n: int) -> _Mesh:
     """Order-8 Gauss panels, with any remainder in one lower-order panel.
 
@@ -100,23 +77,9 @@ def _mesh(p: FracParams, n: int) -> _Mesh:
     narrow that its order hardly matters; as the last panel, a one-node
     remainder would cost n = 403 a relative error of 2.6e-6 in lambda_min.
     """
-    import numpy as np
-
     full, rem = divmod(n - 2, _PANEL_ORDER)
     orders = ((rem,) if rem else ()) + (_PANEL_ORDER,) * full
-    graded = len(orders) // 2
-    uniform = np.linspace(0.0, p.L, len(orders) - graded + 1)
-    cuts = uniform[1] * _GRADING ** np.arange(graded, 0, -1.0)
-    edges = np.concatenate(([0.0], cuts, uniform[1:]))
-    first = np.cumsum((1,) + orders)
-    rules = [_gauss_legendre(order) for order in orders]
-    ref = np.concatenate([[-1.0], *(x for x, _ in rules), [1.0]])
-    wref = np.concatenate([[0.0], *(w for _, w in rules), [0.0]])
-    panel = np.concatenate(([0], np.repeat(np.arange(len(orders)), orders), [len(orders) - 1]))
-    half = 0.5 * np.diff(edges)[panel]
-    u = edges[panel] + half * (1.0 + ref)
-    u[-1] = p.L
-    return _Mesh(edges=edges, orders=orders, first=first, u=u, w=half * wref, panel=panel, ref=ref)
+    return _graded_mesh(p.L, orders, len(orders) // 2, _GRADING)
 
 
 def _nodes(p: FracParams, n: int) -> np.ndarray:
@@ -126,46 +89,15 @@ def _nodes(p: FracParams, n: int) -> np.ndarray:
     return p.t1 * np.exp(_mesh(p, n).u)
 
 
-def _lagrange(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Lagrange basis of ``nodes`` at ``pts``: shape pts.shape + (len(nodes),)."""
-    import numpy as np
-
-    diff = pts[..., None] - nodes
-    out = np.empty(diff.shape)
-    for j in range(len(nodes)):
-        others = np.arange(len(nodes)) != j
-        out[..., j] = np.prod(diff[..., others], axis=-1) / np.prod(nodes[j] - nodes[others])
-    return out
-
-
-@lru_cache(maxsize=16)
-def _adjacent_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss rule on [-1, 1] graded toward +1, and the Lagrange
-    basis of the order-``order`` Gauss panel at its nodes."""
-    import numpy as np
-
-    xg, wg = _gauss_legendre(order)
-    cuts = np.append(1.0 - 2.0 * 0.5 ** np.arange(_ADJACENT_HALVINGS + 1.0), 1.0)
-    half = 0.5 * np.diff(cuts)
-    eta = (cuts[:-1] + half)[:, None] + half[:, None] * xg
-    weights = half[:, None] * wg
-    return eta.ravel(), weights.ravel(), _lagrange(xg, eta.ravel())
-
-
 def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
     """Product-integration Nystrom matrix of the operator v -> int G q v ds.
 
-    In x = ln(t/t1), y = ln(s/t1) the 1/s of G cancels ds = s dy, so the
-    operator is (1/Gamma(sigma - kappa)) [(x/L)^a int_0^L (L-y)^b q v dy
-    - int_0^x (x-y)^b q v dy] with a = sigma - 1, b = sigma - kappa - 1.
-    With l_j the Lagrange basis of node j on its panel and
-    R[i][j] = int_0^{x_i} (x_i - y)^b l_j(y) dy, S = R at x = L:
+    In x = ln(t/t1), y = ln(s/t1) and the notation of the module docstring,
+    with R[i][j] = int_0^{x_i} (x_i - y)^b l_j(y) dy for the Lagrange basis
+    l_j of node j on its panel (``operators._product_weights``) and S = R at
+    x = L:
 
         K[i][j] = q(s_j) ((x_i/L)^a S[j] - R[i][j]) / Gamma(sigma - kappa).
-
-    R is the Gauss weight times (x_i - y_j)^b on the panels left of the one
-    next to x_i's own, a rule graded toward x_i on that neighbour, and a
-    Gauss-Jacobi rule on [panel start, x_i] on x_i's own panel.
     """
     import numpy as np
 
@@ -175,41 +107,8 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
         raise ResourceLimit(f"nystrom matrix n={n} exceeds cap {MATRIX_MAX_N}")
     m = _mesh(p, n)
     qvals = np.array([eval_coefficient(q, float(t)) for t in p.t1 * np.exp(m.u)])
-    a = p.sigma - 1.0
-    b = p.sigma - p.kappa - 1.0
-    u, panel, ref = m.u, m.panel, m.ref
-    width = np.diff(m.edges)
-    orders = np.array(m.orders)
-
-    # Gauss weight times (x_i - y_j)^b for y_j < x_i; the columns of each
-    # row's own and adjacent panel are overwritten below.
-    r = u[:, None] - u[None, :]
-    np.maximum(r, 0.0, out=r)
-    np.power(r, b, out=r, where=r > 0.0)
-    r *= m.w
-
-    # Own panel: y = x_i - (x_i - lo)(1 + z)/2, weight (1 + z)^b.
-    for order in set(m.orders):
-        rows = np.flatnonzero(orders[panel] == order)
-        zj, wj = _gauss_jacobi(order, b)
-        xg, _ = _gauss_legendre(order)
-        # Rows sharing a reference position share their weights up to scale.
-        pos, inv = np.unique(ref[rows], return_inverse=True)
-        vals = (wj @ _lagrange(xg, -1.0 + 0.5 * (1.0 + pos)[:, None] * (1.0 - zj)))[inv]
-        vals *= ((0.25 * width[panel[rows]] * (1.0 + ref[rows])) ** (b + 1.0))[:, None]
-        r[rows[:, None], m.first[panel[rows]][:, None] + np.arange(order)] = vals
-
-    # Adjacent panel Q = [lo, hi]: x_i - y = (hi - lo)/2 ((1 - eta) + delta).
-    for order in set(m.orders):
-        rows = np.flatnonzero((panel > 0) & (orders[panel - 1] == order))
-        eta, wts, basis = _adjacent_rule(order)
-        left = panel[rows] - 1
-        delta = width[panel[rows]] / width[left] * (1.0 + ref[rows])
-        vals = (np.power((1.0 - eta) + delta[:, None], b) * wts) @ basis
-        vals *= ((0.5 * width[left]) ** (b + 1.0))[:, None]
-        r[rows[:, None], m.first[left][:, None] + np.arange(order)] = vals
-
-    k = np.multiply.outer((u / p.L) ** a, r[-1])
+    r = _product_weights(m, p.sigma - p.kappa - 1.0, np.arange(n))
+    k = np.multiply.outer((m.u / p.L) ** (p.sigma - 1.0), r[-1])
     k -= r
     k *= qvals / gamma(p.sigma - p.kappa)
     return k

@@ -1,21 +1,24 @@
 """Numerical Hadamard fractional integral and derivative.
 
-All quadrature happens in the substituted variable u = ln(s/t1), where the
-integral of order ``a`` becomes
+All quadrature happens in u = ln(s/t1), where the integral of order ``a``
+becomes the Riemann-Liouville integral (Kilbas, Srivastava & Trujillo,
+Elsevier 2006, sec. 2.7)
 
-    (1/Gamma(a)) * integral_0^U (U - u)^(a-1) f(t1 e^u) du,   U = ln(t/t1):
+    (1/Gamma(a)) * integral_0^U (U - u)^(a-1) f(t1 e^u) du,   U = ln(t/t1),
 
-a Riemann-Liouville-type kernel, weakly singular at u = U for a < 1, with a
-possible integrable singularity of f itself at u = 0 (log-power data).  The
-mesh therefore grades geometrically toward *both* ends:
-
-* panels shrink by the ratio 2^(-grading) toward each endpoint;
-* the terminal panel at u = U uses a Gauss-Jacobi rule with weight
-  (U - u)^(a-1), which integrates the kernel singularity exactly;
-* the terminal panel at u = 0 stops shrinking at a depth floor chosen so
-  that the smallest quadrature node still satisfies t1 * e^u > t1 in double
-  precision, i.e. f is never evaluated at an argument that rounds onto the
-  singular endpoint itself.
+weakly singular at u = U for a < 1, and at u = 0 for log-power f.  One
+product-integration core (Atkinson, The Numerical Solution of Integral
+Equations of the Second Kind, CUP 1997, ch. 4) serves these integrals and
+the Nystrom matrix in ``fredholm``: ``_graded_mesh`` puts Gauss-Legendre
+panels on [0, U], uniform but for the first, which is cut geometrically
+toward u = 0, and ``_product_weights`` gives R[i][j] = integral_0^{u_i}
+(u_i - y)^b l_j(y) dy for the Lagrange basis l_j of node j's panel.  The
+integral at t is R's last row for b = a - 1, dotted with f at the interior
+nodes.  ``QuadratureConfig`` gives ``panels`` panels of order ``order``,
+about half of them graded at ratio 2^(-grading), but only as many graded
+panels (and, below U of about 1e-12, panels) as keep the innermost node
+above about 3e-16, so that t1 * e^u stays strictly above t1 and f is never
+evaluated at the singular endpoint itself.
 
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -53,7 +57,7 @@ class QuadratureConfig:
     """Mesh parameters: panel count, Gauss order per panel, grading strength.
 
     ``grading`` g produces geometric panel ratios 2^(-g); g = 1 halves panel
-    widths toward the endpoints, larger g clusters harder.
+    widths toward u = 0, larger g clusters harder.
     """
 
     panels: int = 64
@@ -105,12 +109,128 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
 
 
-def _geometric_cuts(width: float, panels: int, ratio: float, floor: float) -> list[float]:
-    """Decreasing cut positions from `width` toward 0, stopping at the floor."""
-    cuts = [width]
-    while len(cuts) < panels and cuts[-1] * ratio > floor:
-        cuts.append(cuts[-1] * ratio)
-    return cuts
+# Panels on [0, length] in u = ln(s/t1) and the nodes they carry.  ``u[0] = 0``
+# and ``u[-1] = length`` are boundary nodes with zero weight ``w``; the
+# interior nodes are the Gauss-Legendre nodes of the panels, in order.
+# ``panel[i]`` is the panel of node i and ``ref[i]`` its coordinate in that
+# panel's reference interval [-1, 1]; the boundary nodes count as the left
+# end of the first panel and the right end of the last.  Panel k spans
+# ``edges[k:k+2]``, has order ``orders[k]`` and starts at node ``first[k]``.
+# (A plain namedtuple: a dataclass or typing.NamedTuple would add about 1-2
+# ms to every command's start-up.)
+_Mesh = namedtuple("_Mesh", "edges orders first u w panel ref")
+
+# The rule for the panel left of a row's own panel halves its pieces toward
+# the row; the last piece, 2 * 0.5^6 = 0.031 wide in that panel's reference
+# interval [-1, 1], is narrower than the gap between it and the row: panels
+# never shrink toward the right, so the gap is at least the first node of
+# the row's panel, 0.0397 for order 8 and more for lower orders.
+_ADJACENT_HALVINGS = 6
+
+
+def _graded_mesh(length: float, orders: tuple[int, ...], graded: int, ratio: float) -> _Mesh:
+    """Gauss panels of the given orders, from u = 0 up, on [0, length].
+
+    The panels not graded are uniform; the first of them is cut toward
+    u = 0 at the given ratio into ``graded`` more.
+    """
+    import numpy as np
+
+    uniform = np.linspace(0.0, length, len(orders) - graded + 1)
+    cuts = uniform[1] * ratio ** np.arange(graded, 0, -1.0)
+    edges = np.concatenate(([0.0], cuts, uniform[1:]))
+    first = np.cumsum((1,) + orders)
+    rules = [_gauss_legendre(order) for order in orders]
+    ref = np.concatenate([[-1.0], *(x for x, _ in rules), [1.0]])
+    wref = np.concatenate([[0.0], *(w for _, w in rules), [0.0]])
+    panel = np.concatenate(([0], np.repeat(np.arange(len(orders)), orders), [len(orders) - 1]))
+    half = 0.5 * np.diff(edges)[panel]
+    u = edges[panel] + half * (1.0 + ref)
+    u[-1] = length
+    return _Mesh(edges=edges, orders=orders, first=first, u=u, w=half * wref, panel=panel, ref=ref)
+
+
+def _lagrange(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Lagrange basis of ``nodes`` at ``pts``: shape pts.shape + (len(nodes),)."""
+    import numpy as np
+
+    diff = pts[..., None] - nodes
+    out = np.empty(diff.shape)
+    for j in range(len(nodes)):
+        others = np.arange(len(nodes)) != j
+        out[..., j] = np.prod(diff[..., others], axis=-1) / np.prod(nodes[j] - nodes[others])
+    return out
+
+
+@lru_cache(maxsize=16)
+def _adjacent_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss rule on [-1, 1] graded toward +1, and the Lagrange
+    basis of the order-``order`` Gauss panel at its nodes."""
+    import numpy as np
+
+    xg, wg = _gauss_legendre(order)
+    cuts = np.append(1.0 - 2.0 * 0.5 ** np.arange(_ADJACENT_HALVINGS + 1.0), 1.0)
+    half = 0.5 * np.diff(cuts)
+    eta = (cuts[:-1] + half)[:, None] + half[:, None] * xg
+    weights = half[:, None] * wg
+    return eta.ravel(), weights.ravel(), _lagrange(xg, eta.ravel())
+
+
+def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
+    """R[i][j] = int_0^{u_i} (u_i - y)^b l_j(y) dy for the mesh nodes i in ``rows``.
+
+    l_j is the Lagrange basis of node j on its panel.  R is the Gauss weight
+    times (u_i - u_j)^b on the panels left of the one next to u_i's own, a
+    rule graded toward u_i on that neighbour, and a Gauss-Jacobi rule on
+    [panel start, u_i] on u_i's own panel.
+    """
+    import numpy as np
+
+    ref, own = m.ref[rows], m.panel[rows]
+    width = np.diff(m.edges)
+    orders = np.array(m.orders)
+
+    # Gauss weight times (u_i - u_j)^b for u_j < u_i; the columns of each
+    # row's own and adjacent panel are overwritten below.
+    r = m.u[rows, None] - m.u[None, :]
+    np.maximum(r, 0.0, out=r)
+    np.power(r, b, out=r, where=r > 0.0)
+    r *= m.w
+
+    for order in set(m.orders):
+        # Own panel: y = u_i - (u_i - lo)(1 + z)/2, weight (1 + z)^b.
+        sel = np.flatnonzero(orders[own] == order)
+        zj, wj = _gauss_jacobi(order, b)
+        xg, _ = _gauss_legendre(order)
+        # Rows sharing a reference position share their weights up to scale.
+        pos, inv = np.unique(ref[sel], return_inverse=True)
+        vals = (wj @ _lagrange(xg, -1.0 + 0.5 * (1.0 + pos)[:, None] * (1.0 - zj)))[inv]
+        vals *= ((0.25 * width[own[sel]] * (1.0 + ref[sel])) ** (b + 1.0))[:, None]
+        r[sel[:, None], m.first[own[sel]][:, None] + np.arange(order)] = vals
+
+        # Adjacent panel Q = [lo, hi]: u_i - y = (hi - lo)/2 ((1 - eta) + delta).
+        sel = np.flatnonzero((own > 0) & (orders[own - 1] == order))
+        eta, wts, basis = _adjacent_rule(order)
+        left = own[sel] - 1
+        delta = width[own[sel]] / width[left] * (1.0 + ref[sel])
+        vals = (np.power((1.0 - eta) + delta[:, None], b) * wts) @ basis
+        vals *= ((0.5 * width[left]) ** (b + 1.0))[:, None]
+        r[sel[:, None], m.first[left][:, None] + np.arange(order)] = vals
+    return r
+
+
+def _config_mesh(cfg: QuadratureConfig, length: float) -> _Mesh:
+    """The mesh ``cfg`` asks for on [0, length], with fewer graded panels (and
+    on intervals below about 1e-12 fewer panels) where needed to keep the
+    innermost node above about 3e-16."""
+    xg, _ = _gauss_legendre(cfg.order)
+    floor = 3e-16 / ((1.0 - float(xg[-1])) / 2.0)
+    ratio = 2.0 ** (-cfg.grading)
+    panels = max(1, int(min(cfg.panels, length / floor)))
+    graded = panels // 2
+    while graded and length / (panels - graded) * ratio**graded < floor:
+        graded -= 1
+    return _graded_mesh(length, (cfg.order,) * panels, graded, ratio)
 
 
 def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
@@ -120,68 +240,40 @@ def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
     return out
 
 
+def _integral_at_end(m: _Mesh, order: float, values, t: float) -> float:
+    """Integral of the given order over the whole mesh, up to u = ln(t/t1),
+    of the function with ``values`` at the interior nodes."""
+    import numpy as np
+
+    row = _product_weights(m, order - 1.0, np.array([len(m.u) - 1]))[0, 1:-1]
+    total = float(np.dot(row, values))
+    if not math.isfinite(total):
+        raise QuadratureFailure(f"integral of order {order!r} at t={t!r} is not finite")
+    return total / gamma(order)
+
+
+def _log_span(t1: float, t: float) -> float:
+    if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 <= t):
+        raise DomainInvalid(f"need 0 < t1 <= t, got t1={t1!r}, t={t!r}")
+    return math.log(t / t1)
+
+
 def hadamard_integral(order: float, f, t1: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Hadamard fractional integral of `f` of the given order, from t1 to t.
 
     Order 0 is the identity (returns f(t)).  For order > 0 the value is
     (1/Gamma(order)) * integral_{t1}^{t} (ln(t/s))^(order-1) f(s)/s ds.
     """
-    import numpy as np
-
     if not (math.isfinite(order) and order >= 0.0):
         raise DomainInvalid(f"integral order must be >= 0, got {order!r}")
-    if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 <= t):
-        raise DomainInvalid(f"need 0 < t1 <= t, got t1={t1!r}, t={t!r}")
+    U = _log_span(t1, t)
     fe = as_callable(f)
     if order == 0.0:
         return fe(t)
-    U = math.log(t / t1)
     if U == 0.0:
         return 0.0
-
-    beta = order - 1.0
-    ratio = 2.0 ** (-cfg.grading)
-    xg, wg = _gauss_legendre(cfg.order)
-    # Depth floor: the innermost left panel [0, h] has its first Gauss node
-    # at h*(1 - max node)/2; keep that above ~3e-16 so t1*e^u stays strictly
-    # above t1 in double precision.
-    node_frac = (1.0 - float(xg[-1])) / 2.0
-    floor = max(5e-14 * max(1.0, U), 3e-16 / node_frac)
-
-    n_left = max(1, (3 * cfg.panels) // 5)
-    n_right = max(1, cfg.panels - n_left)
-    mid = 0.5 * U
-
-    # The whole mesh is built as arrays, one row of Gauss nodes per panel,
-    # and f is evaluated once over all of its nodes.
-    # Left half, u in [0, mid]: kernel smooth, f possibly singular at u = 0.
-    hi = np.array(_geometric_cuts(mid, n_left, ratio, floor))
-    lo = np.append(hi[1:], 0.0)
-    half = 0.5 * (hi - lo)
-    u_left = (0.5 * (hi + lo))[:, None] + half[:, None] * xg
-    w_left = np.power(U - u_left, beta) * (half[:, None] * wg)
-
-    # Right half in w = U - u, w in [0, mid]: kernel w^beta singular at the
-    # terminal panel, which gets the Gauss-Jacobi rule.
-    cuts = np.array(_geometric_cuts(mid, n_right, ratio, floor))
-    hi, lo = cuts[:-1], cuts[1:]
-    half = 0.5 * (hi - lo)
-    w_right = (0.5 * (hi + lo))[:, None] + half[:, None] * xg
-    h_last = float(cuts[-1])
-    xj, wj = _gauss_jacobi(cfg.order, beta)
-    w_end = 0.5 * h_last * (1.0 + xj)
-
-    nodes = np.concatenate((u_left.ravel(), (U - w_right).ravel(), U - w_end))
-    weights = np.concatenate((
-        w_left.ravel(),
-        (np.power(w_right, beta) * (half[:, None] * wg)).ravel(),
-        (0.5 * h_last) ** (beta + 1.0) * wj,
-    ))
-    total = float(np.dot(weights, _eval_f(fe, t1, nodes.tolist())))
-
-    if not math.isfinite(total):
-        raise QuadratureFailure(f"integral of order {order!r} at t={t!r} is not finite")
-    return total / gamma(order)
+    m = _config_mesh(cfg, U)
+    return _integral_at_end(m, order, _eval_f(fe, t1, m.u[1:-1].tolist()), t)
 
 
 def hadamard_derivative(order: float, f, t1: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -239,8 +331,7 @@ def power_rule_reference(
         raise DomainInvalid(f"order must be > 0, got {order!r}")
     if not (math.isfinite(exponent_kappa) and exponent_kappa > 0.0):
         raise DomainInvalid(f"exponent_kappa must be > 0, got {exponent_kappa!r}")
-    if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 <= t):
-        raise DomainInvalid(f"need 0 < t1 <= t, got t1={t1!r}, t={t!r}")
+    X = _log_span(t1, t)
     if op is OperatorKind.Integral:
         coef = gamma(exponent_kappa) * reciprocal_gamma(exponent_kappa + order)
         power = exponent_kappa + order - 1.0
@@ -249,7 +340,6 @@ def power_rule_reference(
         power = exponent_kappa - order - 1.0
     if coef == 0.0:
         return 0.0
-    X = math.log(t / t1)
     if X == 0.0 and power < 0.0:
         raise DomainInvalid("negative log-power at t = t1 is unbounded")
     return coef * X**power
@@ -263,13 +353,19 @@ def composition_check(
     The two components agree up to quadrature error when the semigroup
     property holds; callers assert closeness.
     """
+    import numpy as np
+
     if not (math.isfinite(sigma) and sigma > 0.0 and math.isfinite(kappa) and kappa > 0.0):
         raise DomainInvalid(f"orders must be > 0, got sigma={sigma!r}, kappa={kappa!r}")
+    U = _log_span(t1, t)
     fe = as_callable(f)
-
-    def inner(s: float) -> float:
-        return hadamard_integral(kappa, fe, t1, s, cfg)
-
-    nested = hadamard_integral(sigma, inner, t1, t, cfg)
-    direct = hadamard_integral(sigma + kappa, fe, t1, t, cfg)
+    if U == 0.0:
+        return 0.0, 0.0
+    m = _config_mesh(cfg, U)
+    interior = np.arange(1, len(m.u) - 1)
+    fv = np.array(_eval_f(fe, t1, m.u[interior].tolist()))
+    # I^kappa f at every interior node: all rows of R for b = kappa - 1.
+    inner = _product_weights(m, kappa - 1.0, interior)[:, interior] @ fv / gamma(kappa)
+    nested = _integral_at_end(m, sigma, inner, t)
+    direct = _integral_at_end(m, sigma + kappa, fv, t)
     return nested, direct

@@ -128,6 +128,17 @@ def test_green_grid_bytes_are_frozen(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GRID_64_SHA256
 
 
+# SHA-256 of `eigen --json --n 400` stdout for the paper's example, taken
+# before the Nystrom weights moved into the shared product-integration core.
+EIGEN_400_SHA256 = "f8638b715ab57656d4cece527289c5a2408ef43a2d36d119838bc0eea0228793"
+
+
+def test_eigen_json_bytes_are_frozen(capsys):
+    code, out, _ = run(["eigen", *PP_A, "--n", "400", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EIGEN_400_SHA256
+
+
 @pytest.mark.parametrize("name", ["tab\there.csv", "new\nline.csv", 'quote"back\\slash.csv'])
 def test_green_grid_json_escapes_path(tmp_path, capsys, name):
     out_path = tmp_path / name
@@ -295,6 +306,22 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_sign_change_below_one_ulp_terminates():
+    # The sign change of q is bracketed to 1e-12 * (t2 - t1), below one ulp
+    # of t here, so the bisection has to stop at adjacent floats.  Run in a
+    # child process so that a hang fails the test instead of stalling it.
+    argv = ["check", "--sigma", "1.75", "--kappa", "0.5", "--t1", "5.76", "--t2", "5.760001",
+            "--q-expr", "1000*(t-5.7600003)+0.0000000000001", "--json"]
+    done = subprocess.run(
+        [sys.executable, "-m", "hadamard_bvp", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0
+    payload = json.loads(done.stdout)["payload"]
+    # Exact: 500 ((t0 - t1)^2 + (t2 - t0)^2) with the root t0 = 5.7600003 - 1e-16.
+    assert payload["q_integral"] == pytest.approx(2.9000000015659835e-10, rel=1e-8)
+    assert payload["verdict"] == "NoNontrivialSolution"
 
 
 def test_eigen_loads_no_scipy_special():
