@@ -43,7 +43,6 @@ from .errors import (
     UnknownIdentifier,
     ZeroLambda,
 )
-from .fredholm import NystromResult, min_eigenvalue_modulus, nystrom_matrix, residual_check
 from .gammafn import gamma, reciprocal_gamma
 from .kernel import (
     GreenMaxReport,
@@ -62,18 +61,32 @@ from .kernel import (
     xi2,
     zeta,
 )
-from .operators import (
-    DEFAULT_CONFIG,
-    OperatorKind,
-    QuadratureConfig,
-    composition_check,
-    hadamard_derivative,
-    hadamard_integral,
-    power_rule_reference,
-)
 from .params import FracParams, Verdict, VerdictKind, validate
 
 __version__ = "0.1.0"
+
+# The quadrature and Nystrom modules load on first use (PEP 562), so that
+# the scalar commands do not pay for them at start-up.
+_LAZY = {
+    "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix", "residual_check"),
+    "operators": (
+        "DEFAULT_CONFIG", "OperatorKind", "QuadratureConfig", "composition_check",
+        "hadamard_derivative", "hadamard_integral", "power_rule_reference",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY else _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    loaded = import_module(f".{module}", __name__)
+    value = loaded if module == name else getattr(loaded, name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "__version__",

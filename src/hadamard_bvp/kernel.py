@@ -22,7 +22,12 @@ on the left edge s = t1 (at ``t_hat``).  Both candidates have closed forms:
 ``green_max`` reports ``max|G| = max(omega, mho) / Gamma(sigma - kappa)``
 together with the branch that wins; ``green_max_bruteforce`` recomputes the
 maximum by direct search so the closed forms are testable against an
-independent route.
+independent route.  Its sweep of the uniform n x n grid uses the kernel's
+structure: above the diagonal G is rank one in (x, y), and below it the
+power (x - y)^b depends only on i - j, so n powers serve the whole grid.
+Geometric points L/(n - 1) 2^-k, k = 1..60, on both axes catch a left-edge
+maximum inside the first grid cell; one closer to s = t1 than the last of
+them is not resolved.
 """
 
 from __future__ import annotations
@@ -57,9 +62,16 @@ __all__ = [
     "green_max_bruteforce",
 ]
 
-# Largest accepted grid size for the brute-force search; a block sweep over
-# an n x n grid touches n^2 kernel values, so this caps work at ~17M points.
+# Largest accepted grid size for the brute-force search; the sweep over an
+# n x n grid touches about n^2/2 kernel values, so this caps work at ~8M.
 BRUTEFORCE_MAX_N = 4096
+
+# The brute-force sweep's row blocks hold about this many entries (1 MB of
+# float64).
+_SWEEP_BLOCK_ENTRIES = 1 << 17
+
+# Number of geometric points L/(n-1) 2^-k added to both brute-force axes.
+_GRADED_POINTS = 60
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -256,15 +268,74 @@ def _golden_line_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, f
     return (c1, f1) if f1 >= f2 else (c2, f2)
 
 
-def green_max_bruteforce(
-    p: FracParams, n: int, block: int = 256
-) -> tuple[float, tuple[float, float]]:
+def _uniform_sweep(p: FracParams, n: int) -> tuple[float, tuple[int, int]]:
+    """max|G| over the grid ``linspace(0, L, n)`` squared, and its cell (i, j).
+
+    Row i is x = ln(t/t1), column j is y = ln(s/t1).  With A_i = (x_i/L)^a,
+    D_j = (L - x_j)^b, w_j = e^(-x_j) and P_k = (k h)^b, h = L/(n - 1),
+
+        |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - [i > j] P_(i-j)|.
+
+    On and above the diagonal this is rank one and nonnegative, so row i
+    peaks at A_i times the suffix maximum of C = D w.  Below it, row blocks
+    read (x_i - x_j)^b from a Toeplitz view of P: n powers in all, not n^2/2.
+    The positive factor 1/(t1 Gamma(sigma - kappa)) scales only the winner.
+    """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    a = p.sigma - 1.0
+    b = p.sigma - p.kappa - 1.0
+    L = p.L
+    xs = np.linspace(0.0, L, n)
+    w = np.exp(-xs)
+    A = np.power(xs, a) / L**a
+    D = np.power(np.maximum(L - xs, 0.0), b)
+    C = D * w
+
+    suffix = np.maximum.accumulate(C[::-1])[::-1]
+    i = int(np.argmax(A * suffix))
+    j = i + int(np.argmax(C[i:]))
+    best, cell = float(A[i] * C[j]), (i, j)
+
+    # toe[i, j] = P_(i-j) on and below the diagonal, 0 above it: the windows
+    # of reversed P followed by zeros, taken in reverse order (a view).
+    P = np.power(np.arange(n) * (L / (n - 1)), b)
+    toe = sliding_window_view(np.concatenate((P[::-1], np.zeros(n - 1))), n)[::-1]
+    rows = max(1, _SWEEP_BLOCK_ENTRIES // n)
+    on_or_above = np.triu(np.ones((rows, rows), dtype=bool))
+    buf = np.empty(rows * n)
+    for r0 in range(0, n, rows):
+        # Rows r0..r1-1 meet the strict lower triangle in columns 0..r1-2.
+        r1 = min(r0 + rows, n)
+        m = r1 - r0
+        g = buf[: m * r1].reshape(m, r1)
+        np.multiply(A[r0:r1, None], D[:r1], out=g)
+        g -= toe[r0:r1, :r1]
+        g *= w[:r1]
+        np.abs(g, out=g)
+        # Cells on and above the diagonal belong to the rank-one part.
+        g[:, r0:][on_or_above[:m, :m]] = 0.0
+        k = int(np.argmax(g))
+        if g.flat[k] > best:
+            best, cell = float(g.flat[k]), (r0 + k // r1, k % r1)
+    return best / (p.t1 * gamma(p.sigma - p.kappa)), cell
+
+
+def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, float]]:
     """Grid search for max|G| over the square, refined by line searches.
 
-    The grid is uniform in log coordinates.  After the sweep the best cell is
-    polished with golden-section searches along the axis directions and both
-    diagonals of the grid (the ridge of |G| runs along t = s, where pure
-    coordinate descent stalls), repeated until the directions are exhausted.
+    The grid is ``linspace(0, L, n)`` in log coordinates on both axes, swept
+    through the kernel's structure (``_uniform_sweep``), plus the geometric
+    points L/(n - 1) 2^-k, k = 1..60, on both axes, evaluated as two thin
+    strips (graded rows by all columns, all rows by graded columns).  The
+    graded points catch a left-edge maximum at x = (b/a)^(1/kappa) L that
+    lies inside the first grid cell when kappa is close to sigma - 1; one
+    below L/(n - 1) 2^-60 is not resolved, and the result can then be well
+    below ``green_max``.  After the sweep the best point is polished with
+    golden-section searches along the axis directions and both diagonals of
+    the grid (the ridge of |G| runs along t = s, where pure coordinate
+    descent stalls), repeated until the directions are exhausted.
 
     Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16.
@@ -276,24 +347,21 @@ def green_max_bruteforce(
     if n > BRUTEFORCE_MAX_N:
         raise ResourceLimit(f"bruteforce grid n={n} exceeds cap {BRUTEFORCE_MAX_N}")
 
-    xs = np.linspace(0.0, p.L, n)
-    best_val = -1.0
-    best_ix = best_iy = 0
-    for row0 in range(0, n, block):
-        rows = xs[row0 : row0 + block]
-        vals = _green_xy(p, rows[:, None], xs[None, :])
-        np.abs(vals, out=vals)
-        flat = int(np.argmax(vals))
-        i, j = divmod(flat, n)
-        if vals[i, j] > best_val:
-            best_val = float(vals[i, j])
-            best_ix, best_iy = row0 + i, j
+    L = p.L
+    h = L / (n - 1)
+    xs = np.linspace(0.0, L, n)
+    best_val, (i, j) = _uniform_sweep(p, n)
+    x0, y0 = float(xs[i]), float(xs[j])
+    graded = h * 2.0 ** -np.arange(1.0, _GRADED_POINTS + 1.0)
+    for rows, cols in ((graded, np.concatenate((xs, graded))), (xs, graded)):
+        vals = np.abs(_green_xy(p, rows[:, None], cols[None, :]))
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best_val:
+            best_val = float(vals.flat[k])
+            x0, y0 = float(rows[k // len(cols)]), float(cols[k % len(cols)])
 
     # The line searches evaluate single points, on plain floats.
-    x0, y0 = float(xs[best_ix]), float(xs[best_iy])
-    L = p.L
     gamma_sk = gamma(p.sigma - p.kappa)
-    h = L / (n - 1)
     directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
     for _ in range(6):
         for dx, dy in directions:

@@ -234,6 +234,11 @@ def _config_mesh(cfg: QuadratureConfig, length: float) -> _Mesh:
 
 
 def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
+    """f at t1 e^u for the ascending interior nodes ``us``."""
+    if t1 * math.exp(us[0]) == t1:
+        raise QuadratureFailure(
+            f"innermost node u={us[0]!r} rounds onto t1={t1!r}; the interval is too short"
+        )
     out = [fe(t1 * math.exp(u)) for u in us]
     if not all(map(math.isfinite, out)):
         raise QuadratureFailure("integrand not finite at a quadrature node")

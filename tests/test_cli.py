@@ -308,6 +308,28 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_defers_quadrature_modules():
+    # The package loads operators and fredholm on first use of one of their
+    # names; every exported name still resolves.
+    code = (
+        "import hadamard_bvp.cli, sys\n"
+        "print(sorted(m for m in ('hadamard_bvp.operators', 'hadamard_bvp.fredholm')"
+        " if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+    import hadamard_bvp
+
+    for name in hadamard_bvp.__all__:
+        assert getattr(hadamard_bvp, name) is not None, name
+    assert hadamard_bvp.hadamard_integral is hadamard_bvp.operators.hadamard_integral
+    assert hadamard_bvp.nystrom_matrix is hadamard_bvp.fredholm.nystrom_matrix
+    with pytest.raises(AttributeError):
+        hadamard_bvp.no_such_name
+
+
 def test_sign_change_below_one_ulp_terminates():
     # The sign change of q is bracketed to 1e-12 * (t2 - t1), below one ulp
     # of t here, so the bisection has to stop at adjacent floats.  Run in a

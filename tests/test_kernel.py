@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hadamard_bvp import (
     ConvergenceFailure,
@@ -200,6 +202,54 @@ def test_bruteforce_limits():
         green_max_bruteforce(EX_A, 8)
     with pytest.raises(ResourceLimit):
         green_max_bruteforce(EX_A, 100000)
+
+
+def test_bruteforce_resolves_edge_maximum_inside_first_cell():
+    # kappa near sigma - 1: the left-edge maximum sits at x = 8.5e-5 L,
+    # inside the first of 1999 cells, where a uniform grid misses it by 1.5%.
+    p = validate(1.2251193390645163, 0.18564107820557843, 0.22859266985750926, 0.6437148677146808)
+    closed = green_max(p).max_abs_g
+    brute, (t_at, s_at) = green_max_bruteforce(p, 2000)
+    assert abs(brute - closed) <= 1e-9 * closed
+    assert s_at == p.t1
+    assert math.log(t_at / p.t1) < p.L / 1999
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    sigma=st.floats(1.02, 2.0),
+    e=st.floats(0.0, 3.0, exclude_min=True),
+    L=st.floats(0.01, 3.0),
+)
+def test_bruteforce_meets_closed_form_near_kappa_edge(sigma, e, L):
+    # r = kappa/(sigma - 1) = 1 - 10^-e crowds toward 1, where the left-edge
+    # maximum x = (1 - r)^(1/kappa) L moves toward s = t1.
+    a = sigma - 1.0
+    kappa = (1.0 - 10.0**-e) * a
+    assume(0.0 < kappa < a)
+    p = validate(sigma, kappa, 1.0, math.exp(L))
+    assume(((a - kappa) / a) ** (1.0 / kappa) * p.L >= p.L / 127 * 2.0**-60)
+    closed = green_max(p).max_abs_g
+    brute, _ = green_max_bruteforce(p, 128)
+    assert abs(brute - closed) <= 2e-3 * closed
+
+
+def _direct_sweep(p, n):
+    # Every cell of the uniform grid through _green_xy, no structure used.
+    xs = np.linspace(0.0, p.L, n)
+    vals = np.abs(_green_xy(p, xs[:, None], xs[None, :]))
+    k = int(np.argmax(vals))
+    return float(vals.flat[k]), divmod(k, n)
+
+
+@pytest.mark.parametrize("n", [16, 17, 300, 2000])
+@pytest.mark.parametrize("which", ["EX_A", "EX_B", "kappa-edge"])
+def test_uniform_sweep_matches_direct_sweep(which, n):
+    p = {"EX_A": EX_A, "EX_B": EX_B, "kappa-edge": validate(1.3, 0.29, 0.5, 1.5)}[which]
+    value, cell = kernel._uniform_sweep(p, n)
+    ref_value, ref_cell = _direct_sweep(p, n)
+    assert cell == ref_cell
+    assert abs(value - ref_value) <= 1e-14 * ref_value
 
 
 def _green_xy_reference(p, x, y):

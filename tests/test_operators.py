@@ -150,6 +150,20 @@ def test_non_finite_integrand_rejected():
         hadamard_integral(0.5, lambda s: math.nan, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("U", [1e-15, 3e-15])
+def test_node_rounding_onto_t1_is_a_quadrature_failure(U):
+    # Over so short an interval even the innermost node t1 e^u rounds onto
+    # t1, where a log-power f would divide by zero; that is a typed failure.
+    def f(s):
+        return math.log(s / 3.0) ** -0.4
+
+    t = 3.0 * math.exp(U)
+    with pytest.raises(QuadratureFailure, match="rounds onto t1"):
+        hadamard_integral(0.7, f, 3.0, t)
+    with pytest.raises(QuadratureFailure, match="rounds onto t1"):
+        composition_check(0.7, 0.5, f, 3.0, t)
+
+
 def test_config_validation():
     with pytest.raises(DomainInvalid):
         QuadratureConfig(panels=0)
