@@ -70,8 +70,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix", "residual_check"),
     "operators": (
-        "DEFAULT_CONFIG", "OperatorKind", "QuadratureConfig", "composition_check",
-        "hadamard_derivative", "hadamard_integral", "power_rule_reference",
+        "OperatorKind", "composition_check", "hadamard_derivative", "hadamard_integral",
+        "power_rule_reference",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
@@ -103,8 +103,8 @@ __all__ = [
     "nonexistence_check", "lambda_nonexistence_check", "integrate_abs_q",
     "reference_bound_kappa0",
     # operators
-    "QuadratureConfig", "DEFAULT_CONFIG", "OperatorKind", "hadamard_integral",
-    "hadamard_derivative", "power_rule_reference", "composition_check",
+    "OperatorKind", "hadamard_integral", "hadamard_derivative",
+    "power_rule_reference", "composition_check",
     # coefficients
     "Coefficient", "Constant", "Expression", "Table", "parse_expr", "pretty",
     "eval_coefficient", "load_table",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .coefficient import Coefficient, as_callable
 from .errors import (
@@ -67,13 +66,11 @@ _GL_WEIGHTS = (
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Bound summary, optionally extended with a computed verdict."""
+    """Bound summary: gamma(sigma - kappa) and the two thresholds."""
 
     gamma_sk: float
     bound: float
     eigen_bound: float
-    q_integral: Optional[float] = None
-    verdict: Optional[Verdict] = None
 
 
 def lyapunov_bound(p: FracParams) -> float:
@@ -95,17 +92,11 @@ def eigenvalue_bound(p: FracParams) -> float:
     return product
 
 
-def lyapunov_report(
-    p: FracParams,
-    q_integral: Optional[float] = None,
-    verdict: Optional[Verdict] = None,
-) -> LyapunovReport:
+def lyapunov_report(p: FracParams) -> LyapunovReport:
     return LyapunovReport(
         gamma_sk=gamma(p.sigma - p.kappa),
         bound=lyapunov_bound(p),
         eigen_bound=eigenvalue_bound(p),
-        q_integral=q_integral,
-        verdict=verdict,
     )
 
 

@@ -21,32 +21,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
 from .bounds import lyapunov_report, nonexistence_check
 from .coefficient import Constant, Expression, load_table, parse_expr
-from .errors import (
-    ConvergenceFailure,
-    DifferenceInstability,
-    DomainInvalid,
-    EvalError,
-    ExpressionSyntaxError,
-    HadamardBVPError,
-    NonFiniteResult,
-    QuadratureFailure,
-    ResourceLimit,
-    ResultUnderflow,
-    UnknownIdentifier,
-)
+from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
 from .kernel import green_eval, green_max, _green_xy
 from .params import FracParams, validate
 
 __all__ = ["main", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
 
 _USAGE_ERROR = 2
-_NUMERICAL_ERROR = 3
 _BOUND_VIOLATION = 4
 
 # Largest accepted `green grid --n`; the CSV has n^2 rows of about 58 bytes,
@@ -168,7 +155,7 @@ def cmd_check(args) -> RunReport:
     p = _params_from(args)
     q = _coefficient_from(args)
     verdict = nonexistence_check(p, q, tol=args.tol)
-    ly = lyapunov_report(p, q_integral=verdict.q_integral, verdict=verdict)
+    ly = lyapunov_report(p)
     payload = {
         "gamma_sk": ly.gamma_sk,
         "bound": ly.bound,
@@ -307,26 +294,6 @@ _DISPATCH = {
 }
 
 
-# Errors mapped to the numerical-failure exit code; every other package
-# error (validation, parsing, resource caps) maps to the usage code.
-_NUMERICAL_EXC = (
-    QuadratureFailure,
-    ConvergenceFailure,
-    DifferenceInstability,
-    EvalError,
-    NonFiniteResult,
-    ResultUnderflow,
-)
-_USAGE_EXC = (
-    DomainInvalid,
-    ResourceLimit,
-    ExpressionSyntaxError,
-    UnknownIdentifier,
-    HadamardBVPError,
-    OSError,
-)
-
-
 def _is_finite(value) -> bool:
     """False if any float in value, at any depth of lists and dicts, is inf or nan."""
     if isinstance(value, float):
@@ -345,12 +312,11 @@ def main(argv=None) -> int:
         for key, value in report.payload.items():
             if not _is_finite(value):
                 raise NonFiniteResult(f"{key} is not finite")
-    except _NUMERICAL_EXC as exc:
+    except (HadamardBVPError, OSError) as exc:
+        # Package errors carry their exit code; a file that cannot be read
+        # is a usage error.
         print(f"error: {exc}", file=sys.stderr)
-        return _NUMERICAL_ERROR
-    except _USAGE_EXC as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+        return getattr(exc, "exit_code", _USAGE_ERROR)
 
     exit_code = 0
     if report.command == "selftest":

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class HadamardBVPError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the CLI's exit status for the error: 2 for usage and
+    validation errors (the default), 3 for numerical failures.
+    """
+
+    exit_code = 2
 
 
 class DomainInvalid(HadamardBVPError):
@@ -26,21 +32,31 @@ class ResourceLimit(HadamardBVPError):
 class QuadratureFailure(HadamardBVPError):
     """Numerical integration could not reach the requested tolerance."""
 
+    exit_code = 3
+
 
 class DifferenceInstability(HadamardBVPError):
     """Finite-difference differentiation is dominated by noise at this point."""
+
+    exit_code = 3
 
 
 class ConvergenceFailure(HadamardBVPError):
     """An iterative eigenvalue computation failed to settle within budget."""
 
+    exit_code = 3
+
 
 class NonFiniteResult(HadamardBVPError):
     """A computed result overflowed to infinity or is NaN."""
 
+    exit_code = 3
+
 
 class ResultUnderflow(HadamardBVPError):
     """A product of positive factors rounded to zero in double precision."""
+
+    exit_code = 3
 
 
 class ZeroLambda(DomainInvalid):
@@ -49,6 +65,8 @@ class ZeroLambda(DomainInvalid):
 
 class EvalError(HadamardBVPError):
     """A coefficient could not be evaluated (log of non-positive, 1/0, ...)."""
+
+    exit_code = 3
 
 
 class OutOfTableRange(EvalError):

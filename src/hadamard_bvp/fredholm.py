@@ -32,7 +32,7 @@ from .bounds import eigenvalue_bound
 from .coefficient import Coefficient, Constant, eval_coefficient
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .gammafn import gamma
-from .operators import _graded_mesh, _Mesh, _product_weights
+from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
 from .params import FracParams
 
 if TYPE_CHECKING:
@@ -42,8 +42,6 @@ __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residua
 
 MATRIX_MAX_N = 4000
 
-# Gauss-Legendre order of the panels that carry the interior nodes.
-_PANEL_ORDER = 8
 # Width ratio of the geometric panels inside the first uniform panel.
 _GRADING = 0.2
 
@@ -77,8 +75,8 @@ def _mesh(p: FracParams, n: int) -> _Mesh:
     narrow that its order hardly matters; as the last panel, a one-node
     remainder would cost n = 403 a relative error of 2.6e-6 in lambda_min.
     """
-    full, rem = divmod(n - 2, _PANEL_ORDER)
-    orders = ((rem,) if rem else ()) + (_PANEL_ORDER,) * full
+    full, rem = divmod(n - 2, PANEL_ORDER)
+    orders = ((rem,) if rem else ()) + (PANEL_ORDER,) * full
     return _graded_mesh(p.L, orders, len(orders) // 2, _GRADING)
 
 

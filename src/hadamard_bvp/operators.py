@@ -14,11 +14,12 @@ panels on [0, U], uniform but for the first, which is cut geometrically
 toward u = 0, and ``_product_weights`` gives R[i][j] = integral_0^{u_i}
 (u_i - y)^b l_j(y) dy for the Lagrange basis l_j of node j's panel.  The
 integral at t is R's last row for b = a - 1, dotted with f at the interior
-nodes.  ``QuadratureConfig`` gives ``panels`` panels of order ``order``,
-about half of them graded at ratio 2^(-grading), but only as many graded
-panels (and, below U of about 1e-12, panels) as keep the innermost node
-above about 3e-16, so that t1 * e^u stays strictly above t1 and f is never
-evaluated at the singular endpoint itself.
+nodes.  The one mesh setting is ``panels`` (default 64, at most
+``MAX_PANELS``): that many panels of Gauss order ``PANEL_ORDER`` = 8, about
+half of them graded at ratio 0.25, but only as many graded panels (and,
+below U of about 1e-12, panels) as keep the innermost node above about
+3e-16, so that t1 * e^u stays strictly above t1 and f is never evaluated at
+the singular endpoint itself.
 
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
@@ -30,20 +31,17 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .coefficient import as_callable
-from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure
+from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure, ResourceLimit
 from .gammafn import gamma, reciprocal_gamma
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_CONFIG",
     "OperatorKind",
     "hadamard_integral",
     "hadamard_derivative",
@@ -51,29 +49,15 @@ __all__ = [
     "composition_check",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Mesh parameters: panel count, Gauss order per panel, grading strength.
-
-    ``grading`` g produces geometric panel ratios 2^(-g); g = 1 halves panel
-    widths toward u = 0, larger g clusters harder.
-    """
-
-    panels: int = 64
-    order: int = 8
-    grading: float = 2.0
-
-    def __post_init__(self):
-        if not (isinstance(self.panels, int) and self.panels >= 1):
-            raise DomainInvalid(f"panels must be an integer >= 1, got {self.panels!r}")
-        if not (isinstance(self.order, int) and self.order >= 2):
-            raise DomainInvalid(f"order must be an integer >= 2, got {self.order!r}")
-        if not (math.isfinite(self.grading) and self.grading >= 1.0):
-            raise DomainInvalid(f"grading must be >= 1, got {self.grading!r}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# Gauss-Legendre order of every product-integration panel, here and in the
+# Nystrom matrix of ``fredholm``.
+PANEL_ORDER = 8
+# Width ratio of the operators' geometric panels toward u = 0.
+_GRADING = 0.25
+# Largest accepted ``panels``: 8 * 500 + 2 = 4002 nodes, the scale of the
+# Nystrom matrix cap, since ``composition_check`` builds a square matrix of
+# that many rows.
+MAX_PANELS = 500
 
 
 class OperatorKind(enum.Enum):
@@ -219,18 +203,32 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
     return r
 
 
-def _config_mesh(cfg: QuadratureConfig, length: float) -> _Mesh:
-    """The mesh ``cfg`` asks for on [0, length], with fewer graded panels (and
-    on intervals below about 1e-12 fewer panels) where needed to keep the
+def _check_panels(panels: int) -> None:
+    """Raise DomainInvalid unless ``panels`` is an integer >= 1, and
+    ResourceLimit above ``MAX_PANELS``.
+
+    ``hadamard_integral`` (and with it ``hadamard_derivative``) and
+    ``composition_check`` call this before their order-0 and t = t1
+    shortcuts, so a bad value fails on every path while the shortcuts still
+    build no mesh.
+    """
+    if not (isinstance(panels, int) and panels >= 1):
+        raise DomainInvalid(f"panels must be an integer >= 1, got {panels!r}")
+    if panels > MAX_PANELS:
+        raise ResourceLimit(f"panels={panels} exceeds cap {MAX_PANELS}")
+
+
+def _config_mesh(panels: int, length: float) -> _Mesh:
+    """``panels`` panels on [0, length], with fewer graded panels (and on
+    intervals below about 1e-12 fewer panels) where needed to keep the
     innermost node above about 3e-16."""
-    xg, _ = _gauss_legendre(cfg.order)
+    xg, _ = _gauss_legendre(PANEL_ORDER)
     floor = 3e-16 / ((1.0 - float(xg[-1])) / 2.0)
-    ratio = 2.0 ** (-cfg.grading)
-    panels = max(1, int(min(cfg.panels, length / floor)))
+    panels = max(1, int(min(panels, length / floor)))
     graded = panels // 2
-    while graded and length / (panels - graded) * ratio**graded < floor:
+    while graded and length / (panels - graded) * _GRADING**graded < floor:
         graded -= 1
-    return _graded_mesh(length, (cfg.order,) * panels, graded, ratio)
+    return _graded_mesh(length, (PANEL_ORDER,) * panels, graded, _GRADING)
 
 
 def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
@@ -263,25 +261,27 @@ def _log_span(t1: float, t: float) -> float:
     return math.log(t / t1)
 
 
-def hadamard_integral(order: float, f, t1: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def hadamard_integral(order: float, f, t1: float, t: float, panels: int = 64) -> float:
     """Hadamard fractional integral of `f` of the given order, from t1 to t.
 
     Order 0 is the identity (returns f(t)).  For order > 0 the value is
-    (1/Gamma(order)) * integral_{t1}^{t} (ln(t/s))^(order-1) f(s)/s ds.
+    (1/Gamma(order)) * integral_{t1}^{t} (ln(t/s))^(order-1) f(s)/s ds,
+    computed on ``panels`` order-8 panels (module docstring).
     """
     if not (math.isfinite(order) and order >= 0.0):
         raise DomainInvalid(f"integral order must be >= 0, got {order!r}")
+    _check_panels(panels)
     U = _log_span(t1, t)
     fe = as_callable(f)
     if order == 0.0:
         return fe(t)
     if U == 0.0:
         return 0.0
-    m = _config_mesh(cfg, U)
+    m = _config_mesh(panels, U)
     return _integral_at_end(m, order, _eval_f(fe, t1, m.u[1:-1].tolist()), t)
 
 
-def hadamard_derivative(order: float, f, t1: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def hadamard_derivative(order: float, f, t1: float, t: float, panels: int = 64) -> float:
     """Hadamard fractional derivative of order in (0, 2] at an interior t.
 
     Raises DifferenceInstability when the Richardson error estimate of the
@@ -297,7 +297,7 @@ def hadamard_derivative(order: float, f, t1: float, t: float, cfg: QuadratureCon
     fe = as_callable(f)
 
     def G(x: float) -> float:
-        return hadamard_integral(inner, fe, t1, t1 * math.exp(x), cfg)
+        return hadamard_integral(inner, fe, t1, t1 * math.exp(x), panels)
 
     x0 = math.log(t / t1)
     h = 1e-4 * x0
@@ -351,7 +351,7 @@ def power_rule_reference(
 
 
 def composition_check(
-    sigma: float, kappa: float, f, t1: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+    sigma: float, kappa: float, f, t1: float, t: float, panels: int = 64
 ) -> tuple[float, float]:
     """Return (I^sigma (I^kappa f)(t), I^(sigma+kappa) f(t)) for comparison.
 
@@ -362,11 +362,12 @@ def composition_check(
 
     if not (math.isfinite(sigma) and sigma > 0.0 and math.isfinite(kappa) and kappa > 0.0):
         raise DomainInvalid(f"orders must be > 0, got sigma={sigma!r}, kappa={kappa!r}")
+    _check_panels(panels)
     U = _log_span(t1, t)
     fe = as_callable(f)
     if U == 0.0:
         return 0.0, 0.0
-    m = _config_mesh(cfg, U)
+    m = _config_mesh(panels, U)
     interior = np.arange(1, len(m.u) - 1)
     fv = np.array(_eval_f(fe, t1, m.u[interior].tolist()))
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.

@@ -46,7 +46,6 @@ def test_reference_bounds():
     assert abs(rep.bound - EX_A_REF["bound"]) <= 1e-12 * EX_A_REF["bound"]
     assert abs(rep.eigen_bound - EX_A_REF["eigen_bound"]) <= 1e-12 * EX_A_REF["eigen_bound"]
     assert abs(rep.gamma_sk - EX_A_REF["gamma_sk"]) <= 1e-12
-    assert rep.q_integral is None and rep.verdict is None
     assert abs(lyapunov_bound(EX_B) - EX_B_REF["bound"]) <= 1e-12 * EX_B_REF["bound"]
 
 

@@ -187,29 +187,6 @@ def test_sampled_narrow_intervals_satisfy_bound():
         assert res.satisfied
 
 
-def test_residual_of_zero_candidate_is_zero():
-    samples = [(1.0, 0.0), (2.0, 0.0), (math.e, 0.0)]
-    assert residual_check(EX_A, Constant(1.0), samples, 64) == 0.0
-
-
-def test_residual_of_discrete_eigenpair_is_tiny():
-    p = FracParams(sigma=1.9, kappa=0.3, t1=1.0, t2=math.e)
-    K = nystrom_matrix(p, Constant(1.0), 80)
-    s = _nodes(p, 80)
-    v = np.ones(80)
-    for _ in range(600):
-        v = K @ v
-        v /= np.linalg.norm(v)
-    mu = float(v @ (K @ v))
-    samples = list(zip(s.tolist(), v.tolist()))
-    # x = lambda K x holds exactly for the eigenpair with lambda = 1/mu.
-    assert residual_check(p, Constant(1.0 / mu), samples, 80) <= 1e-6
-    rng = np.random.default_rng(20260815)
-    noise = rng.normal(size=80)
-    bad = residual_check(p, Constant(1.0), list(zip(s.tolist(), noise.tolist())), 80)
-    assert bad > 0.01
-
-
 def test_residual_requires_full_coverage():
     with pytest.raises(DomainInvalid):
         residual_check(EX_A, Constant(1.0), [(1.5, 1.0), (math.e, 0.0)], 64)

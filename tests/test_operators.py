@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ from hadamard_bvp import (
     DifferenceInstability,
     DomainInvalid,
     OperatorKind,
-    QuadratureConfig,
     QuadratureFailure,
+    ResourceLimit,
     composition_check,
     hadamard_derivative,
     hadamard_integral,
     power_rule_reference,
 )
-from hadamard_bvp.operators import DEFAULT_CONFIG, _gauss_jacobi
+from hadamard_bvp.operators import MAX_PANELS, PANEL_ORDER, _gauss_jacobi
 
 # Closed-form anchor values (power rule evaluated at double precision).
 I_HALF_SQRTLOG_AT_2 = 0.61428569471388805  # order 1/2 integral of (ln s)^(1/2) at t=2
@@ -87,8 +88,8 @@ def test_derivative_power_rule_sweep():
 
 def test_refinement_improves_accuracy():
     f = lambda s: math.sqrt(math.log(s))
-    coarse = hadamard_integral(0.5, f, 1.0, 2.0, QuadratureConfig(panels=8, order=8))
-    fine = hadamard_integral(0.5, f, 1.0, 2.0, QuadratureConfig(panels=16, order=8))
+    coarse = hadamard_integral(0.5, f, 1.0, 2.0, panels=8)
+    fine = hadamard_integral(0.5, f, 1.0, 2.0, panels=16)
     e_coarse = abs(coarse - I_HALF_SQRTLOG_AT_2)
     e_fine = abs(fine - I_HALF_SQRTLOG_AT_2)
     assert e_fine < e_coarse
@@ -128,14 +129,13 @@ def test_power_rule_validation():
 
 
 def test_semigroup_composition():
-    cfg = QuadratureConfig(panels=16, order=6)
     f = lambda s: math.log(s) ** 1.5
-    nested, direct = composition_check(0.5, 0.75, f, 1.0, 2.0, cfg)
+    nested, direct = composition_check(0.5, 0.75, f, 1.0, 2.0, panels=12)
     assert abs(nested - direct) <= 1e-6
     ref = power_rule_reference(OperatorKind.Integral, 1.25, 2.5, 1.0, 2.0)
     assert abs(direct - ref) <= 1e-6
     with pytest.raises(DomainInvalid):
-        composition_check(0.0, 0.75, f, 1.0, 2.0, cfg)
+        composition_check(0.0, 0.75, f, 1.0, 2.0, panels=12)
 
 
 def test_rapid_oscillation_detected_as_unstable():
@@ -164,15 +164,34 @@ def test_node_rounding_onto_t1_is_a_quadrature_failure(U):
         composition_check(0.7, 0.5, f, 3.0, t)
 
 
-def test_config_validation():
-    with pytest.raises(DomainInvalid):
-        QuadratureConfig(panels=0)
-    with pytest.raises(DomainInvalid):
-        QuadratureConfig(order=1)
-    with pytest.raises(DomainInvalid):
-        QuadratureConfig(grading=0.5)
-    with pytest.raises(DomainInvalid):
-        QuadratureConfig(panels=2.5)
+@pytest.mark.parametrize(
+    "panels, error", [(0, DomainInvalid), (2.5, DomainInvalid), (MAX_PANELS + 1, ResourceLimit)]
+)
+def test_panels_validation(panels, error):
+    # Every path checks the panel count, the order-0 and t = t1 shortcuts too.
+    f = lambda s: 1.0
+    calls = (
+        lambda: hadamard_integral(0.5, f, 1.0, 2.0, panels),
+        lambda: hadamard_integral(0.0, f, 1.0, 2.0, panels),
+        lambda: hadamard_integral(0.5, f, 2.0, 2.0, panels),
+        lambda: hadamard_derivative(0.5, f, 1.0, 2.0, panels),
+        lambda: hadamard_derivative(1.0, f, 1.0, 2.0, panels),
+        lambda: composition_check(0.5, 0.75, f, 1.0, 2.0, panels),
+        lambda: composition_check(0.5, 0.75, f, 2.0, 2.0, panels),
+    )
+    for call in calls:
+        with pytest.raises(error):
+            call()
+
+
+def test_huge_panel_count_fails_before_allocating():
+    # 10**9 panels would ask composition_check for an 8e9 x 8e9 matrix.
+    calls = []
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        composition_check(0.5, 0.75, lambda s: calls.append(s) or 1.0, 1.0, math.e, panels=10**9)
+    assert time.perf_counter() - start < 0.05
+    assert calls == []
 
 
 def test_argument_validation():
@@ -219,7 +238,7 @@ def test_integral_matches_exact_references(order, U):
 def test_composition_evaluates_f_once_per_node():
     calls = []
     composition_check(0.75, 0.5, lambda s: calls.append(s) or math.sqrt(math.log(s)), 1.0, math.e)
-    assert len(calls) <= DEFAULT_CONFIG.panels * DEFAULT_CONFIG.order + 2
+    assert len(calls) <= 64 * PANEL_ORDER + 2  # the default 64 panels
 
 
 def test_composition_nested_side_meets_power_rule():
@@ -246,8 +265,8 @@ def test_single_non_finite_node_rejected(where):
     # The last panel, whose weights come from the Gauss-Jacobi product rule,
     # holds the `order` nodes closest to t; the others in the right half of
     # [t1, t] in ln s lie on uniform panels.
-    end = nodes[-DEFAULT_CONFIG.order:]
-    right = [s for s in nodes[:-DEFAULT_CONFIG.order] if s > t1 * math.sqrt(t / t1)]
+    end = nodes[-PANEL_ORDER:]
+    right = [s for s in nodes[:-PANEL_ORDER] if s > t1 * math.sqrt(t / t1)]
     assert right
     bad = right[len(right) // 2] if where == "right-half" else end[len(end) // 2]
     for value in (math.inf, math.nan):
