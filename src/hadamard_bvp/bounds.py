@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficient import Coefficient, as_callable
+from .coefficient import Coefficient, Table, as_callable
 from .errors import (
     DomainInvalid,
     OrderOutOfRange,
@@ -152,10 +152,16 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
 
     Sign changes of q are first bracketed on a scan grid and pinned down by
     bisection, so that each adaptive sub-problem integrates a smooth branch
-    of |q|.  Each panel uses a fixed 15-node Gauss rule; a panel is accepted
-    when splitting it changes the result by less than its share of the
-    tolerance.  QuadratureFailure is raised when the recursion exhausts its
-    budget, which in practice means q is too rough for the scan resolution.
+    of |q|.  The knots of a Table inside (t1, t2) are both scan points and
+    breakpoints: between two knots the table is monotone, so every sign
+    change is bracketed and every kink is a panel end.  Each panel uses a
+    fixed 15-node Gauss rule; a panel is accepted when splitting it changes
+    the result by less than its share of the tolerance.  Past depth 48 (a
+    panel a few ulps wide, at an integrable cusp say) a panel is accepted
+    anyway and its error estimate is added to a running slack.
+    QuadratureFailure is raised when the slack exceeds tol or the recursion
+    exhausts its budget of 200 000 panels, which in practice means |q| is
+    not integrable or too rough for the scan resolution.
     """
     if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
         raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
@@ -169,8 +175,10 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
             raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
         return abs(value)
 
-    # Locate kinks of |q| at sign changes of q on a fixed scan grid.
-    scan = _scan_grid(t1, t2)
+    # Locate kinks of |q|: a table's knots, and sign changes of q on a fixed
+    # scan grid that includes those knots.
+    knots = [t for t, _ in q.points if t1 < t < t2] if isinstance(q, Table) else []
+    scan = sorted(_scan_grid(t1, t2) + knots)
     scan_vals = [qf(t) for t in scan]
     breakpoints = [t1]
     for left, right, f_left, f_right in zip(scan, scan[1:], scan_vals, scan_vals[1:]):
@@ -184,19 +192,29 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
                 _bisect_sign_change(qf, left, right, f_left, 1e-12 * (t2 - t1))
             )
     breakpoints.append(t2)
+    breakpoints = sorted(breakpoints + knots)
 
     budget = [200_000]  # panel evaluations, shared across segments
+    slack = [0.0]  # error estimates of the panels accepted past the depth limit
 
     def adapt(a: float, b: float, whole: float, tol_here: float, depth: int) -> float:
         mid = 0.5 * (a + b)
         left = _gauss_panel(absq, a, mid)
         right = _gauss_panel(absq, mid, b)
         budget[0] -= 2
-        if budget[0] <= 0 or depth > 48:
+        if budget[0] <= 0:
             raise QuadratureFailure(
                 f"adaptive quadrature budget exhausted on [{a!r}, {b!r}]"
             )
-        if abs(left + right - whole) <= tol_here:
+        error = abs(left + right - whole)
+        if error <= tol_here:
+            return left + right
+        if depth > 48:
+            slack[0] += error
+            if slack[0] > tol:
+                raise QuadratureFailure(
+                    f"adaptive quadrature does not converge on [{a!r}, {b!r}]"
+                )
             return left + right
         return adapt(a, mid, left, 0.5 * tol_here, depth + 1) + adapt(
             mid, b, right, 0.5 * tol_here, depth + 1

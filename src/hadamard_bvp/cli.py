@@ -18,11 +18,11 @@ so `bound`, `check` with an expression or a constant, `green eval` and
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import fields
 
 from . import __version__
 from .bounds import lyapunov_report, nonexistence_check
@@ -39,15 +39,6 @@ _BOUND_VIOLATION = 4
 # Largest accepted `green grid --n`; the CSV has n^2 rows of about 58 bytes,
 # so this caps the file at 4M rows, about 230 MB.
 GRID_MAX_N = 2000
-
-
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    params: Optional[dict]
-    payload: dict
-    warnings: list
-    version: str
 
 
 def _fmt_real(value: float) -> str:
@@ -77,30 +68,28 @@ def _to_json(value) -> str:
     return json.dumps(str(value), ensure_ascii=False)
 
 
-def _render(report: RunReport, as_json: bool) -> str:
+def _record(rec) -> dict:
+    """A result record's dataclass fields in declaration order, enums by value."""
+    values = {field.name: getattr(rec, field.name) for field in fields(rec)}
+    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
+
+
+def _render(command: str, p: FracParams | None, payload: dict, as_json: bool) -> str:
+    params = None if p is None else _record(p)
     if as_json:
-        return _to_json(
-            {
-                "command": report.command,
-                "params": report.params,
-                "payload": report.payload,
-                "warnings": report.warnings,
-                "version": report.version,
-            }
-        )
-    lines = [f"command: {report.command}"]
-    if report.params is not None:
-        joined = ", ".join(f"{k}={_fmt_real(v)}" for k, v in report.params.items())
+        return _to_json({"command": command, "params": params, "payload": payload,
+                         "warnings": [], "version": __version__})
+    lines = [f"command: {command}"]
+    if params is not None:
+        joined = ", ".join(f"{k}={_fmt_real(v)}" for k, v in params.items())
         lines.append(f"params: {joined}")
-    for key, value in report.payload.items():
+    for key, value in payload.items():
         if isinstance(value, float):
             lines.append(f"{key} = {_fmt_real(value)}")
         elif isinstance(value, list):
             continue  # detail tables are printed by the command itself
         else:
             lines.append(f"{key} = {value}")
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
     return "\n".join(lines)
 
 
@@ -123,24 +112,12 @@ def _params_from(args) -> FracParams:
     return validate(args.sigma, args.kappa, args.t1, args.t2)
 
 
-def _params_dict(p: FracParams) -> dict:
-    return {"sigma": p.sigma, "kappa": p.kappa, "t1": p.t1, "t2": p.t2}
-
-
-def cmd_bound(args) -> RunReport:
+def cmd_bound(args) -> tuple[FracParams, dict]:
     p = _params_from(args)
     rep = green_max(p)
-    ly = lyapunov_report(p)
-    payload = {
-        "gamma_sk": ly.gamma_sk,
-        "bound": ly.bound,
-        "eigen_bound": ly.eigen_bound,
-        "omega": rep.omega,
-        "mho": rep.mho,
-        "x2": rep.x2,
-        "delta": rep.delta,
-    }
-    return RunReport("bound", _params_dict(p), payload, [], __version__)
+    payload = _record(lyapunov_report(p))
+    payload.update(omega=rep.omega, mho=rep.mho, x2=rep.x2, delta=rep.delta)
+    return p, payload
 
 
 def _coefficient_from(args):
@@ -151,38 +128,22 @@ def _coefficient_from(args):
     return load_table(args.q_table)
 
 
-def cmd_check(args) -> RunReport:
+def cmd_check(args) -> tuple[FracParams, dict]:
     p = _params_from(args)
     q = _coefficient_from(args)
     verdict = nonexistence_check(p, q, tol=args.tol)
-    ly = lyapunov_report(p)
-    payload = {
-        "gamma_sk": ly.gamma_sk,
-        "bound": ly.bound,
-        "eigen_bound": ly.eigen_bound,
-        "q_integral": verdict.q_integral,
-        "verdict": verdict.kind.value,
-    }
-    return RunReport("check", _params_dict(p), payload, [], __version__)
+    payload = _record(lyapunov_report(p))
+    payload.update(q_integral=verdict.q_integral, verdict=verdict.kind.value)
+    return p, payload
 
 
-def cmd_green(args) -> RunReport:
+def cmd_green(args) -> tuple[FracParams, dict]:
     p = _params_from(args)
     if args.green_cmd == "eval":
         value = green_eval(p, args.t, args.s)
         payload = {"t": args.t, "s": args.s, "value": value}
     elif args.green_cmd == "max":
-        rep = green_max(p)
-        payload = {
-            "delta": rep.delta,
-            "x2": rep.x2,
-            "t_star": rep.t_star,
-            "t_hat": rep.t_hat,
-            "omega": rep.omega,
-            "mho": rep.mho,
-            "max_abs_g": rep.max_abs_g,
-            "branch": rep.branch.value,
-        }
+        payload = _record(green_max(p))
     else:
         if args.n < 2:
             raise DomainInvalid(f"grid needs --n >= 2, got {args.n}")
@@ -202,26 +163,17 @@ def cmd_green(args) -> RunReport:
                     for s_text, g in zip(s_texts, g_row.tolist())
                 )
         payload = {"path": args.out, "rows": args.n * args.n}
-    return RunReport("green", _params_dict(p), payload, [], __version__)
+    return p, payload
 
 
-def cmd_eigen(args) -> RunReport:
+def cmd_eigen(args) -> tuple[FracParams, dict]:
     from .fredholm import min_eigenvalue_modulus
 
     p = _params_from(args)
-    result = min_eigenvalue_modulus(p, args.n)
-    payload = {
-        "n": result.n,
-        "dominant_mu": result.dominant_mu,
-        "lambda_min": result.lambda_min,
-        "analytic_bound": result.analytic_bound,
-        "satisfied": result.satisfied,
-        "eigenvector_boundary_residual": result.eigenvector_boundary_residual,
-    }
-    return RunReport("eigen", _params_dict(p), payload, [], __version__)
+    return p, _record(min_eigenvalue_modulus(p, args.n))
 
 
-def cmd_selftest(args) -> RunReport:
+def cmd_selftest(args) -> tuple[None, dict]:
     from .selftest import run_selftests
 
     results = run_selftests(name_filter=args.filter, seed=args.seed)
@@ -231,7 +183,7 @@ def cmd_selftest(args) -> RunReport:
         "failed": sum(1 for r in results if not r["ok"]),
         "checks": results,
     }
-    return RunReport("selftest", None, payload, [], __version__)
+    return None, payload
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,8 +260,8 @@ def _is_finite(value) -> bool:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = _DISPATCH[args.command](args)
-        for key, value in report.payload.items():
+        p, payload = _DISPATCH[args.command](args)
+        for key, value in payload.items():
             if not _is_finite(value):
                 raise NonFiniteResult(f"{key} is not finite")
     except (HadamardBVPError, OSError) as exc:
@@ -319,15 +271,15 @@ def main(argv=None) -> int:
         return getattr(exc, "exit_code", _USAGE_ERROR)
 
     exit_code = 0
-    if report.command == "selftest":
+    if args.command == "selftest":
         if not args.json:
-            for check in report.payload["checks"]:
+            for check in payload["checks"]:
                 status = "PASS" if check["ok"] else "FAIL"
                 print(f"{status}  {check['name']}  ({check['detail']})")
-        if report.payload["failed"]:
+        if payload["failed"]:
             exit_code = 1
-    if report.command == "eigen" and not report.payload["satisfied"]:
+    if args.command == "eigen" and not payload["satisfied"]:
         exit_code = _BOUND_VIOLATION
 
-    print(_render(report, args.json))
+    print(_render(args.command, p, payload, args.json))
     return exit_code

@@ -107,13 +107,13 @@ def _check_green_reference(_seed: int):
         (EX_B, EX_B_REF, kernel.MaxBranch.Diagonal),
     ):
         rep = kernel.green_max(p)
-        for field in ("delta", "x2", "t_star", "t_hat", "omega", "mho"):
-            if abs(getattr(rep, field) - ref[field]) > 1e-9:
+        for field in ("delta", "x2", "t_star", "t_hat", "omega", "mho", "max_abs_g"):
+            if abs(getattr(rep, field) - ref[field]) > 1e-12:
                 return False, f"{field} off: {getattr(rep, field)!r} vs {ref[field]!r}"
         if rep.branch is not branch:
             return False, f"branch {rep.branch} != {branch}"
-    if abs(kernel.green_max(EX_A).max_abs_g - EX_A_REF["max_abs_g"]) > 1e-9:
-        return False, "max_abs_g off"
+    if kernel.green_max(EX_B).mho != EX_B_REF["mho"]:  # the closed form is exactly 1/4
+        return False, f"EX_B mho {kernel.green_max(EX_B).mho!r} is not exactly 0.25"
     return True, "both reference parameter sets reproduced"
 
 

@@ -190,6 +190,49 @@ def test_eigen_unsatisfied_exit_code(capsys):
     assert obj["payload"]["lambda_min"] < obj["payload"]["analytic_bound"]
 
 
+# The JSON schema: envelope keys and, per command, payload keys, in order.
+# A field added to a library record shows up here as a schema change.
+ENVELOPE_KEYS = ["command", "params", "payload", "warnings", "version"]
+PARAMS_KEYS = ["sigma", "kappa", "t1", "t2"]
+PAYLOAD_KEYS = {
+    "bound": ["gamma_sk", "bound", "eigen_bound", "omega", "mho", "x2", "delta"],
+    "check": ["gamma_sk", "bound", "eigen_bound", "q_integral", "verdict"],
+    "green-eval": ["t", "s", "value"],
+    "green-max": ["delta", "x2", "t_star", "t_hat", "omega", "mho", "max_abs_g", "branch"],
+    "green-grid": ["path", "rows"],
+    "eigen": ["n", "dominant_mu", "lambda_min", "analytic_bound", "satisfied",
+              "eigenvector_boundary_residual"],
+    "selftest": ["total", "passed", "failed", "checks"],
+}
+
+
+PINNED_ARGV = {
+    "bound": ["bound", *PP_A],
+    "check": ["check", *PP_A, "--q-const", "1"],
+    "green-eval": ["green", "eval", *PP_A, "--t", "1.5", "--s", "2"],
+    "green-max": ["green", "max", *PP_A],
+    "green-grid": ["green", "grid", *PP_A, "--n", "3", "--out", "GRID"],
+    "eigen": ["eigen", *PP_A, "--n", "64"],
+    "selftest": ["selftest", "--filter", "green.reference"],
+}
+
+
+@pytest.mark.parametrize("name", list(PAYLOAD_KEYS))
+def test_json_keys_are_pinned(tmp_path, capsys, name):
+    argv = [str(tmp_path / "grid.csv") if a == "GRID" else a for a in PINNED_ARGV[name]]
+    code, out, _ = run([*argv, "--json"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj) == ENVELOPE_KEYS
+    assert obj["warnings"] == []
+    if name == "selftest":
+        assert obj["params"] is None
+        assert [list(c) for c in obj["payload"]["checks"]] == [["name", "ok", "detail"]]
+    else:
+        assert list(obj["params"]) == PARAMS_KEYS
+    assert list(obj["payload"]) == PAYLOAD_KEYS[name]
+
+
 def test_argparse_rejects_bad_reals(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bound", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", "e"])

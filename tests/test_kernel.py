@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hadamard_bvp import (
     ConvergenceFailure,
     DomainInvalid,
-    MaxBranch,
     ResourceLimit,
     critical_x2,
     diag_h,
@@ -36,7 +35,7 @@ from hadamard_bvp import kernel
 from hadamard_bvp.cli import main
 from hadamard_bvp.gammafn import gamma
 from hadamard_bvp.kernel import _green_xy
-from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
+from hadamard_bvp.selftest import EX_A_REF
 
 EX_A = validate(1.75, 0.5, 1.0, math.e)
 EX_B = validate(1.5, 0.25, 1.0, math.e)
@@ -48,30 +47,6 @@ def _random_params(rng):
     t1 = rng.uniform(0.5, 2.0)
     t2 = t1 * math.exp(rng.uniform(0.3, 1.5))
     return validate(sigma, kappa, t1, t2)
-
-
-def test_reference_set_a():
-    rep = green_max(EX_A)
-    assert abs(rep.delta - EX_A_REF["delta"]) <= 1e-12
-    assert abs(rep.x2 - EX_A_REF["x2"]) <= 1e-12
-    assert abs(rep.t_star - EX_A_REF["t_star"]) <= 1e-12
-    assert abs(rep.t_hat - EX_A_REF["t_hat"]) <= 1e-12
-    assert abs(rep.omega - EX_A_REF["omega"]) <= 1e-12
-    assert abs(rep.mho - EX_A_REF["mho"]) <= 1e-12
-    assert abs(rep.max_abs_g - EX_A_REF["max_abs_g"]) <= 1e-12
-    assert rep.branch is MaxBranch.LeftEdge
-
-
-def test_reference_set_b():
-    rep = green_max(EX_B)
-    assert abs(rep.delta - EX_B_REF["delta"]) <= 1e-12
-    assert abs(rep.x2 - EX_B_REF["x2"]) <= 1e-12
-    assert abs(rep.t_star - EX_B_REF["t_star"]) <= 1e-12
-    assert abs(rep.t_hat - EX_B_REF["t_hat"]) <= 1e-12
-    assert abs(rep.omega - EX_B_REF["omega"]) <= 1e-12
-    assert rep.mho == EX_B_REF["mho"]  # closed form is exactly 1/4 here
-    assert abs(rep.max_abs_g - EX_B_REF["max_abs_g"]) <= 1e-12
-    assert rep.branch is MaxBranch.Diagonal
 
 
 def test_green_point_values():
