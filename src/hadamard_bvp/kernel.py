@@ -22,9 +22,9 @@ on the left edge s = t1 (at ``t_hat``).  Both candidates have closed forms:
 ``green_max`` reports ``max|G| = max(omega, mho) / Gamma(sigma - kappa)``
 together with the branch that wins; ``green_max_bruteforce`` recomputes the
 maximum by direct search so the closed forms are testable against an
-independent route.  Its sweep of the uniform n x n grid uses the kernel's
-structure: above the diagonal G is rank one in (x, y), and below it the
-power (x - y)^b depends only on i - j, so n powers serve the whole grid.
+independent route.  Its search of the grid uses the kernel's structure:
+above the diagonal G is rank one in (x, y), and below it a branch and bound
+over tiles evaluates only those whose bound beats the best value so far.
 Geometric points L/(n - 1) 2^-k, k = 1..60, on both axes catch a left-edge
 maximum inside the first grid cell; one closer to s = t1 than the last of
 them is not resolved.
@@ -62,13 +62,18 @@ __all__ = [
     "green_max_bruteforce",
 ]
 
-# Largest accepted grid size for the brute-force search; the sweep over an
-# n x n grid touches about n^2/2 kernel values, so this caps work at ~8M.
+# Largest accepted grid size for the brute-force search.  Branch and bound
+# usually evaluates a few percent of the grid; when nothing prunes, it
+# touches all of about n^2/2 kernel values, so this caps work at ~8M.
 BRUTEFORCE_MAX_N = 4096
 
-# The brute-force sweep's row blocks hold about this many entries (1 MB of
-# float64).
-_SWEEP_BLOCK_ENTRIES = 1 << 17
+# Edge of the square tiles below the diagonal that the brute-force search
+# bounds and evaluates as a unit.
+_TILE = 64
+
+# Relative slack on a tile's bound, as a share of its largest term: covers
+# the rounding of the products and of pow, which is not correctly rounded.
+_BOUND_MARGIN = 1e-12
 
 # Number of geometric points L/(n-1) 2^-k added to both brute-force axes.
 _GRADED_POINTS = 60
@@ -107,28 +112,39 @@ def _log_coord(p: FracParams, t: float, name: str) -> float:
     return min(max(math.log(t / p.t1), 0.0), p.L)
 
 
-def _xi_log(p: FracParams, x: float, y: float, s: float, below: bool) -> float:
-    """Xi at log coordinates x = ln(t/t1), y = ln(s/t1); ``below`` selects Xi2 (s <= t)."""
-    a = p.sigma - 1.0
-    b = p.sigma - p.kappa - 1.0
-    upper = x**a * max(p.L - y, 0.0) ** b
+def _xi_log(
+    a: float, b: float, L: float, La: float, x: float, y: float, s: float, below: bool
+) -> float:
+    """Xi at log coordinates x = ln(t/t1), y = ln(s/t1); ``below`` selects Xi2 (s <= t).
+
+    Takes a = sigma - 1, b = sigma - kappa - 1, L and La = L^a, so that a
+    caller evaluating many points computes them once.
+    """
+    upper = x**a * max(L - y, 0.0) ** b
     if not below:
-        return upper / (p.L**a * s)
-    return (upper / p.L**a - max(x - y, 0.0) ** b) / s
+        return upper / (La * s)
+    return (upper / La - max(x - y, 0.0) ** b) / s
+
+
+def _xi(p: FracParams, t: float, s: float, below: bool) -> float:
+    a = p.sigma - 1.0
+    L = p.L
+    x, y = _log_coord(p, t, "t"), _log_coord(p, s, "s")
+    return _xi_log(a, p.sigma - p.kappa - 1.0, L, L**a, x, y, s, below)
 
 
 def xi1(p: FracParams, t: float, s: float) -> float:
     """Upper-triangle kernel branch, valid for t1 <= t <= s <= t2."""
     if not (p.t1 <= t <= s <= p.t2):
         raise DomainInvalid(f"xi1 needs t1 <= t <= s <= t2, got t={t!r}, s={s!r}")
-    return _xi_log(p, _log_coord(p, t, "t"), _log_coord(p, s, "s"), s, False)
+    return _xi(p, t, s, False)
 
 
 def xi2(p: FracParams, t: float, s: float) -> float:
     """Lower-triangle kernel branch, valid for t1 <= s <= t <= t2."""
     if not (p.t1 <= s <= t <= p.t2):
         raise DomainInvalid(f"xi2 needs t1 <= s <= t <= t2, got t={t!r}, s={s!r}")
-    return _xi_log(p, _log_coord(p, t, "t"), _log_coord(p, s, "s"), s, True)
+    return _xi(p, t, s, True)
 
 
 def green_eval(p: FracParams, t: float, s: float) -> float:
@@ -251,12 +267,12 @@ def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g
 
 
-def _golden_line_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden_line_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximisation of a unimodal-ish section; returns (c, f(c))."""
     c1 = hi - _GOLDEN * (hi - lo)
     c2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             lo, c1, f1 = c1, c2, f2
             c2 = lo + _GOLDEN * (hi - lo)
@@ -268,74 +284,116 @@ def _golden_line_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, f
     return (c1, f1) if f1 >= f2 else (c2, f2)
 
 
-def _uniform_sweep(p: FracParams, n: int) -> tuple[float, tuple[int, int]]:
-    """max|G| over the grid ``linspace(0, L, n)`` squared, and its cell (i, j).
+def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """max|G| over the grid ``z`` squared (z ascending), and its cell (i, j).
 
-    Row i is x = ln(t/t1), column j is y = ln(s/t1).  With A_i = (x_i/L)^a,
-    D_j = (L - x_j)^b, w_j = e^(-x_j) and P_k = (k h)^b, h = L/(n - 1),
+    Row i is x = ln(t/t1), column j is y = ln(s/t1).  With A_i = (z_i/L)^a,
+    D_j = (L - z_j)^b and w_j = e^(-z_j),
 
-        |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - [i > j] P_(i-j)|.
+        |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - [i > j] (z_i - z_j)^b|.
 
     On and above the diagonal this is rank one and nonnegative, so row i
-    peaks at A_i times the suffix maximum of C = D w.  Below it, row blocks
-    read (x_i - x_j)^b from a Toeplitz view of P: n powers in all, not n^2/2.
-    The positive factor 1/(t1 Gamma(sigma - kappa)) scales only the winner.
+    peaks at A_i times the suffix maximum of C = D w; below it the search is
+    ``_lower_max``.  The positive factor 1/(t1 Gamma(sigma - kappa)) scales
+    only the winner.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     a = p.sigma - 1.0
     b = p.sigma - p.kappa - 1.0
     L = p.L
-    xs = np.linspace(0.0, L, n)
-    w = np.exp(-xs)
-    A = np.power(xs, a) / L**a
-    D = np.power(np.maximum(L - xs, 0.0), b)
+    w = np.exp(-z)
+    A = np.power(z, a) / L**a
+    D = np.power(np.maximum(L - z, 0.0), b)
     C = D * w
 
     suffix = np.maximum.accumulate(C[::-1])[::-1]
     i = int(np.argmax(A * suffix))
     j = i + int(np.argmax(C[i:]))
-    best, cell = float(A[i] * C[j]), (i, j)
-
-    # toe[i, j] = P_(i-j) on and below the diagonal, 0 above it: the windows
-    # of reversed P followed by zeros, taken in reverse order (a view).
-    P = np.power(np.arange(n) * (L / (n - 1)), b)
-    toe = sliding_window_view(np.concatenate((P[::-1], np.zeros(n - 1))), n)[::-1]
-    rows = max(1, _SWEEP_BLOCK_ENTRIES // n)
-    on_or_above = np.triu(np.ones((rows, rows), dtype=bool))
-    buf = np.empty(rows * n)
-    for r0 in range(0, n, rows):
-        # Rows r0..r1-1 meet the strict lower triangle in columns 0..r1-2.
-        r1 = min(r0 + rows, n)
-        m = r1 - r0
-        g = buf[: m * r1].reshape(m, r1)
-        np.multiply(A[r0:r1, None], D[:r1], out=g)
-        g -= toe[r0:r1, :r1]
-        g *= w[:r1]
-        np.abs(g, out=g)
-        # Cells on and above the diagonal belong to the rank-one part.
-        g[:, r0:][on_or_above[:m, :m]] = 0.0
-        k = int(np.argmax(g))
-        if g.flat[k] > best:
-            best, cell = float(g.flat[k]), (r0 + k // r1, k % r1)
+    best, cell = _lower_max(z, A, D, w, b, float(A[i] * C[j]), (i, j))
     return best / (p.t1 * gamma(p.sigma - p.kappa)), cell
+
+
+def _tile_bounds(
+    z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray, b: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tiles (I, J), J <= I, of the strict lower triangle and their bounds.
+
+    Tile (I, J) holds rows I*_TILE.. and columns J*_TILE.. .  Its bound on
+    w_j |A_i D_j - (z_i - z_j)^b| comes from the extremes of A, D, w and z
+    over its rows and columns, as computed rather than from their monotony,
+    and carries a margin for the rounding of the products and powers, so no
+    computed value in the tile exceeds it.
+    """
+    import numpy as np
+
+    starts = np.arange(0, z.size, _TILE)
+    hi, lo = np.maximum.reduceat, np.minimum.reduceat
+    I, J = np.tril_indices(starts.size)
+    ad_hi = hi(A, starts)[I] * hi(D, starts)[J]
+    ad_lo = lo(A, starts)[I] * lo(D, starts)[J]
+    p_hi = np.power(hi(z, starts)[I] - lo(z, starts)[J], b)
+    # Diagonal tiles reach a zero difference.
+    p_lo = np.power(np.maximum(lo(z, starts)[I] - hi(z, starts)[J], 0.0), b)
+    bound = hi(w, starts)[J] * (
+        np.maximum(ad_hi - p_lo, p_hi - ad_lo) + _BOUND_MARGIN * np.maximum(ad_hi, p_hi)
+    )
+    return I, J, bound
+
+
+def _lower_max(
+    z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray, b: float,
+    best: float, cell: tuple[int, int] | None,
+) -> tuple[float, tuple[int, int] | None]:
+    """Branch and bound for w_j |A_i D_j - (z_i - z_j)^b| over i > j.
+
+    Returns the largest value above ``best`` with its cell, or ``(best,
+    cell)`` when no cell beats it.  Tiles (``_tile_bounds``) are evaluated
+    in descending bound order until a bound no longer beats the best value.
+    """
+    import numpy as np
+
+    I, J, bound = _tile_bounds(z, A, D, w, b)
+    strict_upper = ~np.tri(_TILE, k=-1, dtype=bool)
+    for k in np.argsort(-bound, kind="stable").tolist():
+        if not bound[k] > best:
+            break
+        r0, c0 = int(I[k]) * _TILE, int(J[k]) * _TILE
+        rows, cols = slice(r0, r0 + _TILE), slice(c0, c0 + _TILE)
+        d = z[rows, None] - z[None, cols]
+        if r0 == c0:
+            np.maximum(d, 0.0, out=d)
+        np.power(d, b, out=d)
+        g = A[rows, None] * D[None, cols]
+        g -= d
+        g *= w[cols]
+        np.abs(g, out=g)
+        if r0 == c0:
+            # Cells on and above the diagonal are not part of this search.
+            g[strict_upper[: g.shape[0], : g.shape[1]]] = 0.0
+        m = int(np.argmax(g))
+        if g.flat[m] > best:
+            best, cell = float(g.flat[m]), (r0 + m // g.shape[1], c0 + m % g.shape[1])
+    return best, cell
 
 
 def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, float]]:
     """Grid search for max|G| over the square, refined by line searches.
 
-    The grid is ``linspace(0, L, n)`` in log coordinates on both axes, swept
-    through the kernel's structure (``_uniform_sweep``), plus the geometric
-    points L/(n - 1) 2^-k, k = 1..60, on both axes, evaluated as two thin
-    strips (graded rows by all columns, all rows by graded columns).  The
-    graded points catch a left-edge maximum at x = (b/a)^(1/kappa) L that
-    lies inside the first grid cell when kappa is close to sigma - 1; one
-    below L/(n - 1) 2^-60 is not resolved, and the result can then be well
-    below ``green_max``.  After the sweep the best point is polished with
-    golden-section searches along the axis directions and both diagonals of
-    the grid (the ridge of |G| runs along t = s, where pure coordinate
-    descent stalls), repeated until the directions are exhausted.
+    The grid in log coordinates is ``linspace(0, L, n)`` on both axes plus
+    the geometric points L/(n - 1) 2^-k, k = 1..60, merged into one sorted
+    axis of n + 60 points.  The graded points catch a left-edge maximum at
+    x = (b/a)^(1/kappa) L that lies inside the first uniform cell when kappa
+    is close to sigma - 1; one below L/(n - 1) 2^-60 is not resolved, and
+    the result can then be well below ``green_max``.  The search over the
+    grid (``_grid_search``) is exact: a suffix maximum above the diagonal
+    and branch and bound over tiles below it (``_lower_max``) return the
+    largest computed grid value while evaluating only the tiles that could
+    hold it.  The best
+    point is then polished with golden-section searches along the axis
+    directions and both diagonals of the grid (the ridge of |G| runs along
+    t = s, where pure coordinate descent stalls), repeated until the
+    directions are exhausted.
 
     Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16.
@@ -347,20 +405,19 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     if n > BRUTEFORCE_MAX_N:
         raise ResourceLimit(f"bruteforce grid n={n} exceeds cap {BRUTEFORCE_MAX_N}")
 
+    a = p.sigma - 1.0
+    b = p.sigma - p.kappa - 1.0
     L = p.L
     h = L / (n - 1)
-    xs = np.linspace(0.0, L, n)
-    best_val, (i, j) = _uniform_sweep(p, n)
-    x0, y0 = float(xs[i]), float(xs[j])
-    graded = h * 2.0 ** -np.arange(1.0, _GRADED_POINTS + 1.0)
-    for rows, cols in ((graded, np.concatenate((xs, graded))), (xs, graded)):
-        vals = np.abs(_green_xy(p, rows[:, None], cols[None, :]))
-        k = int(np.argmax(vals))
-        if vals.flat[k] > best_val:
-            best_val = float(vals.flat[k])
-            x0, y0 = float(rows[k // len(cols)]), float(cols[k % len(cols)])
+    graded = h * 2.0 ** -np.arange(float(_GRADED_POINTS), 0.0, -1.0)
+    z = np.concatenate(([0.0], graded, np.linspace(0.0, L, n)[1:]))
+    best_val, (i, j) = _grid_search(p, z)
+    x0, y0 = float(z[i]), float(z[j])
 
-    # The line searches evaluate single points, on plain floats.
+    # The line searches evaluate single points, on plain floats; the
+    # constants of _xi_log are computed once.
+    La = L**a
+    t1 = p.t1
     gamma_sk = gamma(p.sigma - p.kappa)
     directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
     for _ in range(6):
@@ -368,7 +425,7 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
             def section(c: float) -> float:
                 xx = min(max(x0 + c * dx, 0.0), L)
                 yy = min(max(y0 + c * dy, 0.0), L)
-                return abs(_xi_log(p, xx, yy, p.t1 * math.exp(yy), xx > yy)) / gamma_sk
+                return abs(_xi_log(a, b, L, La, xx, yy, t1 * math.exp(yy), xx > yy)) / gamma_sk
 
             c_best, v_best = _golden_line_max(section, -2.0 * h, 2.0 * h)
             if v_best > best_val:

@@ -6,6 +6,7 @@ grid search.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from hadamard_bvp.selftest import EX_A_REF
 
 EX_A = validate(1.75, 0.5, 1.0, math.e)
 EX_B = validate(1.5, 0.25, 1.0, math.e)
+# Bench defect 5: kappa near sigma - 1 puts the left-edge maximum at x = 8.5e-5 L.
+DEFECT_5 = validate(1.2251193390645163, 0.18564107820557843, 0.22859266985750926, 0.6437148677146808)
 
 
 def _random_params(rng):
@@ -182,7 +185,7 @@ def test_bruteforce_limits():
 def test_bruteforce_resolves_edge_maximum_inside_first_cell():
     # kappa near sigma - 1: the left-edge maximum sits at x = 8.5e-5 L,
     # inside the first of 1999 cells, where a uniform grid misses it by 1.5%.
-    p = validate(1.2251193390645163, 0.18564107820557843, 0.22859266985750926, 0.6437148677146808)
+    p = DEFECT_5
     closed = green_max(p).max_abs_g
     brute, (t_at, s_at) = green_max_bruteforce(p, 2000)
     assert abs(brute - closed) <= 1e-9 * closed
@@ -206,25 +209,83 @@ def test_bruteforce_meets_closed_form_near_kappa_edge(sigma, e, L):
     assume(((a - kappa) / a) ** (1.0 / kappa) * p.L >= p.L / 127 * 2.0**-60)
     closed = green_max(p).max_abs_g
     brute, _ = green_max_bruteforce(p, 128)
-    assert abs(brute - closed) <= 2e-3 * closed
+    assert abs(brute - closed) <= 1e-6 * closed
 
 
-def _direct_sweep(p, n):
-    # Every cell of the uniform grid through _green_xy, no structure used.
-    xs = np.linspace(0.0, p.L, n)
-    vals = np.abs(_green_xy(p, xs[:, None], xs[None, :]))
+def _merged_axis(p, n):
+    # The brute-force grid: 0, the graded points L/(n-1) 2^-k (k = 60..1),
+    # then the uniform points.
+    h = p.L / (n - 1)
+    return np.concatenate(([0.0], h * 2.0 ** -np.arange(60.0, 0.0, -1.0), np.linspace(0.0, p.L, n)[1:]))
+
+
+def _direct_sweep(p, z):
+    # Every cell of the grid through _green_xy, no structure used.
+    vals = np.abs(_green_xy(p, z[:, None], z[None, :]))
     k = int(np.argmax(vals))
-    return float(vals.flat[k]), divmod(k, n)
+    return float(vals.flat[k]), divmod(k, z.size)
 
 
 @pytest.mark.parametrize("n", [16, 17, 300, 2000])
-@pytest.mark.parametrize("which", ["EX_A", "EX_B", "kappa-edge"])
+@pytest.mark.parametrize("which", ["EX_A", "EX_B", "kappa-edge", "defect-5"])
 def test_uniform_sweep_matches_direct_sweep(which, n):
-    p = {"EX_A": EX_A, "EX_B": EX_B, "kappa-edge": validate(1.3, 0.29, 0.5, 1.5)}[which]
-    value, cell = kernel._uniform_sweep(p, n)
-    ref_value, ref_cell = _direct_sweep(p, n)
+    # The branch-and-bound search over the merged grid against every cell.
+    p = {"EX_A": EX_A, "EX_B": EX_B, "kappa-edge": validate(1.3, 0.29, 0.5, 1.5),
+         "defect-5": DEFECT_5}[which]
+    z = _merged_axis(p, n)
+    value, cell = kernel._grid_search(p, z)
+    ref_value, ref_cell = _direct_sweep(p, z)
     assert cell == ref_cell
     assert abs(value - ref_value) <= 1e-14 * ref_value
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    sigma=st.floats(1.02, 2.0),
+    e=st.floats(0.0, 6.0, exclude_min=True),
+    L=st.floats(1e-3, 3.0),
+    n=st.integers(16, 300),
+)
+def test_lower_max_pruning_is_exact(sigma, e, L, n):
+    # r = kappa/(sigma - 1) = 1 - 10^-e runs from the middle of its range to
+    # the kappa -> sigma - 1 edge.  No tile's bound may fall below a value in
+    # the tile, and the search, started from best = 0 so that it prunes only
+    # against values found below the diagonal, must find the exhaustive max.
+    a = sigma - 1.0
+    kappa = (1.0 - 10.0**-e) * a
+    assume(0.0 < kappa < a)
+    p = validate(sigma, kappa, 1.0, math.exp(L))
+    b = sigma - kappa - 1.0
+    z = _merged_axis(p, n)
+    w = np.exp(-z)
+    A = np.power(z, a) / p.L**a
+    D = np.power(np.maximum(p.L - z, 0.0), b)
+    value, (i, j) = kernel._lower_max(z, A, D, w, b, 0.0, None)
+    # The same cell expression on every cell below the diagonal, unpruned.
+    below = np.tri(z.size, k=-1, dtype=bool)
+    d = np.where(below, z[:, None] - z[None, :], 0.0)
+    g = np.abs(A[:, None] * D[None, :] - np.power(d, b)) * w[None, :]
+    g[~below] = 0.0
+    ref = float(g.max())
+    tiles = -(-z.size // kernel._TILE)
+    padded = np.zeros((tiles * kernel._TILE,) * 2)
+    padded[: z.size, : z.size] = g
+    tile_max = padded.reshape(tiles, kernel._TILE, tiles, kernel._TILE).max(axis=(1, 3))
+    I, J, bound = kernel._tile_bounds(z, A, D, w, b)
+    assert np.all(tile_max[I, J] <= bound)
+    assert i > j
+    assert abs(value - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("n", [16, 64, 2000])
+def test_bruteforce_memory_is_small(n):
+    tracemalloc.start()
+    try:
+        green_max_bruteforce(EX_B, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _green_xy_reference(p, x, y):
