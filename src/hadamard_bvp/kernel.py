@@ -27,7 +27,8 @@ above the diagonal G is rank one in (x, y), and below it a branch and bound
 over tiles evaluates only those whose bound beats the best value so far.
 Geometric points L/(n - 1) 2^-k, k = 1..60, on both axes catch a left-edge
 maximum inside the first grid cell; one closer to s = t1 than the last of
-them is not resolved.
+them is not resolved.  A zoom of vectorised 33 x 33 grids, each an eighth of
+the width of the last, then refines the best grid point to float spacing.
 """
 
 from __future__ import annotations
@@ -78,7 +79,14 @@ _BOUND_MARGIN = 1e-12
 # Number of geometric points L/(n-1) 2^-k added to both brute-force axes.
 _GRADED_POINTS = 60
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The zoom that refines the grid's best point: points per axis, the factor
+# by which the window shrinks each round, and a cap on the rounds.  For
+# every n >= 16, 24 rounds take span = 2L/(n - 1) below the float spacing
+# of any point beyond 1e-7 L; nearer the corner the cap stops the zoom with
+# span below 1e-22 L.
+_ZOOM_POINTS = 33
+_ZOOM_SHRINK = 8.0
+_ZOOM_ROUNDS = 24
 
 
 class MaxBranch(enum.Enum):
@@ -117,8 +125,7 @@ def _xi_log(
 ) -> float:
     """Xi at log coordinates x = ln(t/t1), y = ln(s/t1); ``below`` selects Xi2 (s <= t).
 
-    Takes a = sigma - 1, b = sigma - kappa - 1, L and La = L^a, so that a
-    caller evaluating many points computes them once.
+    Takes a = sigma - 1, b = sigma - kappa - 1, L and La = L^a.
     """
     upper = x**a * max(L - y, 0.0) ** b
     if not below:
@@ -267,23 +274,6 @@ def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g
 
 
-def _golden_line_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximisation of a unimodal-ish section; returns (c, f(c))."""
-    c1 = hi - _GOLDEN * (hi - lo)
-    c2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(60):
-        if f1 < f2:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(c2)
-        else:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(c1)
-    return (c1, f1) if f1 >= f2 else (c2, f2)
-
-
 def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
     """max|G| over the grid ``z`` squared (z ascending), and its cell (i, j).
 
@@ -378,7 +368,7 @@ def _lower_max(
 
 
 def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, float]]:
-    """Grid search for max|G| over the square, refined by line searches.
+    """Grid search for max|G| over the square, refined by a zoom.
 
     The grid in log coordinates is ``linspace(0, L, n)`` on both axes plus
     the geometric points L/(n - 1) 2^-k, k = 1..60, merged into one sorted
@@ -389,11 +379,11 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     grid (``_grid_search``) is exact: a suffix maximum above the diagonal
     and branch and bound over tiles below it (``_lower_max``) return the
     largest computed grid value while evaluating only the tiles that could
-    hold it.  The best
-    point is then polished with golden-section searches along the axis
-    directions and both diagonals of the grid (the ridge of |G| runs along
-    t = s, where pure coordinate descent stalls), repeated until the
-    directions are exhausted.
+    hold it.  The zoom then evaluates |G| on a 33 x 33 grid over +-span
+    around the best point, clipped to the square, starting from span =
+    2L/(n - 1); it moves to that grid's best point when it beats the best
+    value so far and divides span by 8.  It stops once span falls below the
+    float spacing of the point, or after ``_ZOOM_ROUNDS`` rounds.
 
     Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16.
@@ -405,8 +395,6 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     if n > BRUTEFORCE_MAX_N:
         raise ResourceLimit(f"bruteforce grid n={n} exceeds cap {BRUTEFORCE_MAX_N}")
 
-    a = p.sigma - 1.0
-    b = p.sigma - p.kappa - 1.0
     L = p.L
     h = L / (n - 1)
     graded = h * 2.0 ** -np.arange(float(_GRADED_POINTS), 0.0, -1.0)
@@ -414,24 +402,21 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     best_val, (i, j) = _grid_search(p, z)
     x0, y0 = float(z[i]), float(z[j])
 
-    # The line searches evaluate single points, on plain floats; the
-    # constants of _xi_log are computed once.
-    La = L**a
-    t1 = p.t1
-    gamma_sk = gamma(p.sigma - p.kappa)
-    directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
-    for _ in range(6):
-        for dx, dy in directions:
-            def section(c: float) -> float:
-                xx = min(max(x0 + c * dx, 0.0), L)
-                yy = min(max(y0 + c * dy, 0.0), L)
-                return abs(_xi_log(a, b, L, La, xx, yy, t1 * math.exp(yy), xx > yy)) / gamma_sk
-
-            c_best, v_best = _golden_line_max(section, -2.0 * h, 2.0 * h)
-            if v_best > best_val:
-                best_val = v_best
-                x0 = min(max(x0 + c_best * dx, 0.0), L)
-                y0 = min(max(y0 + c_best * dy, 0.0), L)
-        h *= 0.25
+    # Zoom: |G| on a _ZOOM_POINTS^2 grid over +-span around the best point,
+    # clipped to the square; the window shrinks by _ZOOM_SHRINK a round, so
+    # the next one spans two steps of this one either side of its best cell.
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    span = 2.0 * h
+    for _ in range(_ZOOM_ROUNDS):
+        if span < math.ulp(max(x0, y0)):
+            break
+        xs = np.minimum(np.maximum(x0 + span * offsets, 0.0), L)
+        ys = np.minimum(np.maximum(y0 + span * offsets, 0.0), L)
+        g = np.abs(_green_xy(p, xs[:, None], ys[None, :]))
+        k = int(np.argmax(g))
+        if g.flat[k] > best_val:
+            best_val = float(g.flat[k])
+            x0, y0 = float(xs[k // _ZOOM_POINTS]), float(ys[k % _ZOOM_POINTS])
+        span /= _ZOOM_SHRINK
 
     return best_val, (p.t1 * math.exp(x0), p.t1 * math.exp(y0))

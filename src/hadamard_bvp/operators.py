@@ -371,7 +371,7 @@ def composition_check(
     interior = np.arange(1, len(m.u) - 1)
     fv = np.array(_eval_f(fe, t1, m.u[interior].tolist()))
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.
-    inner = _product_weights(m, kappa - 1.0, interior)[:, interior] @ fv / gamma(kappa)
+    inner = _product_weights(m, kappa - 1.0, interior)[:, 1:-1] @ fv / gamma(kappa)
     nested = _integral_at_end(m, sigma, inner, t)
     direct = _integral_at_end(m, sigma + kappa, fv, t)
     return nested, direct

@@ -149,7 +149,7 @@ def _check_green_bruteforce(_seed: int):
         closed = kernel.green_max(p).max_abs_g
         brute, _ = kernel.green_max_bruteforce(p, 300)
         worst = max(worst, abs(brute - closed) / closed)
-    if worst > 2e-3:
+    if worst > 1e-12:
         return False, f"bruteforce disagreement {worst:.2e}"
     return True, f"worst relative gap {worst:.1e}"
 

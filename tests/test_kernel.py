@@ -159,7 +159,8 @@ def test_bruteforce_matches_closed_form():
         p = _random_params(rng)
         closed = green_max(p).max_abs_g
         brute, (t_at, s_at) = green_max_bruteforce(p, 400)
-        assert abs(brute - closed) <= 2e-3 * closed
+        assert abs(brute - closed) <= 1e-12 * closed
+        assert brute <= closed * (1.0 + 1e-14)
         # The argmax lives on the diagonal or on the left edge s = t1.
         x = math.log(t_at / p.t1)
         y = math.log(s_at / p.t1)
@@ -209,7 +210,28 @@ def test_bruteforce_meets_closed_form_near_kappa_edge(sigma, e, L):
     assume(((a - kappa) / a) ** (1.0 / kappa) * p.L >= p.L / 127 * 2.0**-60)
     closed = green_max(p).max_abs_g
     brute, _ = green_max_bruteforce(p, 128)
-    assert abs(brute - closed) <= 1e-6 * closed
+    assert abs(brute - closed) <= 1e-12 * closed
+    assert brute <= closed * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 128, 2000])
+@pytest.mark.parametrize("which", ["EX_B", "defect-5", "left-edge"])
+def test_bruteforce_zoom_stops_before_round_cap(which, n, monkeypatch):
+    # Each zoom round makes one _green_xy call; the zoom must stop on the
+    # float spacing of its point, not on the cap, for a diagonal maximum,
+    # one at x = 8.5e-5 L and one at x = 0.2 L, both on s = t1.
+    p = {"EX_B": EX_B, "defect-5": DEFECT_5, "left-edge": validate(1.9, 0.5, 1.0, math.e)}[which]
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _green_xy(*args)
+
+    monkeypatch.setattr(kernel, "_green_xy", counting)
+    brute, (_, s_at) = green_max_bruteforce(p, n)
+    assert 0 < len(calls) < kernel._ZOOM_ROUNDS
+    assert (s_at == p.t1) is (which != "EX_B")
+    assert abs(brute - green_max(p).max_abs_g) <= 1e-12 * brute
 
 
 def _merged_axis(p, n):
