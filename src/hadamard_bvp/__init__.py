@@ -61,7 +61,7 @@ from .kernel import (
     xi2,
     zeta,
 )
-from .params import FracParams, Verdict, VerdictKind, validate
+from .params import FracParams, Verdict, VerdictKind, log_ratio, validate
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,7 @@ def __getattr__(name: str):
 __all__ = [
     "__version__",
     # parameters and verdicts
-    "FracParams", "Verdict", "VerdictKind", "validate",
+    "FracParams", "Verdict", "VerdictKind", "log_ratio", "validate",
     # special functions
     "gamma", "reciprocal_gamma",
     # kernel

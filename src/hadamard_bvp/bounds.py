@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gammafn import gamma
 from .kernel import mho, omega
-from .params import FracParams, Verdict
+from .params import FracParams, Verdict, log_ratio
 
 __all__ = [
     "LyapunovReport",
@@ -75,7 +75,7 @@ class LyapunovReport:
 
 def lyapunov_bound(p: FracParams) -> float:
     """gamma(sigma - kappa) / max(omega, mho); the integral threshold."""
-    return gamma(p.sigma - p.kappa) / max(omega(p), mho(p))
+    return p.gamma_sk / max(omega(p), mho(p))
 
 
 def eigenvalue_bound(p: FracParams) -> float:
@@ -94,7 +94,7 @@ def eigenvalue_bound(p: FracParams) -> float:
 
 def lyapunov_report(p: FracParams) -> LyapunovReport:
     return LyapunovReport(
-        gamma_sk=gamma(p.sigma - p.kappa),
+        gamma_sk=p.gamma_sk,
         bound=lyapunov_bound(p),
         eigen_bound=eigenvalue_bound(p),
     )
@@ -233,15 +233,18 @@ def reference_bound_kappa0(sigma: float, t1: float, t2: float) -> float:
     """Integral bound for the single-derivative problem (kappa absent).
 
     Serves as the kappa -> 0 consistency oracle: as kappa shrinks, mho
-    vanishes and gamma(sigma - kappa)/omega approaches this value.  With
-    rho = exp((2(sigma-1) + ln(t1 t2) - sqrt(4(sigma-1)^2 + L^2)) / 2),
-    the bound is gamma(sigma) * rho * (ln(rho/t1) ln(t2/rho) / L)^(1-sigma).
+    vanishes and gamma(sigma - kappa)/omega approaches this value.  With a =
+    sigma - 1, L = ln(t2/t1) and x the smaller root of x^2 - (L + 2a) x +
+    a L = 0, the maximum of the kernel sits at rho = t1 e^x and the bound is
+    gamma(sigma) * rho * (x (L - x) / L)^(1-sigma).  The root comes from the
+    larger one by Vieta, and rho is formed only at the end, so neither
+    cancellation on narrow intervals nor t1 t2 at extreme t1 costs digits.
     """
     if not (math.isfinite(sigma) and 1.0 < sigma <= 2.0):
         raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
     if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
         raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
     a = sigma - 1.0
-    L = math.log(t2 / t1)
-    rho = math.exp(0.5 * (2.0 * a + math.log(t1 * t2) - math.sqrt(4.0 * a * a + L * L)))
-    return gamma(sigma) * rho * (math.log(rho / t1) * math.log(t2 / rho) / L) ** (1.0 - sigma)
+    L = log_ratio(t2, t1)
+    x = a * L / (a + 0.5 * L + math.sqrt(a * a + 0.25 * L * L))
+    return gamma(sigma) * t1 * math.exp(x) * (x * (L - x) / L) ** (1.0 - sigma)

@@ -25,7 +25,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .bounds import lyapunov_report, nonexistence_check
+from .bounds import DEFAULT_TOL, lyapunov_report, nonexistence_check
 from .coefficient import Constant, Expression, load_table, parse_expr
 from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
 from .kernel import green_eval, green_max, _green_xy
@@ -189,7 +189,7 @@ def cmd_selftest(args) -> tuple[None, dict]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--tol", type=_real, default=1e-9, help="quadrature tolerance")
+    common.add_argument("--tol", type=_real, default=DEFAULT_TOL, help="quadrature tolerance")
     common.add_argument("--seed", type=int, default=20260815, help="seed for randomized checks")
 
     pp = argparse.ArgumentParser(add_help=False)

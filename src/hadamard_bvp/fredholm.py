@@ -6,7 +6,9 @@ operator becomes (1/Gamma(sigma - kappa)) times
 
     (x/L)^a int_0^L (L - y)^b q v dy - int_0^x (x - y)^b q v dy,
 
-with a = sigma - 1 and b = sigma - kappa - 1.  ``nystrom_matrix``
+with a = sigma - 1 and b = sigma - kappa - 1, read with L and
+Gamma(sigma - kappa) from the ``FracParams`` properties that form them
+(b as (sigma - 1) - kappa, L through log1p).  ``nystrom_matrix``
 discretizes it on the product-integration core in ``operators``, with
 order-8 panels of which about half grade toward u = 0, where the
 eigenfunction behaves like u^a; neither the (x - y)^b kink on the diagonal
@@ -31,7 +33,6 @@ from typing import TYPE_CHECKING
 from .bounds import eigenvalue_bound
 from .coefficient import Coefficient, Constant, eval_coefficient
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
-from .gammafn import gamma
 from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
 from .params import FracParams
 
@@ -105,10 +106,10 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
         raise ResourceLimit(f"nystrom matrix n={n} exceeds cap {MATRIX_MAX_N}")
     m = _mesh(p, n)
     qvals = np.array([eval_coefficient(q, float(t)) for t in p.t1 * np.exp(m.u)])
-    r = _product_weights(m, p.sigma - p.kappa - 1.0, np.arange(n))
-    k = np.multiply.outer((m.u / p.L) ** (p.sigma - 1.0), r[-1])
+    r = _product_weights(m, p.b, np.arange(n))
+    k = np.multiply.outer((m.u / p.L) ** p.a, r[-1])
     k -= r
-    k *= qvals / gamma(p.sigma - p.kappa)
+    k *= qvals / p.gamma_sk
     return k
 
 

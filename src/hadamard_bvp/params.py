@@ -6,6 +6,14 @@ in (0, sigma - 1).  The open upper end for kappa is essential: at
 kappa = sigma - 1 the kernel exponent sigma - kappa - 1 hits zero and the
 maximum formulas lose their meaning, so that case is rejected outright
 rather than approximated.
+
+Every closed form is written in the same derived quantities, and they are
+formed here once: ``L = ln(t2/t1)``, ``a = sigma - 1``, ``b = sigma -
+kappa - 1`` and ``gamma_sk = Gamma(sigma - kappa)``.  Logarithmic
+coordinates come from ``log_ratio(t, t1) = log1p((t - t1)/t1)``, whose
+difference t - t1 is exact on narrow intervals where t/t1 would lose the
+digits that ln keeps; b is formed as (sigma - 1) - kappa because sigma - 1
+is exact and sigma - kappa is not.
 """
 
 from __future__ import annotations
@@ -15,8 +23,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange
+from .gammafn import gamma
 
-__all__ = ["FracParams", "Verdict", "VerdictKind", "validate"]
+__all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "validate"]
+
+
+def log_ratio(t: float, t1: float) -> float:
+    """ln(t/t1) as log1p((t - t1)/t1), exact in t - t1 when t is near t1."""
+    return math.log1p((t - t1) / t1)
 
 
 @dataclass(frozen=True)
@@ -40,14 +54,14 @@ class FracParams:
                 raise DomainInvalid(f"{name} must be finite, got {value!r}")
         if not 1.0 < sigma <= 2.0:
             raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
-        if kappa == sigma - 1.0:
+        if kappa == self.a:
             raise BoundaryOrderUnsupported(
                 f"kappa = sigma - 1 = {kappa!r} is excluded: the kernel exponent "
                 "sigma - kappa - 1 vanishes there"
             )
-        if not 0.0 < kappa < sigma - 1.0:
+        if not 0.0 < kappa < self.a:
             raise OrderOutOfRange(
-                f"kappa must satisfy 0 < kappa < sigma - 1 = {sigma - 1.0!r}, got {kappa!r}"
+                f"kappa must satisfy 0 < kappa < sigma - 1 = {self.a!r}, got {kappa!r}"
             )
         if not 0.0 < t1 < t2:
             raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
@@ -55,7 +69,22 @@ class FracParams:
     @property
     def L(self) -> float:
         """Width of the domain in logarithmic coordinates, ln(t2/t1)."""
-        return math.log(self.t2 / self.t1)
+        return log_ratio(self.t2, self.t1)
+
+    @property
+    def a(self) -> float:
+        """Exponent of x in the kernel, sigma - 1."""
+        return self.sigma - 1.0
+
+    @property
+    def b(self) -> float:
+        """Kernel exponent sigma - kappa - 1, formed as (sigma - 1) - kappa."""
+        return self.a - self.kappa
+
+    @property
+    def gamma_sk(self) -> float:
+        """Gamma(sigma - kappa), the kernel's normalising constant."""
+        return gamma(self.sigma - self.kappa)
 
 
 class VerdictKind(enum.Enum):

@@ -24,7 +24,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .gammafn import gamma
-from .params import VerdictKind, validate
+from .params import VerdictKind, log_ratio, validate
 
 __all__ = ["run_selftests", "SELFTEST_NAMES"]
 
@@ -127,7 +127,7 @@ def _check_green_structure(_seed: int):
             worst_jump = max(worst_jump, jump)
             if kernel.xi2(p, t, p.t1) > 0.0:
                 return False, f"xi2(t, t1) positive at t={t!r}"
-            x_frac = math.log(t / p.t1) / p.L
+            x_frac = log_ratio(t, p.t1) / p.L
             s_up = np.sort(p.t1 * np.exp(p.L * rng.uniform(x_frac, 1.0, 8)))
             vals = [kernel.xi1(p, t, s) for s in s_up]
             if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
@@ -188,7 +188,7 @@ def _check_kappa_limit(_seed: int):
     worst = 0.0
     for sigma in (1.3, 1.6, 1.9):
         p = validate(sigma, 1e-7, 1.0, math.e)
-        approx = gamma(p.sigma - p.kappa) / kernel.omega(p)
+        approx = p.gamma_sk / kernel.omega(p)
         ref = bounds.reference_bound_kappa0(sigma, 1.0, math.e)
         worst = max(worst, abs(approx - ref) / ref)
     if worst > 1e-5:

@@ -34,7 +34,6 @@ from hadamard_bvp import (
 )
 from hadamard_bvp import kernel
 from hadamard_bvp.cli import main
-from hadamard_bvp.gammafn import gamma
 from hadamard_bvp.kernel import _green_xy
 from hadamard_bvp.selftest import EX_A_REF
 
@@ -177,8 +176,9 @@ def test_bruteforce_stable_in_n():
 
 
 def test_bruteforce_limits():
-    with pytest.raises(DomainInvalid):
-        green_max_bruteforce(EX_A, 8)
+    for n in (8, 100.0, "100"):
+        with pytest.raises(DomainInvalid, match="integer n >= 16"):
+            green_max_bruteforce(EX_A, n)
     with pytest.raises(ResourceLimit):
         green_max_bruteforce(EX_A, 100000)
 
@@ -312,12 +312,10 @@ def test_bruteforce_memory_is_small(n):
 
 def _green_xy_reference(p, x, y):
     # The out-of-place expression _green_xy replaced; it must agree bit for bit.
-    a = p.sigma - 1.0
-    b = p.sigma - p.kappa - 1.0
     s = p.t1 * np.exp(y)
-    upper = np.power(x, a) * np.power(np.maximum(p.L - y, 0.0), b) / p.L**a
-    lower = np.power(np.maximum(x - y, 0.0), b)
-    return (upper - lower) / (s * gamma(p.sigma - p.kappa))
+    upper = np.power(x, p.a) * np.power(np.maximum(p.L - y, 0.0), p.b) / p.L**p.a
+    lower = np.power(np.maximum(x - y, 0.0), p.b)
+    return (upper - lower) / (s * p.gamma_sk)
 
 
 @pytest.mark.parametrize("shape", ["square", "grid-row", "single"])
