@@ -10,9 +10,10 @@ compares against |lambda|.  Equality is always classified Inconclusive: the
 necessary condition is non-strict, so only a strict violation of it proves
 nonexistence.
 
-The adaptive quadrature below runs on Python floats only: its 15-node
-Gauss-Legendre rule is written out as literals (equal, bit for bit, to
-``numpy.polynomial.legendre.leggauss(15)``) and its scan grid is built with
+The |q| integral runs on Python floats only: a table's integral has a
+closed form, and the adaptive quadrature for every other coefficient has
+its 15-node Gauss-Legendre rule written out as literals (equal, bit for bit,
+to ``numpy.polynomial.legendre.leggauss(15)``) and builds its scan grid with
 the same arithmetic as ``numpy.linspace``, so the bound and verdict commands
 never import numpy and the coefficient only ever sees plain floats.
 """
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .gammafn import gamma
 from .kernel import mho, omega
-from .params import FracParams, Verdict, log_ratio
+from .params import FracParams, Verdict, log_width
 
 __all__ = [
     "LyapunovReport",
@@ -148,25 +149,27 @@ def _bisect_sign_change(f, a: float, b: float, fa: float, width: float) -> float
 
 
 def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive estimate of the integral of |q| over [t1, t2].
+    """Estimate of the integral of |q| over [t1, t2].
 
-    Sign changes of q are first bracketed on a scan grid and pinned down by
-    bisection, so that each adaptive sub-problem integrates a smooth branch
-    of |q|.  The knots of a Table inside (t1, t2) are both scan points and
-    breakpoints: between two knots the table is monotone, so every sign
-    change is bracketed and every kink is a panel end.  Each panel uses a
-    fixed 15-node Gauss rule; a panel is accepted when splitting it changes
-    the result by less than its share of the tolerance.  Past depth 48 (a
-    panel a few ulps wide, at an integrable cusp say) a panel is accepted
-    anyway and its error estimate is added to a running slack.
-    QuadratureFailure is raised when the slack exceeds tol or the recursion
-    exhausts its budget of 200 000 panels, which in practice means |q| is
-    not integrable or too rough for the scan resolution.
+    A Table is integrated in closed form (``Table.abs_integral``), without
+    evaluating it, and ``tol`` plays no part.  Any other q is integrated
+    adaptively.  Sign changes of q are first bracketed on a scan grid and
+    pinned down by bisection, so that each adaptive sub-problem integrates a
+    smooth branch of |q|.  Each panel uses a fixed 15-node Gauss rule; a
+    panel is accepted when splitting it changes the result by less than its
+    share of the tolerance.  Past depth 48 (a panel a few ulps wide, at an
+    integrable cusp say) a panel is accepted anyway and its error estimate
+    is added to a running slack.  QuadratureFailure is raised when the slack
+    exceeds tol or the recursion exhausts its budget of 200 000 panels,
+    which in practice means |q| is not integrable or too rough for the scan
+    resolution.
     """
     if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
         raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
     if not tol > 0.0:
         raise DomainInvalid(f"tolerance must be positive, got {tol!r}")
+    if isinstance(q, Table):
+        return q.abs_integral(t1, t2)
     qf = as_callable(q)
 
     def absq(t: float) -> float:
@@ -175,10 +178,8 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
             raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
         return abs(value)
 
-    # Locate kinks of |q|: a table's knots, and sign changes of q on a fixed
-    # scan grid that includes those knots.
-    knots = [t for t, _ in q.points if t1 < t < t2] if isinstance(q, Table) else []
-    scan = sorted(_scan_grid(t1, t2) + knots)
+    # Locate kinks of |q|: sign changes of q on a fixed scan grid.
+    scan = _scan_grid(t1, t2)
     scan_vals = [qf(t) for t in scan]
     breakpoints = [t1]
     for left, right, f_left, f_right in zip(scan, scan[1:], scan_vals, scan_vals[1:]):
@@ -192,7 +193,6 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
                 _bisect_sign_change(qf, left, right, f_left, 1e-12 * (t2 - t1))
             )
     breakpoints.append(t2)
-    breakpoints = sorted(breakpoints + knots)
 
     budget = [200_000]  # panel evaluations, shared across segments
     slack = [0.0]  # error estimates of the panels accepted past the depth limit
@@ -242,9 +242,7 @@ def reference_bound_kappa0(sigma: float, t1: float, t2: float) -> float:
     """
     if not (math.isfinite(sigma) and 1.0 < sigma <= 2.0):
         raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
-    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
-        raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
+    L = log_width(t1, t2)
     a = sigma - 1.0
-    L = log_ratio(t2, t1)
     x = a * L / (a + 0.5 * L + math.sqrt(a * a + 0.25 * L * L))
     return gamma(sigma) * t1 * math.exp(x) * (x * (L - x) / L) ** (1.0 - sigma)

@@ -9,10 +9,9 @@ All output is deterministic for identical flags.  Reals in JSON and CSV are
 printed with 17 significant digits, which round-trips doubles exactly.  A
 result that is not finite is never printed: it exits 3 instead.
 
-numpy is imported only where arrays are used (`green grid`, `eigen`,
-`selftest` and table coefficients) and scipy only by `eigen` and `selftest`,
-so `bound`, `check` with an expression or a constant, `green eval` and
-`green max` start without loading either.
+numpy is imported only where arrays are used (`green grid`, `eigen` and
+`selftest`) and scipy only by `eigen` and `selftest`, so `bound`, `check`,
+`green eval` and `green max` start without loading either.
 """
 
 from __future__ import annotations

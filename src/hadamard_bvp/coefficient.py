@@ -8,16 +8,22 @@ multiplication is not supported.
 
 Tables interpolate linearly in ln t rather than t: all kernel structure in
 this package lives in ln(t/t1), so log-linear interpolation is the
-representation that keeps table coefficients well behaved near t1.
+representation that keeps table coefficients well behaved near t1.  Between
+knots t_k < t < t_{k+1} a table is v_k + s_k ln(t/t_k), with the slope
+s_k = (v_{k+1} - v_k) / ln(t_{k+1}/t_k) and both logarithms formed by
+``params.log_ratio``; at a knot it is the knot's value exactly.  So the
+integral of |q| over a range of the table has a closed form,
+``Table.abs_integral``, and a table is never sampled to integrate it.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     DomainInvalid,
@@ -26,6 +32,7 @@ from .errors import (
     OutOfTableRange,
     UnknownIdentifier,
 )
+from .params import log_ratio
 
 __all__ = [
     "Coefficient",
@@ -348,6 +355,28 @@ class Expression(Coefficient):
         return _eval_node(self.ast, t)
 
 
+# Coefficients (n - 1)/n! of d^n in phi(d) = (d - 1) e^d + 1, from n = 20
+# down to n = 2; the terms past n = 20 are below 1e-17 of phi for |d| < 1.
+_PHI_SERIES = tuple((n - 1) / math.factorial(n) for n in range(20, 1, -1))
+
+
+def _t_phi(tc: float, to: float, d: float) -> float:
+    """tc * phi(d) for to = tc e^d, where phi(d) = (d - 1) e^d + 1 >= 0.
+
+    For |d| < 1, where the closed form cancels, phi comes from its series;
+    otherwise the product is to (d - 1) + tc, which cannot overflow.
+    """
+    if abs(d) >= 1.0:
+        return to * (d - 1.0) + tc
+    acc = 0.0
+    for c in _PHI_SERIES:
+        acc = acc * d + c
+    return tc * acc * d * d
+
+
+_knot = itemgetter(0)
+
+
 @dataclass(frozen=True)
 class Table(Coefficient):
     """Sampled coefficient, linear interpolation in (ln t, value).
@@ -369,25 +398,63 @@ class Table(Coefficient):
             raise DomainInvalid("table knots must be positive")
         object.__setattr__(self, "points", pts)
 
-    @cached_property
-    def _interp_args(self) -> tuple:
-        """(np.interp, ln t at the knots, values), built on first evaluation.
-
-        The knot logs come from np.log, not math.log: the two differ in the
-        last bit for some t, and the interpolated values must not change.
-        """
-        import numpy as np
-
-        log_knots = np.log(np.array([t for t, _ in self.points]))
-        return np.interp, log_knots, np.array([v for _, v in self.points])
+    def _slope(self, k: int) -> float:
+        """dq/d(ln t) between knots k and k + 1."""
+        (ta, va), (tb, vb) = self.points[k], self.points[k + 1]
+        return (vb - va) / log_ratio(tb, ta)
 
     def eval(self, t: float) -> float:
-        if not (self.points[0][0] <= t <= self.points[-1][0]):
-            raise OutOfTableRange(
-                f"t={t!r} outside table range [{self.points[0][0]!r}, {self.points[-1][0]!r}]"
-            )
-        interp, log_knots, values = self._interp_args
-        return float(interp(math.log(t), log_knots, values))
+        pts = self.points
+        if not (pts[0][0] <= t <= pts[-1][0]):
+            raise OutOfTableRange(f"t={t!r} outside table range [{pts[0][0]!r}, {pts[-1][0]!r}]")
+        k = bisect.bisect_right(pts, t, key=_knot) - 1
+        tk, vk = pts[k]
+        if t == tk:
+            return vk
+        return vk + self._slope(k) * log_ratio(t, tk)
+
+    def abs_integral(self, t1: float, t2: float) -> float:
+        """Exact integral of |q| over [t1, t2], with no evaluation of q.
+
+        On each knot interval, cut to [lo, hi] by [t1, t2], q is linear in
+        u = ln(t/lo) with the slope s.  A strict sign change of q splits the
+        piece at its root, which stays in u.  Each part is anchored at the
+        end c where |q| is smallest (the root, if any), and with
+        d = ln(t_o/t_c) to its other end o it integrates to
+
+            |q_c| |t_o - t_c| + |s| t_c phi(d),   phi(d) = (d - 1) e^d + 1.
+
+        Both terms are non-negative, so nothing cancels.  Raises
+        OutOfTableRange when the knots do not cover [t1, t2] and EvalError
+        for a slope that is not finite.
+        """
+        pts = self.points
+        for t in (t1, t2):
+            if not pts[0][0] <= t <= pts[-1][0]:
+                raise OutOfTableRange(
+                    f"t={t!r} outside table range [{pts[0][0]!r}, {pts[-1][0]!r}]"
+                )
+        first = bisect.bisect_right(pts, t1, key=_knot) - 1
+        end = bisect.bisect_left(pts, t2, key=_knot)
+        pieces = []
+        for k in range(first, end):
+            (ta, va), (tb, vb) = pts[k], pts[k + 1]
+            s = self._slope(k)
+            if not math.isfinite(s):
+                raise EvalError(f"table slope on [{ta!r}, {tb!r}] is {s!r}")
+            lo, hi = max(t1, ta), min(t2, tb)
+            q_lo = va if lo == ta else va + s * log_ratio(lo, ta)
+            q_hi = vb if hi == tb else va + s * log_ratio(hi, ta)
+            u = log_ratio(hi, lo)
+            if (q_lo < 0.0 < q_hi) or (q_hi < 0.0 < q_lo):
+                root = u * q_lo / (q_lo - q_hi)
+                t_root = lo * math.exp(root) if root <= 0.5 * u else hi * math.exp(root - u)
+                pieces.append(abs(s) * (_t_phi(t_root, lo, -root) + _t_phi(t_root, hi, u - root)))
+            elif abs(q_lo) <= abs(q_hi):
+                pieces.append(abs(q_lo) * (hi - lo) + abs(s) * _t_phi(lo, hi, u))
+            else:
+                pieces.append(abs(q_hi) * (hi - lo) + abs(s) * _t_phi(hi, lo, -u))
+        return math.fsum(pieces)
 
 
 def eval_coefficient(q: Coefficient, t: float) -> float:

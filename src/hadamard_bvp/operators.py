@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 from .coefficient import as_callable
 from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure, ResourceLimit
 from .gammafn import gamma, reciprocal_gamma
+from .params import log_ratio
 
 if TYPE_CHECKING:
     import numpy as np
@@ -258,7 +259,7 @@ def _integral_at_end(m: _Mesh, order: float, values, t: float) -> float:
 def _log_span(t1: float, t: float) -> float:
     if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 <= t):
         raise DomainInvalid(f"need 0 < t1 <= t, got t1={t1!r}, t={t!r}")
-    return math.log(t / t1)
+    return log_ratio(t, t1)
 
 
 def hadamard_integral(order: float, f, t1: float, t: float, panels: int = 64) -> float:

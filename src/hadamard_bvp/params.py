@@ -25,12 +25,33 @@ from dataclasses import dataclass
 from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange
 from .gammafn import gamma
 
-__all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "validate"]
+__all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "log_width", "validate"]
 
 
 def log_ratio(t: float, t1: float) -> float:
-    """ln(t/t1) as log1p((t - t1)/t1), exact in t - t1 when t is near t1."""
-    return math.log1p((t - t1) / t1)
+    """ln(t/t1) as log1p((t - t1)/t1), exact in t - t1 when t is near t1.
+
+    Where (t - t1)/t1 overflows (t/t1 above about 1.8e308, as between the
+    knots of a wide table) it is ln t - ln t1, which then cancels nothing.
+    """
+    ratio = (t - t1) / t1
+    if ratio == math.inf:
+        return math.log(t) - math.log(t1)
+    return math.log1p(ratio)
+
+
+def log_width(t1: float, t2: float) -> float:
+    """L = ln(t2/t1) of the interval [t1, t2].
+
+    Raises DomainInvalid unless t1 and t2 are finite with 0 < t1 < t2 and
+    t2/t1 lies within the float range, i.e. L below about 709.8.  The closed
+    forms are not validated on wider intervals.
+    """
+    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
+        raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
+    if (t2 - t1) / t1 == math.inf:
+        raise DomainInvalid(f"t2/t1 exceeds the float range for t1={t1!r}, t2={t2!r}")
+    return log_ratio(t2, t1)
 
 
 @dataclass(frozen=True)
@@ -63,8 +84,7 @@ class FracParams:
             raise OrderOutOfRange(
                 f"kappa must satisfy 0 < kappa < sigma - 1 = {self.a!r}, got {kappa!r}"
             )
-        if not 0.0 < t1 < t2:
-            raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
+        log_width(t1, t2)
 
     @property
     def L(self) -> float:

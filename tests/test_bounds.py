@@ -11,6 +11,7 @@ from hadamard_bvp import (
     Expression,
     FracParams,
     OrderOutOfRange,
+    OutOfTableRange,
     QuadratureFailure,
     Table,
     VerdictKind,
@@ -170,39 +171,85 @@ def test_quadrature_gives_up_on_non_integrable_spike():
         integrate_abs_q(lambda t: abs(t - 2.0) ** -0.5, 1.0, math.e, tol=1e-13)
 
 
-def _exact_table_integral(points):
-    """Integral of |q| over the knot range, at 30 digits: between knots the
-    table is q = alpha + beta ln t, with antiderivative alpha t + beta (t ln t - t)."""
+def _exact_table_integral(points, t1, t2):
+    """Integral of |q| over [t1, t2], at 60 digits: between knots the table is
+    q = v_k + s_k ln(t/t_k), with antiderivative t (q(t) - s_k)."""
     import mpmath
 
-    with mpmath.workdps(30):
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(t1), mpmath.mpf(t2)
         total = mpmath.mpf(0)
         for (ta, va), (tb, vb) in zip(points, points[1:]):
             ta, va, tb, vb = map(mpmath.mpf, (ta, va, tb, vb))
-            beta = (vb - va) / (mpmath.log(tb) - mpmath.log(ta))
-            alpha = va - beta * mpmath.log(ta)
-            F = lambda t: alpha * t + beta * (t * mpmath.log(t) - t)
-            cuts = [ta, tb]
-            if beta != 0 and ta < mpmath.exp(-alpha / beta) < tb:
-                cuts.insert(1, mpmath.exp(-alpha / beta))
-            total += sum(abs(F(b) - F(a)) for a, b in zip(cuts, cuts[1:]))
+            lo, hi = max(a, ta), min(b, tb)
+            if not lo < hi:
+                continue
+            s = (vb - va) / mpmath.log(tb / ta)
+            F = lambda t: t * (va + s * mpmath.log(t / ta) - s)
+            cuts = [lo, hi]
+            if s != 0 and lo < ta * mpmath.exp(-va / s) < hi:
+                cuts.insert(1, ta * mpmath.exp(-va / s))
+            total += sum(abs(F(y) - F(x)) for x, y in zip(cuts, cuts[1:]))
         return float(total)
 
 
-def _random_table(rng, n):
-    ts = [math.exp(i / (n - 1)) for i in range(n)]
+def _random_table(rng, n, t1=1.0, span=1.0):
+    """n knots from t1 to t1 e^span, equally spaced in ln t, values in [-1, 1]."""
+    ts = [math.exp(math.log(t1) + span * i / (n - 1)) for i in range(n)]
     return Table(tuple((t, rng.uniform(-1.0, 1.0)) for t in ts))
 
 
-def test_table_integral_is_exact_between_knots():
-    # Every knot is a breakpoint and a scan point, so each kink of the table
-    # is a panel end and each sign change between two knots is bisected.
-    tables = [_random_table(random.Random(28), 41)]
+def _narrow_table(rng, n, t1, width):
+    """n knots equally spaced in t on [t1, t1 + width], values in [-1, 1]."""
+    return Table(tuple((t1 + width * i / (n - 1), rng.uniform(-1.0, 1.0)) for i in range(n)))
+
+
+def _table_cases():
+    """(table, t1, t2): the knot range, and a range strictly inside it."""
     rng = random.Random(5)
+    tables = [_random_table(random.Random(28), 41)]
     tables += [_random_table(rng, rng.randint(20, 200)) for _ in range(6)]
+    tables += [_narrow_table(rng, rng.randint(2, 30), t1, 1e-9 * t1) for t1 in (0.37, 3.7, 2e5)]
+    tables += [_random_table(rng, n, t1, 50.0) for n, t1 in ((2, 0.5), (9, 1.0), (60, 3.0))]
+    # Knots further apart than the float range, where t/t_k overflows.
+    tables.append(Table(((1e-300, 1.0), (1e300, -0.5))))
+    cases = [(tables[-1], 1.0, 2.0)]
     for q in tables:
         t1, t2 = q.points[0][0], q.points[-1][0]
-        assert abs(integrate_abs_q(q, t1, t2) - _exact_table_integral(q.points)) <= 1e-12
+        cases.append((q, t1, t2))
+        cases.append((q, t1 + 0.13 * (t2 - t1), t1 + 0.71 * (t2 - t1)))
+    return cases
+
+
+def test_table_integral_is_exact_between_knots(monkeypatch):
+    # A table is integrated in closed form, without evaluating it, on
+    # typical, narrow (knot span 1e-9 t1) and wide (t2/t1 = e^50 and more
+    # than the float range) tables, and on ranges strictly inside the knots.
+    def no_eval(self, t):
+        raise AssertionError("Table.eval called by the table integral")
+
+    cases = _table_cases()
+    monkeypatch.setattr(Table, "eval", no_eval)
+    for q, t1, t2 in cases:
+        exact = _exact_table_integral(q.points, t1, t2)
+        got = integrate_abs_q(q, t1, t2)
+        assert type(got) is float
+        assert abs(got - exact) <= 1e-14 * exact, (len(q.points), t1, t2)
+
+
+def test_table_integral_errors():
+    q = Table(((1.0, -1.0), (2.0, 1.0), (math.e, 0.5)))
+    with pytest.raises(OutOfTableRange):
+        integrate_abs_q(q, 0.5, 2.0)
+    with pytest.raises(OutOfTableRange):
+        integrate_abs_q(q, 1.5, 3.0)
+    # A value that is not finite fails like an evaluation would, but only on
+    # the knot intervals that overlap [t1, t2].
+    q = Table(((1.0, 1.0), (2.0, math.inf), (3.0, 1.0), (4.0, 2.0)))
+    with pytest.raises(EvalError):
+        integrate_abs_q(q, 1.5, 2.5)
+    exact = _exact_table_integral(q.points, 3.0, 4.0)
+    assert abs(integrate_abs_q(q, 3.0, 4.0) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("c, t1, t2", [(4.651, 2.01, 21.6), (3.3, 1.0, 5.0)])
@@ -268,6 +315,8 @@ def test_single_derivative_reference_errors():
         reference_bound_kappa0(1.5, 0.0, math.e)
     with pytest.raises(DomainInvalid):
         reference_bound_kappa0(1.5, 2.0, 1.0)
+    with pytest.raises(DomainInvalid):
+        reference_bound_kappa0(1.5, 1e-300, 1e10)  # t2/t1 overflows
 
 
 def test_vanishing_kappa_approaches_single_derivative_bound():

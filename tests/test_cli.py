@@ -257,6 +257,16 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_interval_beyond_float_range_exit_code(capsys):
+    # ln(t2/t1) is not finite: a usage error naming the interval, not a
+    # numerical failure further down.
+    argv = ["bound", "--sigma", "1.5", "--kappa", "0.25", "--t1", "1e-300", "--t2", "1e10"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "t1=1e-300" in err and "t2=10000000000.0" in err
+
+
 def test_numerical_error_exit_code(capsys):
     # ln(t - 3) is undefined on [1, e]; evaluation fails inside quadrature.
     code, _, err = run(["check", *PP_A, "--q-expr", "ln(t-3)"], capsys)
@@ -410,12 +420,16 @@ def test_eigen_loads_no_scipy_special():
         ["bound"],
         ["check", "--q-expr", "ln(t)"],
         ["check", "--q-const", "0.5"],
+        ["check", "--q-table", "{table}"],
         ["green", "eval", "--t", "1.5", "--s", "2"],
         ["green", "max"],
     ],
-    ids=["bound", "check-expr", "check-const", "green-eval", "green-max"],
+    ids=["bound", "check-expr", "check-const", "check-table", "green-eval", "green-max"],
 )
-def test_scalar_commands_load_no_numpy(argv):
+def test_scalar_commands_load_no_numpy(argv, tmp_path):
+    table = tmp_path / "q.csv"
+    table.write_text(f"t,q\n1.0,-0.5\n{E_STR},1.5\n")
+    argv = [arg.format(table=table) for arg in argv]
     code = (
         "import contextlib, io, sys\n"
         "from hadamard_bvp.cli import main\n"

@@ -159,6 +159,24 @@ def test_table_monotone_between_knots():
     assert all(b <= a for a, b in zip(vals2, vals2[1:]))
 
 
+def test_table_is_exact_in_log_coordinates():
+    # v_k + s_k ln(t/t_k) against 50 digits, to 1e-15 of the knot values, on
+    # a narrow table (where ln t of the knots would keep only half the
+    # digits of their difference) and on knots further apart than the float
+    # range.
+    import mpmath
+
+    for points, t in (
+        (((3.7, 0.25), (3.7 + 3.7e-9, -0.75)), 3.7 + 1e-9),
+        (((1e-300, 1.0), (1e300, -0.5)), 1.5),
+    ):
+        (ta, va), (tb, vb) = points
+        with mpmath.workdps(50):
+            ta, va, tb, vb, tm = map(mpmath.mpf, (ta, va, tb, vb, t))
+            exact = va + (vb - va) * mpmath.log(tm / ta) / mpmath.log(tb / ta)
+            assert abs(eval_coefficient(Table(points), t) - exact) <= 1e-15 * max(abs(va), abs(vb))
+
+
 def test_table_validation_and_range():
     with pytest.raises(DomainInvalid):
         Table(points=((1.0, 0.0),))

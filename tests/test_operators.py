@@ -207,13 +207,15 @@ def test_argument_validation():
         hadamard_derivative(0.5, lambda s: 1.0, 2.0, 2.0)
 
 
-def _cos_reference(order, t1, U):
+def _cos_reference(order, t1, t):
     # 30-digit tanh-sinh quadrature of the u-form of the integral of
-    # 1 + cos(s), split at U/2 so each piece has one singular end.
+    # 1 + cos(s), split at U/2 so each piece has one singular end.  U =
+    # ln(t/t1) is formed at 30 digits too: math.log(t/t1) is 1e-10 off at
+    # U = 1e-6.
     import mpmath
 
     with mpmath.workdps(30):
-        a, U = mpmath.mpf(order), mpmath.mpf(U)
+        a, U = mpmath.mpf(order), mpmath.log(mpmath.mpf(t) / t1)
         total = mpmath.quad(
             lambda u: (U - u) ** (a - 1) * (1 + mpmath.cos(t1 * mpmath.exp(u))), [0, U / 2, U]
         )
@@ -226,7 +228,7 @@ def test_integral_matches_exact_references(order, U):
     t1 = 0.7
     t = t1 * math.exp(U)
     got = hadamard_integral(order, lambda s: 1.0 + math.cos(s), t1, t)
-    ref = _cos_reference(order, t1, math.log(t / t1))
+    ref = _cos_reference(order, t1, t)
     assert abs(got - ref) <= 1e-10 * abs(ref)
     # Log-power data u^-0.4: the innermost node stays above ~3e-16 in u, so
     # on short intervals the mass below it limits the accuracy.
@@ -272,3 +274,21 @@ def test_single_non_finite_node_rejected(where):
     for value in (math.inf, math.nan):
         with pytest.raises(QuadratureFailure):
             hadamard_integral(order, lambda s: value if s == bad else 1.0, t1, t)
+
+
+@pytest.mark.parametrize("op", [OperatorKind.Integral, OperatorKind.Derivative])
+@pytest.mark.parametrize("order, exponent_kappa", [(0.5, 0.6), (1.5, 2.3), (0.3, 1.7)])
+def test_power_rule_reference_on_a_narrow_interval(op, order, exponent_kappa):
+    # ln(t/t1) = 1e-9 is formed as log1p((t - t1)/t1): at this t,
+    # math.log(t/t1) is 1.0e-7 off.
+    import mpmath
+
+    t1 = 3.7
+    t = t1 + 1e-9 * t1
+    got = power_rule_reference(op, order, exponent_kappa, t1, t)
+    with mpmath.workdps(50):
+        X = mpmath.log(mpmath.mpf(t) / t1)
+        k, a = mpmath.mpf(exponent_kappa), mpmath.mpf(order)
+        sign = 1 if op is OperatorKind.Integral else -1
+        exact = mpmath.gamma(k) * mpmath.rgamma(k + sign * a) * X ** (k + sign * a - 1)
+        assert abs(got - exact) <= 1e-14 * abs(exact)

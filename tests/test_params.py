@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -54,6 +55,16 @@ def test_domain_rejections():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainInvalid):
             validate(1.75, 0.5, 1.0, bad)
+
+
+@pytest.mark.parametrize("t1, t2", [(1e-300, 1e10), (5e-324, 1e-7), (1e-10, 1.7e308)])
+def test_interval_beyond_float_range_is_rejected(t1, t2):
+    # t2/t1 overflows: the interval is rejected, naming t1 and t2, before
+    # any closed form sees it.
+    with pytest.raises(DomainInvalid, match=re.escape(f"t1={t1!r}, t2={t2!r}")):
+        validate(1.5, 0.25, t1, t2)
+    # A ratio of 1e308 still fits, and its L is finite.
+    assert math.isfinite(validate(1.5, 0.25, 1e-300, 1e8).L)
 
 
 @pytest.mark.parametrize(
