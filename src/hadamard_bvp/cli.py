@@ -10,8 +10,8 @@ printed with 17 significant digits, which round-trips doubles exactly.  A
 result that is not finite is never printed: it exits 3 instead.
 
 numpy is imported only where arrays are used (`green grid`, `eigen` and
-`selftest`) and scipy only by `eigen` and `selftest`, so `bound`, `check`,
-`green eval` and `green max` start without loading either.
+`selftest`), so `bound`, `check`, `green eval` and `green max` start without
+loading it; no command loads scipy.
 """
 
 from __future__ import annotations

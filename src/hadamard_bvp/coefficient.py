@@ -29,6 +29,7 @@ from .errors import (
     DomainInvalid,
     EvalError,
     ExpressionSyntaxError,
+    NonFiniteResult,
     OutOfTableRange,
     UnknownIdentifier,
 )
@@ -425,8 +426,9 @@ class Table(Coefficient):
             |q_c| |t_o - t_c| + |s| t_c phi(d),   phi(d) = (d - 1) e^d + 1.
 
         Both terms are non-negative, so nothing cancels.  Raises
-        OutOfTableRange when the knots do not cover [t1, t2] and EvalError
-        for a slope that is not finite.
+        OutOfTableRange when the knots do not cover [t1, t2], EvalError for
+        a slope that is not finite and NonFiniteResult when a term or the
+        sum overflows.
         """
         pts = self.points
         for t in (t1, t2):
@@ -454,7 +456,13 @@ class Table(Coefficient):
                 pieces.append(abs(q_lo) * (hi - lo) + abs(s) * _t_phi(lo, hi, u))
             else:
                 pieces.append(abs(q_hi) * (hi - lo) + abs(s) * _t_phi(hi, lo, -u))
-        return math.fsum(pieces)
+        try:
+            total = math.fsum(pieces)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise NonFiniteResult(f"integral of |q| over [{t1!r}, {t2!r}] is not finite")
+        return total
 
 
 def eval_coefficient(q: Coefficient, t: float) -> float:

@@ -298,7 +298,7 @@ def _check_residual(seed: int):
     p = validate(1.9, 0.3, 1.0, math.e)
     n = 80
     K = fredholm.nystrom_matrix(p, Constant(1.0), n)
-    s = fredholm._nodes(p, n)
+    s = fredholm._nodes(p, fredholm._mesh(p, n))
     v = np.ones(n)
     for _ in range(600):
         w = K @ v

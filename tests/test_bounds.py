@@ -27,7 +27,7 @@ from hadamard_bvp import (
     reference_bound_kappa0,
 )
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
-from hadamard_bvp.errors import ResultUnderflow
+from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
 from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
@@ -250,6 +250,14 @@ def test_table_integral_errors():
         integrate_abs_q(q, 1.5, 2.5)
     exact = _exact_table_integral(q.points, 3.0, 4.0)
     assert abs(integrate_abs_q(q, 3.0, 4.0) - exact) <= 1e-14 * exact
+    # A term that overflows (the exact value here is 7.5e307) and a sum
+    # beyond the float range (2.1e308) raise instead of returning inf.
+    for q in (Table(((1e-300, 1.0), (1.5e308, -0.5))),
+              Table(((1e308, 3.0), (1.5e308, 3.0), (1.7e308, 3.0)))):
+        t1, t2 = q.points[0][0], q.points[-1][0]
+        with pytest.raises(NonFiniteResult) as exc:
+            integrate_abs_q(q, t1, t2)
+        assert repr(t2) in str(exc.value)
 
 
 @pytest.mark.parametrize("c, t1, t2", [(4.651, 2.01, 21.6), (3.3, 1.0, 5.0)])

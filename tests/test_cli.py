@@ -128,9 +128,8 @@ def test_green_grid_bytes_are_frozen(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GRID_64_SHA256
 
 
-# SHA-256 of `eigen --json --n 400` stdout for the paper's example, taken
-# before the Nystrom weights moved into the shared product-integration core.
-EIGEN_400_SHA256 = "f8638b715ab57656d4cece527289c5a2408ef43a2d36d119838bc0eea0228793"
+# SHA-256 of `eigen --json --n 400` stdout for the paper's example.
+EIGEN_400_SHA256 = "f657a9f524f668da84f3d64776ba906d81894af07568cf316a27f5770519b897"
 
 
 def test_eigen_json_bytes_are_frozen(capsys):
@@ -399,14 +398,15 @@ def test_sign_change_below_one_ulp_terminates():
     assert payload["verdict"] == "NoNontrivialSolution"
 
 
-def test_eigen_loads_no_scipy_special():
-    # The Gauss-Jacobi rules of the Nystrom near field are built with numpy.
+def test_eigen_loads_no_scipy():
+    # The Gauss-Jacobi rules of the Nystrom near field and the Arnoldi
+    # eigensolver are built with numpy alone.
     code = (
         "import contextlib, io, sys\n"
         "from hadamard_bvp.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({['eigen', *PP_A, '--n', '64', '--json']!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

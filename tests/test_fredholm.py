@@ -64,7 +64,7 @@ def test_coefficient_scales_columns():
     K3 = nystrom_matrix(EX_A, Constant(3.0), 32)
     assert np.allclose(K3, 3.0 * K1, rtol=1e-15, atol=0.0)
     Kq = nystrom_matrix(EX_A, Expression(parse_expr("ln(t)")), 32)
-    s = _nodes(EX_A, 32)
+    s = _nodes(EX_A, _mesh(EX_A, 32))
     assert np.allclose(Kq, K1 * np.log(s)[None, :], rtol=1e-15, atol=0.0)
 
 
@@ -76,7 +76,7 @@ def test_rows_approximate_kernel_integrals():
     # integrate q v = 1 exactly, so only the integrator's own error is left.
     for n in (200, 800):
         K = nystrom_matrix(EX_B, Constant(1.0), n)
-        s = _nodes(EX_B, n)
+        s = _nodes(EX_B, _mesh(EX_B, n))
         for frac in (0.25, 0.5, 0.75):
             i = int(np.argmin(np.abs(np.log(s) - frac * EX_B.L)))
             ti = float(s[i])
@@ -151,18 +151,44 @@ def test_underflowing_bound_fails_before_assembly(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_arpack_no_convergence_is_convergence_failure(monkeypatch, capsys):
-    import scipy.sparse.linalg
+def test_krylov_cap_is_convergence_failure(monkeypatch, capsys):
+    import hadamard_bvp.fredholm as fredholm
 
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    # Four Krylov vectors leave the dominant Ritz residual far above 1e-14.
+    monkeypatch.setattr(fredholm, "KRYLOV_MAX", 4)
     with pytest.raises(ConvergenceFailure):
         min_eigenvalue_modulus(EX_A, 64)
     argv = ["eigen", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", "2", "--n", "64"]
     assert main(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [64, 128, 400])
+@pytest.mark.parametrize("sigma", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("ratio", [0.02, 0.5, 0.95])
+@pytest.mark.parametrize("L", [0.02, 1.0, 2.4])
+def test_krylov_estimate_matches_dense_interior_block(sigma, ratio, L, n):
+    p = FracParams(sigma=sigma, kappa=ratio * (sigma - 1.0), t1=1.0, t2=math.exp(L))
+    K = nystrom_matrix(p, Constant(1.0), n)
+    ev = np.linalg.eigvals(K[1:-1, 1:-1])
+    dominant = ev[np.argmax(np.abs(ev))]
+    # Away from kappa -> 0 the dominant eigenvalue is a complex-conjugate
+    # pair, which the grid must exercise.
+    assert (dominant.imag != 0.0) == (ratio >= 0.5)
+    res = min_eigenvalue_modulus(p, n)
+    assert abs(res.lambda_min - 1.0 / abs(dominant)) <= 1e-12 / abs(dominant)
+    assert res.eigenvector_boundary_residual == 0.0
+
+
+def test_nystrom_end_nodes_are_the_interval_ends():
+    # t1 * exp(L) rounds one ulp above t2 here, outside the last knot.
+    t1, t2 = 0.1338454561348894, 0.2247188756899498
+    p = FracParams(sigma=1.75, kappa=0.5, t1=t1, t2=t2)
+    knots = [(t1 + k * (t2 - t1) / 20, 1.0 + k / 20) for k in range(20)] + [(t2, 2.0)]
+    K = nystrom_matrix(p, Table(points=tuple(knots)), 64)
+    assert np.all(K[:, -1] == 0.0)
+    s = _nodes(p, _mesh(p, 64))
+    assert (s[0], s[-1]) == (t1, t2)
 
 
 def test_estimate_stabilises_under_refinement():
