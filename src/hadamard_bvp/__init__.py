@@ -52,7 +52,6 @@ from .kernel import (
     discriminant,
     green_eval,
     green_max,
-    green_max_bruteforce,
     mho,
     omega,
     t_hat,
@@ -65,10 +64,12 @@ from .params import FracParams, Verdict, VerdictKind, log_ratio, validate
 
 __version__ = "0.1.0"
 
-# The quadrature and Nystrom modules load on first use (PEP 562), so that
-# the scalar commands do not pay for them at start-up.
+# The array modules (the brute-force grid, the quadrature operators and the
+# Nystrom matrix) load on first use (PEP 562), so that the scalar commands
+# do not pay for them, or for numpy, at start-up.
 _LAZY = {
     "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix", "residual_check"),
+    "grid": ("green_max_bruteforce",),
     "operators": (
         "OperatorKind", "composition_check", "hadamard_derivative", "hadamard_integral",
         "power_rule_reference",

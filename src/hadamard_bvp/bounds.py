@@ -15,7 +15,7 @@ closed form, and the adaptive quadrature for every other coefficient has
 its 15-node Gauss-Legendre rule written out as literals (equal, bit for bit,
 to ``numpy.polynomial.legendre.leggauss(15)``) and builds its scan grid with
 the same arithmetic as ``numpy.linspace``, so the bound and verdict commands
-never import numpy and the coefficient only ever sees plain floats.
+never load numpy and the coefficient only ever sees plain floats.
 """
 
 from __future__ import annotations

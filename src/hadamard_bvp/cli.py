@@ -9,9 +9,10 @@ All output is deterministic for identical flags.  Reals in JSON and CSV are
 printed with 17 significant digits, which round-trips doubles exactly.  A
 result that is not finite is never printed: it exits 3 instead.
 
-numpy is imported only where arrays are used (`green grid`, `eigen` and
+numpy and the array modules (`grid`, `fredholm`, `selftest`) are imported
+only inside the commands that use them (`green grid`, `eigen` and
 `selftest`), so `bound`, `check`, `green eval` and `green max` start without
-loading it; no command loads scipy.
+loading numpy; no command loads scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__
 from .bounds import DEFAULT_TOL, lyapunov_report, nonexistence_check
 from .coefficient import Constant, Expression, load_table, parse_expr
 from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
-from .kernel import green_eval, green_max, _green_xy
+from .kernel import green_eval, green_max
 from .params import FracParams, validate
 
 __all__ = ["main", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
@@ -149,6 +150,8 @@ def cmd_green(args) -> tuple[FracParams, dict]:
         if args.n > GRID_MAX_N:
             raise ResourceLimit(f"grid --n {args.n} exceeds cap {GRID_MAX_N}")
         import numpy as np
+
+        from .grid import _green_xy
 
         us = np.linspace(0.0, p.L, args.n)
         s_texts = [_fmt_real(p.t1 * math.exp(u)) for u in us]

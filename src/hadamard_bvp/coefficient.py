@@ -425,10 +425,10 @@ class Table(Coefficient):
 
             |q_c| |t_o - t_c| + |s| t_c phi(d),   phi(d) = (d - 1) e^d + 1.
 
-        Both terms are non-negative, so nothing cancels.  Raises
-        OutOfTableRange when the knots do not cover [t1, t2], EvalError for
-        a slope that is not finite and NonFiniteResult when a term or the
-        sum overflows.
+        Both terms are non-negative, so nothing cancels; a zero slope drops
+        the second.  Raises OutOfTableRange when the knots do not cover
+        [t1, t2], EvalError for a slope that is not finite and
+        NonFiniteResult when a term or the sum overflows.
         """
         pts = self.points
         for t in (t1, t2):
@@ -448,7 +448,10 @@ class Table(Coefficient):
             q_lo = va if lo == ta else va + s * log_ratio(lo, ta)
             q_hi = vb if hi == tb else va + s * log_ratio(hi, ta)
             u = log_ratio(hi, lo)
-            if (q_lo < 0.0 < q_hi) or (q_hi < 0.0 < q_lo):
+            if s == 0.0:
+                # No slope term: |s| t_c phi(d) would be 0 * inf past d ~ 700.
+                pieces.append(abs(va) * (hi - lo))
+            elif (q_lo < 0.0 < q_hi) or (q_hi < 0.0 < q_lo):
                 root = u * q_lo / (q_lo - q_hi)
                 t_root = lo * math.exp(root) if root <= 0.5 * u else hi * math.exp(root - u)
                 pieces.append(abs(s) * (_t_phi(t_root, lo, -root) + _t_phi(t_root, hi, u - root)))

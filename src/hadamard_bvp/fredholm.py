@@ -25,22 +25,23 @@ that of its interior block K[1:-1, 1:-1] together with two zeros, and the
 eigenvalue estimate works on that block alone, with numpy: an Arnoldi
 projection onto a small Krylov space, whose Hessenberg matrix is then solved
 densely.
+
+Like ``grid`` and ``operators``, this module imports numpy when it loads,
+and the package loads it only on first use of one of its names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .bounds import eigenvalue_bound
 from .coefficient import Coefficient, Constant, eval_coefficient
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
 from .params import FracParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check"]
 
@@ -100,8 +101,6 @@ def _nodes(p: FracParams, m: _Mesh) -> np.ndarray:
     The end nodes are t1 and t2 exactly: t1 * exp(L) can round an ulp above
     t2, outside a table whose last knot is t2.
     """
-    import numpy as np
-
     t = p.t1 * np.exp(m.u)
     t[0], t[-1] = p.t1, p.t2
     return t
@@ -117,8 +116,6 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
 
         K[i][j] = q(s_j) ((x_i/L)^a S[j] - R[i][j]) / Gamma(sigma - kappa).
     """
-    import numpy as np
-
     if not (isinstance(n, int) and n >= 8):
         raise DomainInvalid(f"nystrom matrix needs integer n >= 8, got {n!r}")
     if n > MATRIX_MAX_N:
@@ -146,15 +143,11 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
     |h_{m+1,m} y_m| is at most ``_RITZ_TOL`` times its modulus, or is exact
     (a breakdown, or a basis that spans B).  Raises ConvergenceFailure when
     ``KRYLOV_MAX`` vectors do not reach that, and ResultUnderflow, before
-    any import or matrix work, if the analytic bound rounds to 0.
+    assembly, if the analytic bound rounds to 0.
     """
     if not (isinstance(n, int) and n >= 32):
         raise DomainInvalid(f"eigenvalue estimate needs integer n >= 32, got {n!r}")
     bound = eigenvalue_bound(p)
-    # Imported here so that commands which never solve an eigenproblem do not
-    # load numpy.
-    import numpy as np
-
     K = nystrom_matrix(p, Constant(1.0), n)
     B = K[1:-1, 1:-1]
     dim = n - 2
@@ -210,8 +203,6 @@ def residual_check(
     ``x_samples`` is a sequence of (t, value) pairs covering [t1, t2];
     values are interpolated linearly in ln t onto the Nystrom nodes.
     """
-    import numpy as np
-
     pairs = sorted((float(t), float(v)) for t, v in x_samples)
     if not pairs:
         raise DomainInvalid("x_samples must be non-empty")

@@ -26,15 +26,9 @@ on the left edge s = t1 (at ``t_hat``).  Both candidates have closed forms:
   candidate (the kernel is negative there, so ``zeta = |Xi2(t, t1)|``).
 
 ``green_max`` reports ``max|G| = max(omega, mho) / Gamma(sigma - kappa)``
-together with the branch that wins; ``green_max_bruteforce`` recomputes the
-maximum by direct search so the closed forms are testable against an
-independent route.  Its search of the grid uses the kernel's structure:
-above the diagonal G is rank one in (x, y), and below it a branch and bound
-over tiles evaluates only those whose bound beats the best value so far.
-Geometric points L/(n - 1) 2^-k, k = 1..60, on both axes catch a left-edge
-maximum inside the first grid cell; one closer to s = t1 than the last of
-them is not resolved.  A zoom of vectorised 33 x 33 grids, each an eighth of
-the width of the last, then refines the best grid point to float spacing.
+together with the branch that wins.  Everything here is scalar and loads no
+numpy; the array evaluation of G and the brute-force search that checks
+``green_max`` by an independent route live in ``grid``.
 """
 
 from __future__ import annotations
@@ -42,13 +36,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
+from .errors import ConvergenceFailure, DomainInvalid
 from .params import FracParams, log_ratio
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GreenMaxReport",
@@ -65,33 +55,7 @@ __all__ = [
     "omega",
     "mho",
     "green_max",
-    "green_max_bruteforce",
 ]
-
-# Largest accepted grid size for the brute-force search.  Branch and bound
-# usually evaluates a few percent of the grid; when nothing prunes, it
-# touches all of about n^2/2 kernel values, so this caps work at ~8M.
-BRUTEFORCE_MAX_N = 4096
-
-# Edge of the square tiles below the diagonal that the brute-force search
-# bounds and evaluates as a unit.
-_TILE = 64
-
-# Relative slack on a tile's bound, as a share of its largest term: covers
-# the rounding of the products and of pow, which is not correctly rounded.
-_BOUND_MARGIN = 1e-12
-
-# Number of geometric points L/(n-1) 2^-k added to both brute-force axes.
-_GRADED_POINTS = 60
-
-# The zoom that refines the grid's best point: points per axis, the factor
-# by which the window shrinks each round, and a cap on the rounds.  For
-# every n >= 16, 24 rounds take span = 2L/(n - 1) below the float spacing
-# of any point beyond 1e-7 L; nearer the corner the cap stops the zoom with
-# span below 1e-22 L.
-_ZOOM_POINTS = 33
-_ZOOM_SHRINK = 8.0
-_ZOOM_ROUNDS = 24
 
 
 class MaxBranch(enum.Enum):
@@ -237,168 +201,3 @@ def green_max(p: FracParams) -> GreenMaxReport:
         branch=branch,
     )
 
-
-def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorised G on log-coordinate arrays (broadcasting, signed, not 0-d).
-
-    Computes (x^a (L - y)^b / L^a - max(x - y, 0)^b) / (s Gamma(sigma - kappa))
-    in two result-sized buffers; the power of x - y runs only below the
-    diagonal, where it is nonzero.
-    """
-    import numpy as np
-
-    scale = p.t1 * np.exp(y) * p.gamma_sk
-    g = np.power(x, p.a) * np.power(np.maximum(p.L - y, 0.0), p.b)
-    g /= p.L**p.a
-    d = x - y
-    np.maximum(d, 0.0, out=d)
-    np.power(d, p.b, out=d, where=d > 0.0)
-    g -= d
-    g /= scale
-    return g
-
-
-def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """max|G| over the grid ``z`` squared (z ascending), and its cell (i, j).
-
-    Row i is x = ln(t/t1), column j is y = ln(s/t1).  With A_i = (z_i/L)^a,
-    D_j = (L - z_j)^b and w_j = e^(-z_j),
-
-        |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - [i > j] (z_i - z_j)^b|.
-
-    On and above the diagonal this is rank one and nonnegative, so row i
-    peaks at A_i times the suffix maximum of C = D w; below it the search is
-    ``_lower_max``.  The positive factor 1/(t1 Gamma(sigma - kappa)) scales
-    only the winner.
-    """
-    import numpy as np
-
-    w = np.exp(-z)
-    A = np.power(z, p.a) / p.L**p.a
-    D = np.power(np.maximum(p.L - z, 0.0), p.b)
-    C = D * w
-
-    suffix = np.maximum.accumulate(C[::-1])[::-1]
-    i = int(np.argmax(A * suffix))
-    j = i + int(np.argmax(C[i:]))
-    best, cell = _lower_max(z, A, D, w, p.b, float(A[i] * C[j]), (i, j))
-    return best / (p.t1 * p.gamma_sk), cell
-
-
-def _tile_bounds(
-    z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray, b: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tiles (I, J), J <= I, of the strict lower triangle and their bounds.
-
-    Tile (I, J) holds rows I*_TILE.. and columns J*_TILE.. .  Its bound on
-    w_j |A_i D_j - (z_i - z_j)^b| comes from the extremes of A, D, w and z
-    over its rows and columns, as computed rather than from their monotony,
-    and carries a margin for the rounding of the products and powers, so no
-    computed value in the tile exceeds it.
-    """
-    import numpy as np
-
-    starts = np.arange(0, z.size, _TILE)
-    hi, lo = np.maximum.reduceat, np.minimum.reduceat
-    I, J = np.tril_indices(starts.size)
-    ad_hi = hi(A, starts)[I] * hi(D, starts)[J]
-    ad_lo = lo(A, starts)[I] * lo(D, starts)[J]
-    p_hi = np.power(hi(z, starts)[I] - lo(z, starts)[J], b)
-    # Diagonal tiles reach a zero difference.
-    p_lo = np.power(np.maximum(lo(z, starts)[I] - hi(z, starts)[J], 0.0), b)
-    bound = hi(w, starts)[J] * (
-        np.maximum(ad_hi - p_lo, p_hi - ad_lo) + _BOUND_MARGIN * np.maximum(ad_hi, p_hi)
-    )
-    return I, J, bound
-
-
-def _lower_max(
-    z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray, b: float,
-    best: float, cell: tuple[int, int] | None,
-) -> tuple[float, tuple[int, int] | None]:
-    """Branch and bound for w_j |A_i D_j - (z_i - z_j)^b| over i > j.
-
-    Returns the largest value above ``best`` with its cell, or ``(best,
-    cell)`` when no cell beats it.  Tiles (``_tile_bounds``) are evaluated
-    in descending bound order until a bound no longer beats the best value.
-    """
-    import numpy as np
-
-    I, J, bound = _tile_bounds(z, A, D, w, b)
-    strict_upper = ~np.tri(_TILE, k=-1, dtype=bool)
-    for k in np.argsort(-bound, kind="stable").tolist():
-        if not bound[k] > best:
-            break
-        r0, c0 = int(I[k]) * _TILE, int(J[k]) * _TILE
-        rows, cols = slice(r0, r0 + _TILE), slice(c0, c0 + _TILE)
-        d = z[rows, None] - z[None, cols]
-        if r0 == c0:
-            np.maximum(d, 0.0, out=d)
-        np.power(d, b, out=d)
-        g = A[rows, None] * D[None, cols]
-        g -= d
-        g *= w[cols]
-        np.abs(g, out=g)
-        if r0 == c0:
-            # Cells on and above the diagonal are not part of this search.
-            g[strict_upper[: g.shape[0], : g.shape[1]]] = 0.0
-        m = int(np.argmax(g))
-        if g.flat[m] > best:
-            best, cell = float(g.flat[m]), (r0 + m // g.shape[1], c0 + m % g.shape[1])
-    return best, cell
-
-
-def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, float]]:
-    """Grid search for max|G| over the square, refined by a zoom.
-
-    The grid in log coordinates is ``linspace(0, L, n)`` on both axes plus
-    the geometric points L/(n - 1) 2^-k, k = 1..60, merged into one sorted
-    axis of n + 60 points.  The graded points catch a left-edge maximum at
-    x = (b/a)^(1/kappa) L that lies inside the first uniform cell when kappa
-    is close to sigma - 1; one below L/(n - 1) 2^-60 is not resolved, and
-    the result can then be well below ``green_max``.  The search over the
-    grid (``_grid_search``) is exact: a suffix maximum above the diagonal
-    and branch and bound over tiles below it (``_lower_max``) return the
-    largest computed grid value while evaluating only the tiles that could
-    hold it.  The zoom then evaluates |G| on a 33 x 33 grid over +-span
-    around the best point, clipped to the square, starting from span =
-    2L/(n - 1); it moves to that grid's best point when it beats the best
-    value so far and divides span by 8.  It stops once span falls below the
-    float spacing of the point, or after ``_ZOOM_ROUNDS`` rounds.
-
-    Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
-    ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16 or an n that is not
-    an int.
-    """
-    import numpy as np
-
-    if not (isinstance(n, int) and n >= 16):
-        raise DomainInvalid(f"bruteforce grid needs integer n >= 16, got {n!r}")
-    if n > BRUTEFORCE_MAX_N:
-        raise ResourceLimit(f"bruteforce grid n={n} exceeds cap {BRUTEFORCE_MAX_N}")
-
-    L = p.L
-    h = L / (n - 1)
-    graded = h * 2.0 ** -np.arange(float(_GRADED_POINTS), 0.0, -1.0)
-    z = np.concatenate(([0.0], graded, np.linspace(0.0, L, n)[1:]))
-    best_val, (i, j) = _grid_search(p, z)
-    x0, y0 = float(z[i]), float(z[j])
-
-    # Zoom: |G| on a _ZOOM_POINTS^2 grid over +-span around the best point,
-    # clipped to the square; the window shrinks by _ZOOM_SHRINK a round, so
-    # the next one spans two steps of this one either side of its best cell.
-    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    span = 2.0 * h
-    for _ in range(_ZOOM_ROUNDS):
-        if span < math.ulp(max(x0, y0)):
-            break
-        xs = np.minimum(np.maximum(x0 + span * offsets, 0.0), L)
-        ys = np.minimum(np.maximum(y0 + span * offsets, 0.0), L)
-        g = np.abs(_green_xy(p, xs[:, None], ys[None, :]))
-        k = int(np.argmax(g))
-        if g.flat[k] > best_val:
-            best_val = float(g.flat[k])
-            x0, y0 = float(xs[k // _ZOOM_POINTS]), float(ys[k % _ZOOM_POINTS])
-        span /= _ZOOM_SHRINK
-
-    return best_val, (p.t1 * math.exp(x0), p.t1 * math.exp(y0))

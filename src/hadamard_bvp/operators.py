@@ -32,15 +32,13 @@ import enum
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .coefficient import as_callable
 from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure, ResourceLimit
 from .gammafn import gamma, reciprocal_gamma
 from .params import log_ratio
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "OperatorKind",
@@ -68,8 +66,6 @@ class OperatorKind(enum.Enum):
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
     return np.polynomial.legendre.leggauss(order)
 
 
@@ -82,8 +78,6 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     mass 2^(beta+1)/(beta+1) times the squared first component of its
     normalised eigenvector.
     """
-    import numpy as np
-
     k = np.arange(1.0, order)
     s = 2.0 * k + beta
     diag = np.empty(order)
@@ -119,8 +113,6 @@ def _graded_mesh(length: float, orders: tuple[int, ...], graded: int, ratio: flo
     The panels not graded are uniform; the first of them is cut toward
     u = 0 at the given ratio into ``graded`` more.
     """
-    import numpy as np
-
     uniform = np.linspace(0.0, length, len(orders) - graded + 1)
     cuts = uniform[1] * ratio ** np.arange(graded, 0, -1.0)
     edges = np.concatenate(([0.0], cuts, uniform[1:]))
@@ -137,8 +129,6 @@ def _graded_mesh(length: float, orders: tuple[int, ...], graded: int, ratio: flo
 
 def _lagrange(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Lagrange basis of ``nodes`` at ``pts``: shape pts.shape + (len(nodes),)."""
-    import numpy as np
-
     diff = pts[..., None] - nodes
     out = np.empty(diff.shape)
     for j in range(len(nodes)):
@@ -151,8 +141,6 @@ def _lagrange(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _adjacent_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite Gauss rule on [-1, 1] graded toward +1, and the Lagrange
     basis of the order-``order`` Gauss panel at its nodes."""
-    import numpy as np
-
     xg, wg = _gauss_legendre(order)
     cuts = np.append(1.0 - 2.0 * 0.5 ** np.arange(_ADJACENT_HALVINGS + 1.0), 1.0)
     half = 0.5 * np.diff(cuts)
@@ -169,8 +157,6 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
     rule graded toward u_i on that neighbour, and a Gauss-Jacobi rule on
     [panel start, u_i] on u_i's own panel.
     """
-    import numpy as np
-
     ref, own = m.ref[rows], m.panel[rows]
     width = np.diff(m.edges)
     orders = np.array(m.orders)
@@ -244,16 +230,22 @@ def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
     return out
 
 
-def _integral_at_end(m: _Mesh, order: float, values, t: float) -> float:
+def _integral_at_end(m: _Mesh, order: float, values) -> float:
     """Integral of the given order over the whole mesh, up to u = ln(t/t1),
     of the function with ``values`` at the interior nodes."""
-    import numpy as np
-
     row = _product_weights(m, order - 1.0, np.array([len(m.u) - 1]))[0, 1:-1]
     total = float(np.dot(row, values))
     if not math.isfinite(total):
-        raise QuadratureFailure(f"integral of order {order!r} at t={t!r} is not finite")
+        raise QuadratureFailure(f"integral of order {order!r} at u={m.u[-1]!r} is not finite")
     return total / gamma(order)
+
+
+def _integral(order: float, fe, t1: float, U: float, panels: int) -> float:
+    """The integral of order > 0 at u = U >= 0, from checked arguments."""
+    if U == 0.0:
+        return 0.0
+    m = _config_mesh(panels, U)
+    return _integral_at_end(m, order, _eval_f(fe, t1, m.u[1:-1].tolist()))
 
 
 def _log_span(t1: float, t: float) -> float:
@@ -276,31 +268,33 @@ def hadamard_integral(order: float, f, t1: float, t: float, panels: int = 64) ->
     fe = as_callable(f)
     if order == 0.0:
         return fe(t)
-    if U == 0.0:
-        return 0.0
-    m = _config_mesh(panels, U)
-    return _integral_at_end(m, order, _eval_f(fe, t1, m.u[1:-1].tolist()), t)
+    return _integral(order, fe, t1, U, panels)
 
 
 def hadamard_derivative(order: float, f, t1: float, t: float, panels: int = 64) -> float:
     """Hadamard fractional derivative of order in (0, 2] at an interior t.
 
-    Raises DifferenceInstability when the Richardson error estimate of the
-    centred difference exceeds 1% of the result scale, which signals that
-    quadrature noise dominates the stencil.
+    The stencil differences the (n - order)-order integral at u = x0 +- h
+    directly, with x0 = ln(t/t1), so no stencil point goes through t-space
+    and back.  Raises DifferenceInstability when the Richardson error
+    estimate of the centred difference exceeds 1% of the result scale,
+    which signals that quadrature noise dominates the stencil.
     """
     if not (math.isfinite(order) and 0.0 < order <= 2.0):
         raise DomainInvalid(f"derivative order must lie in (0, 2], got {order!r}")
     if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 < t):
         raise DomainInvalid(f"need 0 < t1 < t, got t1={t1!r}, t={t!r}")
+    _check_panels(panels)
     n = math.ceil(order)
     inner = n - order
     fe = as_callable(f)
 
     def G(x: float) -> float:
-        return hadamard_integral(inner, fe, t1, t1 * math.exp(x), panels)
+        if inner == 0.0:
+            return fe(t1 * math.exp(x))
+        return _integral(inner, fe, t1, x, panels)
 
-    x0 = math.log(t / t1)
+    x0 = log_ratio(t, t1)
     h = 1e-4 * x0
 
     def delta_n(step: float) -> float:
@@ -359,8 +353,6 @@ def composition_check(
     The two components agree up to quadrature error when the semigroup
     property holds; callers assert closeness.
     """
-    import numpy as np
-
     if not (math.isfinite(sigma) and sigma > 0.0 and math.isfinite(kappa) and kappa > 0.0):
         raise DomainInvalid(f"orders must be > 0, got sigma={sigma!r}, kappa={kappa!r}")
     _check_panels(panels)
@@ -373,6 +365,6 @@ def composition_check(
     fv = np.array(_eval_f(fe, t1, m.u[interior].tolist()))
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.
     inner = _product_weights(m, kappa - 1.0, interior)[:, 1:-1] @ fv / gamma(kappa)
-    nested = _integral_at_end(m, sigma, inner, t)
-    direct = _integral_at_end(m, sigma + kappa, fv, t)
+    nested = _integral_at_end(m, sigma, inner)
+    direct = _integral_at_end(m, sigma + kappa, fv)
     return nested, direct

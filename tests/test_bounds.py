@@ -258,6 +258,10 @@ def test_table_integral_errors():
         with pytest.raises(NonFiniteResult) as exc:
             integrate_abs_q(q, t1, t2)
         assert repr(t2) in str(exc.value)
+    # A constant table over more than e^700 has no slope term to overflow
+    # (0 * inf would be nan): the exact value is 1.5e308.
+    q = Table(((1e-300, 1.0), (1.5e308, 1.0)))
+    assert abs(integrate_abs_q(q, 1e-300, 1.5e308) - 1.5e308) <= 1e-14 * 1.5e308
 
 
 @pytest.mark.parametrize("c, t1, t2", [(4.651, 2.01, 21.6), (3.3, 1.0, 5.0)])

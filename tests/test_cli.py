@@ -351,8 +351,9 @@ _LOADED_ARRAY_MODULES = (
 
 
 def test_cli_import_loads_no_scipy():
-    # numpy and scipy are imported only inside the functions that use them,
-    # so commands that never reach them do not pay for them at start-up.
+    # numpy is imported at the top of the array modules (grid, operators,
+    # fredholm, selftest), which the package and the CLI load only on first
+    # use, and nothing imports scipy, so the scalar commands pay for neither.
     code = "import hadamard_bvp.cli, sys; " + _LOADED_ARRAY_MODULES
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -361,12 +362,12 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_defers_quadrature_modules():
-    # The package loads operators and fredholm on first use of one of their
-    # names; every exported name still resolves.
+    # The package loads grid, operators and fredholm on first use of one of
+    # their names; every exported name still resolves.
     code = (
         "import hadamard_bvp.cli, sys\n"
-        "print(sorted(m for m in ('hadamard_bvp.operators', 'hadamard_bvp.fredholm')"
-        " if m in sys.modules))"
+        "print(sorted(m for m in ('hadamard_bvp.grid', 'hadamard_bvp.operators',"
+        " 'hadamard_bvp.fredholm') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -378,6 +379,7 @@ def test_cli_import_defers_quadrature_modules():
         assert getattr(hadamard_bvp, name) is not None, name
     assert hadamard_bvp.hadamard_integral is hadamard_bvp.operators.hadamard_integral
     assert hadamard_bvp.nystrom_matrix is hadamard_bvp.fredholm.nystrom_matrix
+    assert hadamard_bvp.green_max_bruteforce is hadamard_bvp.grid.green_max_bruteforce
     with pytest.raises(AttributeError):
         hadamard_bvp.no_such_name
 

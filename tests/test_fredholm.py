@@ -22,7 +22,7 @@ from hadamard_bvp import (
 from hadamard_bvp.cli import main
 from hadamard_bvp.errors import ResultUnderflow
 from hadamard_bvp.fredholm import MATRIX_MAX_N, _mesh, _nodes
-from hadamard_bvp.kernel import _green_xy
+from hadamard_bvp.grid import _green_xy
 from hadamard_bvp.selftest import EX_A_REF
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)

@@ -32,9 +32,9 @@ from hadamard_bvp import (
     xi2,
     zeta,
 )
-from hadamard_bvp import kernel
+from hadamard_bvp import grid, kernel
 from hadamard_bvp.cli import main
-from hadamard_bvp.kernel import _green_xy
+from hadamard_bvp.grid import _green_xy
 from hadamard_bvp.selftest import EX_A_REF
 
 EX_A = validate(1.75, 0.5, 1.0, math.e)
@@ -227,9 +227,9 @@ def test_bruteforce_zoom_stops_before_round_cap(which, n, monkeypatch):
         calls.append(None)
         return _green_xy(*args)
 
-    monkeypatch.setattr(kernel, "_green_xy", counting)
+    monkeypatch.setattr(grid, "_green_xy", counting)
     brute, (_, s_at) = green_max_bruteforce(p, n)
-    assert 0 < len(calls) < kernel._ZOOM_ROUNDS
+    assert 0 < len(calls) < grid._ZOOM_ROUNDS
     assert (s_at == p.t1) is (which != "EX_B")
     assert abs(brute - green_max(p).max_abs_g) <= 1e-12 * brute
 
@@ -255,7 +255,7 @@ def test_uniform_sweep_matches_direct_sweep(which, n):
     p = {"EX_A": EX_A, "EX_B": EX_B, "kappa-edge": validate(1.3, 0.29, 0.5, 1.5),
          "defect-5": DEFECT_5}[which]
     z = _merged_axis(p, n)
-    value, cell = kernel._grid_search(p, z)
+    value, cell = grid._grid_search(p, z)
     ref_value, ref_cell = _direct_sweep(p, z)
     assert cell == ref_cell
     assert abs(value - ref_value) <= 1e-14 * ref_value
@@ -282,18 +282,18 @@ def test_lower_max_pruning_is_exact(sigma, e, L, n):
     w = np.exp(-z)
     A = np.power(z, a) / p.L**a
     D = np.power(np.maximum(p.L - z, 0.0), b)
-    value, (i, j) = kernel._lower_max(z, A, D, w, b, 0.0, None)
+    value, (i, j) = grid._lower_max(z, A, D, w, b, 0.0, None)
     # The same cell expression on every cell below the diagonal, unpruned.
     below = np.tri(z.size, k=-1, dtype=bool)
     d = np.where(below, z[:, None] - z[None, :], 0.0)
     g = np.abs(A[:, None] * D[None, :] - np.power(d, b)) * w[None, :]
     g[~below] = 0.0
     ref = float(g.max())
-    tiles = -(-z.size // kernel._TILE)
-    padded = np.zeros((tiles * kernel._TILE,) * 2)
+    tiles = -(-z.size // grid._TILE)
+    padded = np.zeros((tiles * grid._TILE,) * 2)
     padded[: z.size, : z.size] = g
-    tile_max = padded.reshape(tiles, kernel._TILE, tiles, kernel._TILE).max(axis=(1, 3))
-    I, J, bound = kernel._tile_bounds(z, A, D, w, b)
+    tile_max = padded.reshape(tiles, grid._TILE, tiles, grid._TILE).max(axis=(1, 3))
+    I, J, bound = grid._tile_bounds(z, A, D, w, b)
     assert np.all(tile_max[I, J] <= bound)
     assert i > j
     assert abs(value - ref) <= 1e-15 * ref

@@ -1,0 +1,78 @@
+"""Which modules load numpy is decided by the module graph, not inside
+function bodies: the scalar modules never import it, the array modules
+import it once at the top, and the CLI imports the array modules (and numpy)
+only inside the commands that need them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hadamard_bvp
+
+PACKAGE = Path(hadamard_bvp.__file__).parent
+SCALAR = ("__init__", "__main__", "bounds", "coefficient", "errors", "gammafn", "kernel", "params")
+ARRAY = ("fredholm", "grid", "operators", "selftest")
+LOADS_NUMPY = {"numpy", *ARRAY}
+
+
+def _imports(tree: ast.AST) -> list[tuple[str, bool]]:
+    """(module, inside a function) for every import; a package-relative
+    import names the sibling module, an absolute one its top-level package."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name.split(".")[0], in_function) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                if child.module:
+                    found.append((child.module.split(".")[0], in_function))
+                else:
+                    found.extend((alias.name, in_function) for alias in child.names)
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return found
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def test_every_module_is_placed():
+    assert sorted(path.stem for path in PACKAGE.glob("*.py")) == sorted((*SCALAR, *ARRAY, "cli"))
+
+
+@pytest.mark.parametrize("name", SCALAR)
+def test_scalar_modules_load_no_numpy(name):
+    tree = _tree(name)
+    imports = _imports(tree)
+    assert [module for module, _ in imports if module == "numpy"] == []
+    assert [module for module, nested in imports if module in LOADS_NUMPY and not nested] == []
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "TYPE_CHECKING" not in names
+
+
+@pytest.mark.parametrize("name", ARRAY)
+def test_array_modules_import_numpy_once_at_the_top(name):
+    assert [nested for module, nested in _imports(_tree(name)) if module == "numpy"] == [False]
+
+
+def test_cli_imports_array_modules_only_in_commands():
+    imports = _imports(_tree("cli"))
+    assert [module for module, nested in imports if module in LOADS_NUMPY and not nested] == []
+    nested_imports = {module for module, nested in imports if nested}
+    assert nested_imports >= {"numpy", "grid", "fredholm", "selftest"}
+
+
+def test_detects_a_function_local_import():
+    tree = ast.parse(
+        "import numpy as np\nfrom . import grid\n\n"
+        "def f():\n    from .fredholm import K\n    import numpy.linalg\n"
+    )
+    assert _imports(tree) == [
+        ("numpy", False), ("grid", False), ("fredholm", True), ("numpy", True),
+    ]
