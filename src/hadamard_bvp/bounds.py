@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficient import Coefficient, Table, as_callable
+from .coefficient import Coefficient, Table, all_finite, as_callable
 from .errors import (
     DomainInvalid,
     OrderOutOfRange,
@@ -174,17 +174,17 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
 
     def absq(t: float) -> float:
         value = qf(t)
-        if not math.isfinite(value):
+        if not all_finite((value,)):
             raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
         return abs(value)
 
     # Locate kinks of |q|: sign changes of q on a fixed scan grid.
     scan = _scan_grid(t1, t2)
     scan_vals = [qf(t) for t in scan]
+    if not all_finite(scan_vals):
+        raise QuadratureFailure("coefficient not finite on the scan grid")
     breakpoints = [t1]
     for left, right, f_left, f_right in zip(scan, scan[1:], scan_vals, scan_vals[1:]):
-        if not (math.isfinite(f_left) and math.isfinite(f_right)):
-            raise QuadratureFailure("coefficient not finite on the scan grid")
         if f_left == 0.0:
             if left != t1:
                 breakpoints.append(left)

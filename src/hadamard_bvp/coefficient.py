@@ -478,6 +478,15 @@ def eval_coefficient(q: Coefficient, t: float) -> float:
     return value
 
 
+def all_finite(values) -> bool:
+    """Whether every coefficient value is finite; EvalError for one that is
+    not a real number, such as a complex value from a plain callable."""
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError as exc:
+        raise EvalError(f"coefficient value is not a real number: {exc}") from None
+
+
 def as_callable(q) -> "callable":
     """Accept either a Coefficient or a plain callable and return a callable."""
     if isinstance(q, Coefficient):

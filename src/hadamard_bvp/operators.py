@@ -21,6 +21,12 @@ below U of about 1e-12, panels) as keep the innermost node above about
 3e-16, so that t1 * e^u stays strictly above t1 and f is never evaluated at
 the singular endpoint itself.
 
+Only R's row-dependent part is formed per call.  Cached, as read-only
+arrays, are the mesh layout per tuple of panel orders (``_layout``), the
+own-panel weights per (panel order, b) at every reference position a node
+can take (``_own_rule``), the adjacent-panel rule per panel order and the
+Gauss rules; R is bit-identical to forming all of them afresh.
+
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
 realised as centred differences in x = ln t plus one Richardson step.
@@ -35,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficient import as_callable
+from .coefficient import all_finite, as_callable
 from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure, ResourceLimit
 from .gammafn import gamma, reciprocal_gamma
 from .params import log_ratio
@@ -64,9 +70,16 @@ class OperatorKind(enum.Enum):
     Derivative = "Derivative"
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the caches below share them among calls."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+    return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
 @lru_cache(maxsize=256)
@@ -85,7 +98,7 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     diag[1:] = beta * beta / (s * (s + 2.0))
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    return _read_only(nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2)
 
 
 # Panels on [0, length] in u = ln(s/t1) and the nodes they carry.  ``u[0] = 0``
@@ -107,6 +120,17 @@ _Mesh = namedtuple("_Mesh", "edges orders first u w panel ref")
 _ADJACENT_HALVINGS = 6
 
 
+@lru_cache(maxsize=64)
+def _layout(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The length-independent part of a mesh: ``first``, ``ref``, ``panel``
+    and the reference weights (``w`` of a panel of width 2)."""
+    rules = [_gauss_legendre(order) for order in orders]
+    ref = np.concatenate([[-1.0], *(x for x, _ in rules), [1.0]])
+    wref = np.concatenate([[0.0], *(w for _, w in rules), [0.0]])
+    panel = np.concatenate(([0], np.repeat(np.arange(len(orders)), orders), [len(orders) - 1]))
+    return _read_only(np.cumsum((1,) + orders), ref, panel, wref)
+
+
 def _graded_mesh(length: float, orders: tuple[int, ...], graded: int, ratio: float) -> _Mesh:
     """Gauss panels of the given orders, from u = 0 up, on [0, length].
 
@@ -116,11 +140,7 @@ def _graded_mesh(length: float, orders: tuple[int, ...], graded: int, ratio: flo
     uniform = np.linspace(0.0, length, len(orders) - graded + 1)
     cuts = uniform[1] * ratio ** np.arange(graded, 0, -1.0)
     edges = np.concatenate(([0.0], cuts, uniform[1:]))
-    first = np.cumsum((1,) + orders)
-    rules = [_gauss_legendre(order) for order in orders]
-    ref = np.concatenate([[-1.0], *(x for x, _ in rules), [1.0]])
-    wref = np.concatenate([[0.0], *(w for _, w in rules), [0.0]])
-    panel = np.concatenate(([0], np.repeat(np.arange(len(orders)), orders), [len(orders) - 1]))
+    first, ref, panel, wref = _layout(orders)
     half = 0.5 * np.diff(edges)[panel]
     u = edges[panel] + half * (1.0 + ref)
     u[-1] = length
@@ -129,12 +149,9 @@ def _graded_mesh(length: float, orders: tuple[int, ...], graded: int, ratio: flo
 
 def _lagrange(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Lagrange basis of ``nodes`` at ``pts``: shape pts.shape + (len(nodes),)."""
-    diff = pts[..., None] - nodes
-    out = np.empty(diff.shape)
-    for j in range(len(nodes)):
-        others = np.arange(len(nodes)) != j
-        out[..., j] = np.prod(diff[..., others], axis=-1) / np.prod(nodes[j] - nodes[others])
-    return out
+    eye = np.eye(len(nodes), dtype=bool)
+    num = np.where(eye, 1.0, (pts[..., None] - nodes)[..., None, :]).prod(-1)
+    return num / np.where(eye, 1.0, nodes[:, None] - nodes).prod(-1)
 
 
 @lru_cache(maxsize=16)
@@ -146,7 +163,18 @@ def _adjacent_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(cuts)
     eta = (cuts[:-1] + half)[:, None] + half[:, None] * xg
     weights = half[:, None] * wg
-    return eta.ravel(), weights.ravel(), _lagrange(xg, eta.ravel())
+    return _read_only(eta.ravel(), weights.ravel(), _lagrange(xg, eta.ravel()))
+
+
+@lru_cache(maxsize=256)
+def _own_rule(order: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference positions -1, the order-``order`` Gauss nodes and +1, and
+    per position the own-panel weights of ``_product_weights`` up to the
+    factor (panel width (1 + position) / 4)^(b + 1)."""
+    zj, wj = _gauss_jacobi(order, b)
+    xg, _ = _gauss_legendre(order)
+    pos = np.concatenate(([-1.0], xg, [1.0]))
+    return _read_only(pos, wj @ _lagrange(xg, -1.0 + 0.5 * (1.0 + pos)[:, None] * (1.0 - zj)))
 
 
 def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
@@ -170,12 +198,10 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
 
     for order in set(m.orders):
         # Own panel: y = u_i - (u_i - lo)(1 + z)/2, weight (1 + z)^b.
-        sel = np.flatnonzero(orders[own] == order)
-        zj, wj = _gauss_jacobi(order, b)
-        xg, _ = _gauss_legendre(order)
         # Rows sharing a reference position share their weights up to scale.
-        pos, inv = np.unique(ref[sel], return_inverse=True)
-        vals = (wj @ _lagrange(xg, -1.0 + 0.5 * (1.0 + pos)[:, None] * (1.0 - zj)))[inv]
+        sel = np.flatnonzero(orders[own] == order)
+        pos, table = _own_rule(order, b)
+        vals = table[np.searchsorted(pos, ref[sel])]
         vals *= ((0.25 * width[own[sel]] * (1.0 + ref[sel])) ** (b + 1.0))[:, None]
         r[sel[:, None], m.first[own[sel]][:, None] + np.arange(order)] = vals
 
@@ -183,8 +209,11 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero((own > 0) & (orders[own - 1] == order))
         eta, wts, basis = _adjacent_rule(order)
         left = own[sel] - 1
+        # Rows with the same delta, such as the same node of equal panels,
+        # share their weights up to scale.
         delta = width[own[sel]] / width[left] * (1.0 + ref[sel])
-        vals = (np.power((1.0 - eta) + delta[:, None], b) * wts) @ basis
+        delta, inv = np.unique(delta, return_inverse=True)
+        vals = ((np.power((1.0 - eta) + delta[:, None], b) * wts) @ basis)[inv]
         vals *= ((0.5 * width[left]) ** (b + 1.0))[:, None]
         r[sel[:, None], m.first[left][:, None] + np.arange(order)] = vals
     return r
@@ -224,10 +253,14 @@ def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
         raise QuadratureFailure(
             f"innermost node u={us[0]!r} rounds onto t1={t1!r}; the interval is too short"
         )
-    out = [fe(t1 * math.exp(u)) for u in us]
-    if not all(map(math.isfinite, out)):
+    return _finite([fe(t1 * math.exp(u)) for u in us])
+
+
+def _finite(values: list) -> list:
+    """``values``, checked to be finite reals (QuadratureFailure, EvalError)."""
+    if not all_finite(values):
         raise QuadratureFailure("integrand not finite at a quadrature node")
-    return out
+    return values
 
 
 def _integral_at_end(m: _Mesh, order: float, values) -> float:
@@ -257,7 +290,8 @@ def _log_span(t1: float, t: float) -> float:
 def hadamard_integral(order: float, f, t1: float, t: float, panels: int = 64) -> float:
     """Hadamard fractional integral of `f` of the given order, from t1 to t.
 
-    Order 0 is the identity (returns f(t)).  For order > 0 the value is
+    Order 0 is the identity (returns f(t), checked like the values at the
+    quadrature nodes).  For order > 0 the value is
     (1/Gamma(order)) * integral_{t1}^{t} (ln(t/s))^(order-1) f(s)/s ds,
     computed on ``panels`` order-8 panels (module docstring).
     """
@@ -267,7 +301,7 @@ def hadamard_integral(order: float, f, t1: float, t: float, panels: int = 64) ->
     U = _log_span(t1, t)
     fe = as_callable(f)
     if order == 0.0:
-        return fe(t)
+        return _finite([fe(t)])[0]
     return _integral(order, fe, t1, U, panels)
 
 
@@ -291,7 +325,7 @@ def hadamard_derivative(order: float, f, t1: float, t: float, panels: int = 64) 
 
     def G(x: float) -> float:
         if inner == 0.0:
-            return fe(t1 * math.exp(x))
+            return _finite([fe(t1 * math.exp(x))])[0]
         return _integral(inner, fe, t1, x, panels)
 
     x0 = log_ratio(t, t1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -237,3 +238,23 @@ def test_table_range_error_propagates():
     q = Table(points=((1.0, 1.0), (2.0, 1.0)))  # does not reach t2 = e
     with pytest.raises(OutOfTableRange):
         nystrom_matrix(EX_A, q, 32)
+
+
+# SHA-256 over the operators' reprs and the Nystrom matrix bytes, as
+# computed before the product-integration weights were cached; any change
+# to a bit of the core's output shows here.
+OPERATORS_SHA256 = "ea08ae88e2e908bdc9a74472e280acce9595a20fb15f3c16e38cd8f9a8b31881"
+
+
+def test_operator_outputs_are_frozen():
+    from hadamard_bvp import composition_check, hadamard_derivative, hadamard_integral
+
+    f = lambda s: s * math.cos(s) + math.log(s) ** 0.5
+    values = [hadamard_integral(a, f, 1.0, 2.5) for a in (0.4, 1.0, 1.37, 2.5)]
+    values += [hadamard_derivative(a, f, 1.0, 2.5) for a in (0.6, 1.5)]
+    values += composition_check(0.5, 0.3, f, 1.0, 2.5)
+    digest = hashlib.sha256(repr(values).encode())
+    for p in (EX_A, EX_B):
+        for n in (33, 64, 128):
+            digest.update(nystrom_matrix(p, Constant(1.0), n).tobytes())
+    assert digest.hexdigest() == OPERATORS_SHA256

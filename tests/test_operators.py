@@ -8,15 +8,26 @@ import pytest
 from hadamard_bvp import (
     DifferenceInstability,
     DomainInvalid,
+    EvalError,
     OperatorKind,
     QuadratureFailure,
     ResourceLimit,
     composition_check,
     hadamard_derivative,
     hadamard_integral,
+    integrate_abs_q,
     power_rule_reference,
 )
-from hadamard_bvp.operators import MAX_PANELS, PANEL_ORDER, _gauss_jacobi
+from hadamard_bvp.bounds import _scan_grid
+from hadamard_bvp.operators import (
+    MAX_PANELS,
+    PANEL_ORDER,
+    _adjacent_rule,
+    _gauss_jacobi,
+    _gauss_legendre,
+    _layout,
+    _own_rule,
+)
 from hadamard_bvp.params import log_ratio
 
 # Closed-form anchor values (power rule evaluated at double precision).
@@ -169,6 +180,46 @@ def test_non_finite_integrand_rejected():
         hadamard_integral(0.5, lambda s: math.inf, 1.0, 2.0)
     with pytest.raises(QuadratureFailure):
         hadamard_integral(0.5, lambda s: math.nan, 1.0, 2.0)
+    # Order 0 checks the one value it returns; an integer-order derivative
+    # checks the values it differences.
+    with pytest.raises(QuadratureFailure):
+        hadamard_integral(0.0, lambda s: math.inf, 1.0, 2.0)
+    with pytest.raises(QuadratureFailure):
+        hadamard_derivative(1.0, lambda s: math.nan, 1.0, 2.0)
+
+
+def test_non_real_integrand_is_an_eval_error():
+    # A plain callable can return a complex number: (t - 5)^0.5 on [1, 2].
+    f = lambda t: (t - 5.0) ** 0.5
+    calls = (
+        lambda: integrate_abs_q(f, 1.0, 2.0),
+        lambda: hadamard_integral(1.37, f, 1.0, 2.0),
+        lambda: hadamard_integral(0.0, f, 1.0, 2.0),
+        lambda: hadamard_derivative(1.37, f, 1.0, 2.0),
+        lambda: hadamard_derivative(1.0, f, 1.0, 2.0),
+        lambda: composition_check(0.5, 0.3, f, 1.0, 2.0),
+    )
+    for call in calls:
+        with pytest.raises(EvalError, match="not a real number"):
+            call()
+    # Real on the scan grid of integrate_abs_q, complex at the Gauss nodes.
+    grid = set(_scan_grid(1.0, 2.0))
+    g = lambda t: 1.0 if t in grid else 1j
+    with pytest.raises(EvalError, match="not a real number"):
+        integrate_abs_q(g, 1.0, 2.0)
+
+
+def test_cached_rules_are_read_only():
+    cached = (
+        *_gauss_legendre(8),
+        *_gauss_jacobi(8, -0.25),
+        *_adjacent_rule(8),
+        *_own_rule(8, -0.25),
+        *_layout((3, 8, 8)),
+    )
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("U", [1e-15, 3e-15])
