@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .coefficient import Coefficient, Table, all_finite, as_callable
 from .errors import (
     DomainInvalid,
+    NonFiniteResult,
     OrderOutOfRange,
     QuadratureFailure,
     ResultUnderflow,
@@ -74,23 +75,34 @@ class LyapunovReport:
     eigen_bound: float
 
 
+def _threshold(name: str, value: float, a: float, op: str, b: float) -> float:
+    """The threshold value = a op b, which must be positive and finite: a
+    zero or infinite threshold would be wrong, not merely imprecise."""
+    if 0.0 < value < math.inf:
+        return value
+    formula = f"{a!r} {op} {b!r}"
+    if value == 0.0:
+        raise ResultUnderflow(f"{name} = {formula} underflows to 0")
+    raise NonFiniteResult(f"{name} is not finite: {formula} = {value!r}")
+
+
 def lyapunov_bound(p: FracParams) -> float:
-    """gamma(sigma - kappa) / max(omega, mho); the integral threshold."""
-    return p.gamma_sk / max(omega(p), mho(p))
+    """gamma(sigma - kappa) / max(omega, mho); the integral threshold.
+
+    Raises NonFiniteResult when the quotient overflows (t1 near 1.7e308).
+    """
+    peak = max(omega(p), mho(p))
+    return _threshold("bound", p.gamma_sk / peak, p.gamma_sk, "/", peak)
 
 
 def eigenvalue_bound(p: FracParams) -> float:
     """lyapunov_bound(p) * (t2 - t1); the |lambda| threshold.
 
     Raises ResultUnderflow when the product rounds to zero (t1 near
-    1e-300): a zero threshold would be wrong, not merely imprecise.
+    1e-300) and NonFiniteResult when it overflows.
     """
-    bound = lyapunov_bound(p)
-    width = p.t2 - p.t1
-    product = bound * width
-    if product == 0.0:
-        raise ResultUnderflow(f"eigen_bound = {bound!r} * {width!r} underflows to 0")
-    return product
+    bound, width = lyapunov_bound(p), p.t2 - p.t1
+    return _threshold("eigen_bound", bound * width, bound, "*", width)
 
 
 def lyapunov_report(p: FracParams) -> LyapunovReport:
@@ -133,7 +145,11 @@ def _scan_grid(t1: float, t2: float) -> list[float]:
 
 
 def _bisect_sign_change(f, a: float, b: float, fa: float, width: float) -> float:
-    """Narrow a bracket with f(a)*f(b) < 0 down to `width` and return its midpoint."""
+    """Narrow a bracket with f(a)*f(b) < 0 down to `width` and return its midpoint.
+
+    ``f`` must raise for a value that is not finite: the bisection reads the
+    sign of every value it samples.
+    """
     while b - a > width:
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent floats
@@ -172,11 +188,14 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         return q.abs_integral(t1, t2)
     qf = as_callable(q)
 
-    def absq(t: float) -> float:
+    def checked(t: float) -> float:
         value = qf(t)
         if not all_finite((value,)):
             raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
-        return abs(value)
+        return value
+
+    def absq(t: float) -> float:
+        return abs(checked(t))
 
     # Locate kinks of |q|: sign changes of q on a fixed scan grid.
     scan = _scan_grid(t1, t2)
@@ -190,7 +209,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
                 breakpoints.append(left)
         elif f_right != 0.0 and (f_left < 0.0) != (f_right < 0.0):
             breakpoints.append(
-                _bisect_sign_change(qf, left, right, f_left, 1e-12 * (t2 - t1))
+                _bisect_sign_change(checked, left, right, f_left, 1e-12 * (t2 - t1))
             )
     breakpoints.append(t2)
 

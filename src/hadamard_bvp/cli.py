@@ -1,6 +1,17 @@
 """Command-line interface.
 
-Commands: bound | check | green (eval|max|grid) | eigen | selftest.
+Commands and the flags each one takes besides --json (all but selftest also
+take the problem flags --sigma, --kappa, --t1 and --t2):
+
+    bound
+    check       one of --q-const, --q-expr, --q-table; --tol
+    green eval  --t, --s
+    green max
+    green grid  --n, --out
+    eigen       --n
+    selftest    --filter
+
+A command accepts only the flags it reads; any other flag is a usage error.
 Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 3 numerical failure, 4 eigenvalue-bound violation (which would falsify the
 analytic bound and must never pass silently).
@@ -178,7 +189,7 @@ def cmd_eigen(args) -> tuple[FracParams, dict]:
 def cmd_selftest(args) -> tuple[None, dict]:
     from .selftest import run_selftests
 
-    results = run_selftests(name_filter=args.filter, seed=args.seed)
+    results = run_selftests(name_filter=args.filter)
     payload = {
         "total": len(results),
         "passed": sum(1 for r in results if r["ok"]),
@@ -191,8 +202,6 @@ def cmd_selftest(args) -> tuple[None, dict]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--tol", type=_real, default=DEFAULT_TOL, help="quadrature tolerance")
-    common.add_argument("--seed", type=int, default=20260815, help="seed for randomized checks")
 
     pp = argparse.ArgumentParser(add_help=False)
     pp.add_argument("--sigma", type=_real, required=True, help="leading order, 1 < sigma <= 2")
@@ -213,6 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bound", parents=[common, pp], help="closed-form bound report")
 
     p_check = sub.add_parser("check", parents=[common, pp], help="nonexistence verdict for q")
+    p_check.add_argument("--tol", type=_real, default=DEFAULT_TOL, help="quadrature tolerance")
     grp = p_check.add_mutually_exclusive_group(required=True)
     grp.add_argument("--q-const", type=_real, help="constant coefficient value")
     grp.add_argument("--q-expr", help="coefficient expression in t, e.g. 'ln(t)'")

@@ -23,7 +23,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub, truediv
 
 from .errors import (
     DomainInvalid,
@@ -139,16 +139,25 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Binary operators: binding level and meaning.  Unary minus binds at
+# _NEG_LEVEL, between '*' and '^', and an atom at 5; '^' alone groups to
+# the right.  The parser, the printer and the evaluator all read this table.
+_BINARY = {
+    "+": (1, add),
+    "-": (1, sub),
+    "*": (2, mul),
+    "/": (2, truediv),
+    "^": (4, math.pow),
+}
+_NEG_LEVEL = 3
+
+
 class _Parser:
-    """Recursive descent over the token stream.
+    """Precedence climbing over the token stream, with the levels of ``_BINARY``.
 
-    Grammar (precedence low to high; ``^`` right-associative):
-
-        sum    := term (('+' | '-') term)*
-        term   := unary (('*' | '/') unary)*
-        unary  := '-' unary | power
-        power  := atom ('^' unary)?
-        atom   := NUMBER | 't' | FUNC '(' sum ')' | '(' sum ')'
+        expr(k) := ('-' expr(3) | atom) (op expr(j))*   for ops of level >= k;
+                   j is the op's level + 1, or its level for '^'
+        atom    := NUMBER | 't' | FUNC '(' expr(1) ')' | '(' expr(1) ')'
     """
 
     def __init__(self, src: str):
@@ -170,38 +179,23 @@ class _Parser:
         return ExpressionSyntaxError(f"unexpected {what}", offset, expected)
 
     def parse(self) -> ExprNode:
-        node = self.sum()
+        node = self.expr(1)
         if self.peek()[0] != "end":
             raise self.fail(("end of input", "'+'", "'-'", "'*'", "'/'", "'^'"))
         return node
 
-    def sum(self) -> ExprNode:
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> ExprNode:
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> ExprNode:
+    def expr(self, level: int) -> ExprNode:
+        """Everything from here that binds at ``level`` or tighter."""
         if self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> ExprNode:
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            # Right-associative; the exponent may itself start with '-'.
-            return BinOp("^", base, self.unary())
-        return base
+            node = Neg(self.expr(_NEG_LEVEL))
+        else:
+            node = self.atom()
+        while self.peek()[1] in _BINARY and _BINARY[self.peek()[1]][0] >= level:
+            op = self.advance()[1]
+            op_level = _BINARY[op][0]
+            node = BinOp(op, node, self.expr(op_level if op == "^" else op_level + 1))
+        return node
 
     def atom(self) -> ExprNode:
         kind, text, offset = self.peek()
@@ -214,7 +208,7 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise UnknownIdentifier(text, offset)
                 self.advance()
-                arg = self.sum()
+                arg = self.expr(1)
                 if self.peek()[:2] != ("op", ")"):
                     raise self.fail(("')'",))
                 self.advance()
@@ -224,7 +218,7 @@ class _Parser:
             raise UnknownIdentifier(text, offset)
         if kind == "op" and text == "(":
             self.advance()
-            node = self.sum()
+            node = self.expr(1)
             if self.peek()[:2] != ("op", ")"):
                 raise self.fail(("')'",))
             self.advance()
@@ -246,19 +240,17 @@ def parse_expr(src: str) -> ExprNode:
 # --------------------------------------------------------------------------
 # Pretty-printer
 #
-# Binding levels: '+'/'-' = 1, '*'/'/' = 2, unary minus = 3, '^' = 4,
-# atoms = 5.  A child is parenthesised when its level is below the level its
-# slot requires, which is exactly the condition for the reparse to rebuild
-# the original tree.
-
-_BIN_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+# Binding levels as in ``_BINARY``, unary minus ``_NEG_LEVEL`` and atoms 5.
+# A child is parenthesised when its level is below the level its slot
+# requires, which is exactly the condition for the reparse to rebuild the
+# original tree.
 
 
 def _level(node: ExprNode) -> int:
     if isinstance(node, BinOp):
-        return _BIN_LEVEL[node.op]
+        return _BINARY[node.op][0]
     if isinstance(node, Neg):
-        return 3
+        return _NEG_LEVEL
     return 5
 
 
@@ -270,17 +262,14 @@ def _render(node: ExprNode, required: int) -> str:
     elif isinstance(node, Call):
         text = f"{node.func}({_render(node.arg, 1)})"
     elif isinstance(node, Neg):
-        text = "-" + _render(node.operand, 3)
+        text = "-" + _render(node.operand, _NEG_LEVEL)
     elif isinstance(node, BinOp):
-        level = _BIN_LEVEL[node.op]
-        if node.op == "^":
-            text = _render(node.left, level + 1) + "^" + _render(node.right, 3)
+        level = _BINARY[node.op][0]
+        if node.op == "^":  # right-associative; the exponent may start with '-'
+            left, right = level + 1, _NEG_LEVEL
         else:
-            text = (
-                _render(node.left, level)
-                + node.op
-                + _render(node.right, level + 1)
-            )
+            left, right = level, level + 1
+        text = _render(node.left, left) + node.op + _render(node.right, right)
     else:  # pragma: no cover - exhaustive over node kinds
         raise TypeError(f"not an ExprNode: {node!r}")
     if _level(node) < required:
@@ -314,15 +303,7 @@ def _eval_node(node: ExprNode, t: float) -> float:
         left = _eval_node(node.left, t)
         right = _eval_node(node.right, t)
         try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return math.pow(left, right)
+            return _BINARY[node.op][1](left, right)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalError(f"{left!r} {node.op} {right!r}: {exc}") from exc
     raise TypeError(f"not an ExprNode: {node!r}")
@@ -473,7 +454,7 @@ def eval_coefficient(q: Coefficient, t: float) -> float:
     if not isinstance(q, Coefficient):
         raise DomainInvalid(f"not a Coefficient: {q!r}")
     value = q.eval(t)
-    if not math.isfinite(value):
+    if not all_finite((value,)):
         raise EvalError(f"coefficient evaluated to {value!r} at t={t!r}")
     return value
 

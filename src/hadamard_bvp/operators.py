@@ -82,7 +82,6 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
-@lru_cache(maxsize=256)
 def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for integral_{-1}^{1} (1+x)^beta phi(x) dx, beta > -1.
 
@@ -98,7 +97,7 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     diag[1:] = beta * beta / (s * (s + 2.0))
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return _read_only(nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2)
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
 
 
 # Panels on [0, length] in u = ln(s/t1) and the nodes they carry.  ``u[0] = 0``

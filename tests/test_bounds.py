@@ -83,6 +83,22 @@ def test_eigen_bound_underflow_is_an_error():
         lambda_nonexistence_check(p, 1.0)
 
 
+def test_overflowing_thresholds_are_errors():
+    # Near the top of the float range the quotient and the product overflow;
+    # inf is no threshold, so it must not reach a comparison.
+    p = FracParams(sigma=1.5, kappa=0.25, t1=1.7e308, t2=1.75e308)
+    with pytest.raises(NonFiniteResult, match="bound is not finite"):
+        lyapunov_bound(p)
+    with pytest.raises(NonFiniteResult):
+        nonexistence_check(p, Constant(1.0))
+    p = FracParams(sigma=1.75, kappa=0.5, t1=1e300, t2=1.7e308)
+    assert math.isfinite(lyapunov_bound(p))
+    with pytest.raises(NonFiniteResult, match="eigen_bound is not finite"):
+        eigenvalue_bound(p)
+    with pytest.raises(NonFiniteResult):
+        lambda_nonexistence_check(p, 1.0)
+
+
 def test_lambda_verdicts():
     assert lambda_nonexistence_check(EX_A, 4.0).kind is VerdictKind.NoNontrivialSolution
     assert lambda_nonexistence_check(EX_A, -4.0).kind is VerdictKind.NoNontrivialSolution
@@ -302,6 +318,28 @@ def test_eval_error_propagates_from_coefficient():
     q = Expression(parse_expr("ln(t - 2)"))
     with pytest.raises(EvalError):
         nonexistence_check(EX_A, q)
+    with pytest.raises(EvalError, match="not a real number"):
+        nonexistence_check(EX_A, Constant(1j))
+
+
+def _root_cell_midpoint(root, t1, t2):
+    """The first point the sign-change bisection samples for a root in (t1, t2)."""
+    grid = _scan_grid(t1, t2)
+    left, right = next((a, b) for a, b in zip(grid, grid[1:]) if a < root < b)
+    return 0.5 * (left + right)
+
+
+def test_bisection_checks_the_values_it_samples():
+    # q is real and finite on the scan grid and at the Gauss nodes but not at
+    # the bisection's first midpoint; the root lies right of that midpoint,
+    # so a nan read as a sign would move the bracket off it.
+    root = 1.503
+    mid = _root_cell_midpoint(root, 1.0, 2.0)
+    assert mid < root
+    for bad, error in ((1j, EvalError), (math.nan, QuadratureFailure),
+                       (math.inf, QuadratureFailure)):
+        with pytest.raises(error):
+            integrate_abs_q(lambda t, bad=bad: bad if t == mid else t - root, 1.0, 2.0)
 
 
 def test_single_derivative_reference_values():
@@ -330,9 +368,3 @@ def test_single_derivative_reference_errors():
     with pytest.raises(DomainInvalid):
         reference_bound_kappa0(1.5, 1e-300, 1e10)  # t2/t1 overflows
 
-
-def test_vanishing_kappa_approaches_single_derivative_bound():
-    for sigma in (1.3, 1.6, 1.9):
-        p = FracParams(sigma=sigma, kappa=1e-7, t1=1.0, t2=math.e)
-        ref = reference_bound_kappa0(sigma, 1.0, math.e)
-        assert abs(lyapunov_bound(p) - ref) <= 1e-5 * ref

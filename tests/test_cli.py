@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 
 from hadamard_bvp import __version__
 from hadamard_bvp.errors import NonFiniteResult
-from hadamard_bvp.cli import GRID_MAX_N, _to_json, main
+from hadamard_bvp.cli import GRID_MAX_N, _build_parser, _to_json, main
 from hadamard_bvp.selftest import EX_A_REF
 
 E_STR = "2.718281828459045"
@@ -243,6 +244,40 @@ def test_argparse_rejects_bad_reals(capsys):
         main(["bound", *PP_A[:-1], "inf"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+_PROBLEM_FLAGS = {"--sigma", "--kappa", "--t1", "--t2"}
+
+# Each leaf command's options: exactly the flags the command reads.
+COMMAND_OPTIONS = {
+    "bound": {*_PROBLEM_FLAGS, "--json"},
+    "check": {*_PROBLEM_FLAGS, "--json", "--tol", "--q-const", "--q-expr", "--q-table"},
+    "green eval": {*_PROBLEM_FLAGS, "--json", "--t", "--s"},
+    "green max": {*_PROBLEM_FLAGS, "--json"},
+    "green grid": {*_PROBLEM_FLAGS, "--json", "--n", "--out"},
+    "eigen": {*_PROBLEM_FLAGS, "--json", "--n"},
+    "selftest": {"--json", "--filter"},
+}
+
+
+def _leaf_options(parser, command=()):
+    """(command words, option strings but -h/--help) for each leaf parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        options = {s for a in parser._actions for s in a.option_strings}
+        yield " ".join(command), options - {"-h", "--help"}
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_options(child, (*command, name))
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    assert dict(_leaf_options(_build_parser())) == COMMAND_OPTIONS
+    for argv in (["bound", *PP_A, "--tol", "1e-6"], ["selftest", "--seed", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):

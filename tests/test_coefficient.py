@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hadamard_bvp import (
     DomainInvalid,
     EvalError,
     Expression,
+    ExpressionSyntaxError,
     OutOfTableRange,
     Table,
     UnknownIdentifier,
@@ -139,6 +142,14 @@ def test_eval_errors():
         ev("sqrt(0-t)", 4.0)
     with pytest.raises(EvalError):
         eval_coefficient(Constant(math.inf), 1.0)
+    with pytest.raises(EvalError, match="not a real number"):
+        eval_coefficient(Constant(1j), 1.0)
+
+
+def test_operator_outside_the_table_is_rejected():
+    # A hand-built tree may name any operator; only the table's are evaluated.
+    with pytest.raises(KeyError):
+        Expression(BinOp("%", Num(7.0), Num(2.0))).eval(1.0)
 
 
 def test_constant_and_table():
@@ -208,3 +219,35 @@ def test_load_table(tmp_path):
 def test_eval_coefficient_rejects_non_coefficients():
     with pytest.raises(DomainInvalid):
         eval_coefficient(lambda t: t, 1.0)
+
+
+# Every string of up to 4 tokens over this alphabet (22 621 of them), parsed;
+# a token next to another can merge with it ("2" "2" is 22, "ln" "t" is lnt).
+_ALPHABET = ("2", "t", "-", "+", "*", "/", "^", "(", ")", "ln", "y", " ")
+# SHA-256 of their outcomes as ``_parse_outcome`` writes them.
+PARSE_4_SHA256 = "2ff431d06fda4089e5e22c6a9fb49f049f2349a732b35b2e3efcccdf09020758"
+
+
+def _parse_outcome(src):
+    """The tree, its printed form and its value at t = 1.5 or evaluation
+    error; for a rejected string the error's class, message, offset and
+    expected tokens."""
+    try:
+        ast = parse_expr(src)
+    except (ExpressionSyntaxError, UnknownIdentifier) as exc:
+        return f"{type(exc).__name__}|{exc}|{exc.offset}|{getattr(exc, 'expected', None)}"
+    try:
+        value = repr(Expression(ast).eval(1.5))
+    except EvalError as exc:
+        value = f"EvalError|{exc}"
+    return f"{ast!r}|{pretty(ast)}|{value}"
+
+
+def test_parse_outcomes_are_frozen():
+    lines = [
+        f"{src!r}\t{_parse_outcome(src)}"
+        for k in range(5)
+        for src in map("".join, itertools.product(_ALPHABET, repeat=k))
+    ]
+    assert len(lines) == 22_621
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PARSE_4_SHA256

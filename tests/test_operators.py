@@ -202,17 +202,17 @@ def test_non_real_integrand_is_an_eval_error():
     for call in calls:
         with pytest.raises(EvalError, match="not a real number"):
             call()
-    # Real on the scan grid of integrate_abs_q, complex at the Gauss nodes.
+    # Real on the scan grid of integrate_abs_q, complex at the Gauss nodes,
+    # and, with a sign change on the grid, at the bisection's midpoints.
     grid = set(_scan_grid(1.0, 2.0))
-    g = lambda t: 1.0 if t in grid else 1j
-    with pytest.raises(EvalError, match="not a real number"):
-        integrate_abs_q(g, 1.0, 2.0)
+    for g in (lambda t: 1.0 if t in grid else 1j, lambda t: t - 1.5001 if t in grid else 1j):
+        with pytest.raises(EvalError, match="not a real number"):
+            integrate_abs_q(g, 1.0, 2.0)
 
 
 def test_cached_rules_are_read_only():
     cached = (
         *_gauss_legendre(8),
-        *_gauss_jacobi(8, -0.25),
         *_adjacent_rule(8),
         *_own_rule(8, -0.25),
         *_layout((3, 8, 8)),
