@@ -322,19 +322,15 @@ def test_eval_error_propagates_from_coefficient():
         nonexistence_check(EX_A, Constant(1j))
 
 
-def _root_cell_midpoint(root, t1, t2):
-    """The first point the sign-change bisection samples for a root in (t1, t2)."""
-    grid = _scan_grid(t1, t2)
-    left, right = next((a, b) for a, b in zip(grid, grid[1:]) if a < root < b)
-    return 0.5 * (left + right)
-
-
 def test_bisection_checks_the_values_it_samples():
     # q is real and finite on the scan grid and at the Gauss nodes but not at
-    # the bisection's first midpoint; the root lies right of that midpoint,
-    # so a nan read as a sign would move the bracket off it.
+    # the bisection's first midpoint, the middle of the scan cell holding the
+    # root; the root lies right of it, so a nan read as a sign would move the
+    # bracket off the root.
     root = 1.503
-    mid = _root_cell_midpoint(root, 1.0, 2.0)
+    grid = _scan_grid(1.0, 2.0)
+    left, right = next((a, b) for a, b in zip(grid, grid[1:]) if a < root < b)
+    mid = 0.5 * (left + right)
     assert mid < root
     for bad, error in ((1j, EvalError), (math.nan, QuadratureFailure),
                        (math.inf, QuadratureFailure)):
