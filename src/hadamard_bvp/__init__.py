@@ -18,16 +18,7 @@ from .bounds import (
     nonexistence_check,
     reference_bound_kappa0,
 )
-from .coefficient import (
-    Coefficient,
-    Constant,
-    Expression,
-    Table,
-    eval_coefficient,
-    load_table,
-    parse_expr,
-    pretty,
-)
+from .coefficient import Coefficient, Constant, Table, eval_coefficient, load_table
 from .errors import (
     BoundaryOrderUnsupported,
     ConvergenceFailure,
@@ -65,9 +56,11 @@ from .params import FracParams, Verdict, VerdictKind, log_ratio, validate
 __version__ = "0.1.0"
 
 # The array modules (the brute-force grid, the quadrature operators and the
-# Nystrom matrix) load on first use (PEP 562), so that the scalar commands
-# do not pay for them, or for numpy, at start-up.
+# Nystrom matrix) and the expression parser load on first use (PEP 562), so
+# that the commands that do not need them do not pay for them, or for numpy,
+# at start-up.
 _LAZY = {
+    "expression": ("Expression", "parse_expr", "pretty"),
     "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix", "residual_check"),
     "grid": ("green_max_bruteforce",),
     "operators": (

@@ -21,7 +21,7 @@ never load numpy and the coefficient only ever sees plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coefficient import Coefficient, Table, all_finite, as_callable
 from .errors import (
@@ -66,13 +66,10 @@ _GL_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class LyapunovReport:
+class LyapunovReport(namedtuple("LyapunovReport", "gamma_sk bound eigen_bound")):
     """Bound summary: gamma(sigma - kappa) and the two thresholds."""
 
-    gamma_sk: float
-    bound: float
-    eigen_bound: float
+    __slots__ = ()
 
 
 def _threshold(name: str, value: float, a: float, op: str, b: float) -> float:

@@ -23,7 +23,9 @@ result that is not finite is never printed: it exits 3 instead.
 numpy and the array modules (`grid`, `fredholm`, `selftest`) are imported
 only inside the commands that use them (`green grid`, `eigen` and
 `selftest`), so `bound`, `check`, `green eval` and `green max` start without
-loading numpy; no command loads scipy.
+loading numpy; no command loads scipy.  Likewise the expression parser
+(`expression`) loads only for `check --q-expr`, and `csv` only for
+`check --q-table`.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ import enum
 import json
 import math
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .bounds import DEFAULT_TOL, lyapunov_report, nonexistence_check
-from .coefficient import Constant, Expression, load_table, parse_expr
+from .coefficient import Constant, load_table
 from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
 from .kernel import green_eval, green_max
 from .params import FracParams, validate
@@ -80,9 +81,8 @@ def _to_json(value) -> str:
 
 
 def _record(rec) -> dict:
-    """A result record's dataclass fields in declaration order, enums by value."""
-    values = {field.name: getattr(rec, field.name) for field in fields(rec)}
-    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
+    """A result record's fields in declaration order, enums by value."""
+    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in zip(rec._fields, rec)}
 
 
 def _render(command: str, p: FracParams | None, payload: dict, as_json: bool) -> str:
@@ -135,6 +135,8 @@ def _coefficient_from(args):
     if args.q_const is not None:
         return Constant(args.q_const)
     if args.q_expr is not None:
+        from .expression import Expression, parse_expr
+
         return Expression(parse_expr(args.q_expr))
     return load_table(args.q_table)
 
@@ -165,16 +167,15 @@ def cmd_green(args) -> tuple[FracParams, dict]:
         from .grid import _green_xy
 
         us = np.linspace(0.0, p.L, args.n)
-        s_texts = [_fmt_real(p.t1 * math.exp(u)) for u in us]
+        # Each row "t,s_j,G\n" for all j is one %-template: the s columns and
+        # the %.17g slots (the same digits as _fmt_real) joined by the t text.
+        cols = [f",{_fmt_real(p.t1 * math.exp(u))},%.17g\n" for u in us]
         with open(args.out, "w", newline="") as fh:
             fh.write("t,s,G\n")
             for ui in us:
                 g_row = _green_xy(p, np.full(args.n, ui), us)
                 t_text = _fmt_real(p.t1 * math.exp(ui))
-                fh.writelines(
-                    f"{t_text},{s_text},{_fmt_real(g)}\n"
-                    for s_text, g in zip(s_texts, g_row.tolist())
-                )
+                fh.write((t_text + t_text.join(cols)) % tuple(g_row.tolist()))
         payload = {"path": args.out, "rows": args.n * args.n}
     return p, payload
 

@@ -33,7 +33,7 @@ and the package loads it only on first use of one of its names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -59,8 +59,12 @@ _RITZ_TOL = 1e-14
 _GRADING = 0.2
 
 
-@dataclass(frozen=True)
-class NystromResult:
+class NystromResult(
+    namedtuple(
+        "NystromResult",
+        "n dominant_mu lambda_min analytic_bound satisfied eigenvector_boundary_residual",
+    )
+):
     """Spectral summary of the q = 1 Nystrom matrix.
 
     ``dominant_mu`` is the spectral radius (modulus of the dominant
@@ -73,12 +77,7 @@ class NystromResult:
     which the zero boundary rows of K ensure.
     """
 
-    n: int
-    dominant_mu: float
-    lambda_min: float
-    analytic_bound: float
-    satisfied: bool
-    eigenvector_boundary_residual: float
+    __slots__ = ()
 
 
 def _mesh(p: FracParams, n: int) -> _Mesh:
@@ -121,11 +120,16 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
     if n > MATRIX_MAX_N:
         raise ResourceLimit(f"nystrom matrix n={n} exceeds cap {MATRIX_MAX_N}")
     m = _mesh(p, n)
-    qvals = np.array([eval_coefficient(q, float(t)) for t in _nodes(p, m)])
+    if type(q) is Constant:
+        # One value at every node: one evaluation and one scalar factor,
+        # the same bit for bit as the column factors below.
+        scale = eval_coefficient(q, float(p.t1)) / p.gamma_sk
+    else:
+        scale = np.array([eval_coefficient(q, float(t)) for t in _nodes(p, m)]) / p.gamma_sk
     r = _product_weights(m, p.b, np.arange(n))
     k = np.multiply.outer((m.u / p.L) ** p.a, r[-1])
     k -= r
-    k *= qvals / p.gamma_sk
+    k *= scale
     return k
 
 

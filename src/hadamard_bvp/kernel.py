@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceFailure, DomainInvalid
 from .params import FracParams, log_ratio
@@ -63,22 +63,17 @@ class MaxBranch(enum.Enum):
     LeftEdge = "LeftEdge"
 
 
-@dataclass(frozen=True)
-class GreenMaxReport:
-    """Closed-form maximum analysis of |G| over [t1, t2]^2.
+class GreenMaxReport(
+    namedtuple("GreenMaxReport", "delta x2 t_star t_hat omega mho max_abs_g branch")
+):
+    """Closed-form maximum analysis of |G| over [t1, t2]^2: seven floats and
+    a MaxBranch.
 
     ``max_abs_g = max(omega, mho) / gamma(sigma - kappa)``; ``branch`` names
     the winning candidate, with ties resolved to ``Diagonal``.
     """
 
-    delta: float
-    x2: float
-    t_star: float
-    t_hat: float
-    omega: float
-    mho: float
-    max_abs_g: float
-    branch: MaxBranch
+    __slots__ = ()
 
 
 def _log_coord(p: FracParams, t: float, name: str) -> float:

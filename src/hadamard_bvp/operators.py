@@ -209,9 +209,11 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
         eta, wts, basis = _adjacent_rule(order)
         left = own[sel] - 1
         # Rows with the same delta, such as the same node of equal panels,
-        # share their weights up to scale.
+        # share their weights up to scale; one row has none to share.
         delta = width[own[sel]] / width[left] * (1.0 + ref[sel])
-        delta, inv = np.unique(delta, return_inverse=True)
+        inv = slice(None)
+        if len(delta) > 1:
+            delta, inv = np.unique(delta, return_inverse=True)
         vals = ((np.power((1.0 - eta) + delta[:, None], b) * wts) @ basis)[inv]
         vals *= ((0.5 * width[left]) ** (b + 1.0))[:, None]
         r[sel[:, None], m.first[left][:, None] + np.arange(order)] = vals

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange
 from .gammafn import gamma
@@ -54,37 +54,41 @@ def log_width(t1: float, t2: float) -> float:
     return log_ratio(t2, t1)
 
 
-@dataclass(frozen=True)
-class FracParams:
+class FracParams(namedtuple("FracParams", "sigma kappa t1 t2")):
     """Validated parameter bundle.
 
     Construction checks every invariant, with exact floating-point
     comparisons and no epsilon slack: sigma = 2.0 is accepted while
     kappa = sigma - 1 is rejected even when the difference is one ulp.
+    Like every result record of the package, it is an immutable namedtuple
+    (so it compares equal to the plain tuple of its fields).
     """
 
-    sigma: float
-    kappa: float
-    t1: float
-    t2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        sigma, kappa, t1, t2 = self.sigma, self.kappa, self.t1, self.t2
+    def __new__(cls, sigma: float, kappa: float, t1: float, t2: float):
         for name, value in (("sigma", sigma), ("kappa", kappa), ("t1", t1), ("t2", t2)):
             if not math.isfinite(value):
                 raise DomainInvalid(f"{name} must be finite, got {value!r}")
         if not 1.0 < sigma <= 2.0:
             raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
-        if kappa == self.a:
+        a = sigma - 1.0
+        if kappa == a:
             raise BoundaryOrderUnsupported(
                 f"kappa = sigma - 1 = {kappa!r} is excluded: the kernel exponent "
                 "sigma - kappa - 1 vanishes there"
             )
-        if not 0.0 < kappa < self.a:
+        if not 0.0 < kappa < a:
             raise OrderOutOfRange(
-                f"kappa must satisfy 0 < kappa < sigma - 1 = {self.a!r}, got {kappa!r}"
+                f"kappa must satisfy 0 < kappa < sigma - 1 = {a!r}, got {kappa!r}"
             )
         log_width(t1, t2)
+        return super().__new__(cls, sigma, kappa, t1, t2)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build from an iterable through the checks (``_replace`` uses this)."""
+        return cls(*iterable)
 
     @property
     def L(self) -> float:
@@ -112,18 +116,15 @@ class VerdictKind(enum.Enum):
     Inconclusive = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a nonexistence test.
+class Verdict(namedtuple("Verdict", "kind bound q_integral")):
+    """Outcome of a nonexistence test: a VerdictKind and two floats.
 
     ``kind`` is ``NoNontrivialSolution`` exactly when ``q_integral < bound``
     (strict); equality is reported as ``Inconclusive`` because the underlying
     inequality is not strict at the threshold.
     """
 
-    kind: VerdictKind
-    bound: float
-    q_integral: float
+    __slots__ = ()
 
     @staticmethod
     def from_comparison(bound: float, q_integral: float) -> "Verdict":

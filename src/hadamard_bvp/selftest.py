@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-from . import bounds, coefficient, fredholm, grid, kernel, operators
-from .coefficient import Constant, Expression, parse_expr, pretty
+from . import bounds, fredholm, grid, kernel, operators
+from .coefficient import Constant
+from .expression import Expression, parse_expr, pretty
 from .errors import (
     BoundaryOrderUnsupported,
     DomainInvalid,
@@ -240,7 +241,7 @@ def _check_parser():
         ("2^3^2", None, 512.0),
     )
     for src, t, want in cases:
-        got = coefficient.Expression(parse_expr(src)).eval(t if t is not None else 1.0)
+        got = Expression(parse_expr(src)).eval(t if t is not None else 1.0)
         if got != want:
             return False, f"{src!r} -> {got!r}, wanted {want!r}"
     corpus = (

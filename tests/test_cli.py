@@ -359,6 +359,13 @@ def test_division_by_zero_in_expression(capsys):
     assert "division by zero" in err
 
 
+def test_deeply_nested_expression_is_a_usage_error(capsys):
+    code, out, err = run(["check", *PP_A, "--q-expr", "(" * 600 + "t" + ")" * 600], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expression nested deeper than")
+
+
 def test_selftest_filter(capsys):
     code, out, _ = run(["selftest", "--filter", "green", "--json"], capsys)
     assert code == 0
@@ -394,6 +401,31 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_defers_the_parser_and_csv():
+    # The scalar records are namedtuples, so nothing loads dataclasses; the
+    # expression parser and csv load only for the command that reads them.
+    probe = (
+        "print(sorted(m for m in ('dataclasses', 'csv', 'hadamard_bvp.expression')"
+        " if m in sys.modules))"
+    )
+    code = "import hadamard_bvp.cli, sys; " + probe
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+    code = (
+        "import contextlib, io, sys\n"
+        "from hadamard_bvp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({['check', '--q-expr', 'ln(t)', *PP_A]!r}) == 0\n"
+        + probe
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "['hadamard_bvp.expression']"
 
 
 def test_cli_import_defers_quadrature_modules():

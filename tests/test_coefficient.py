@@ -19,7 +19,7 @@ from hadamard_bvp import (
     parse_expr,
     pretty,
 )
-from hadamard_bvp.coefficient import BinOp, Call, Neg, Num, Var
+from hadamard_bvp.expression import MAX_DEPTH, BinOp, Call, Neg, Num, Var
 
 
 def ev(src, t=1.0):
@@ -95,9 +95,9 @@ def test_syntax_errors_report_offset_and_expectations():
 def _random_expr(rng, depth):
     """Random AST matching the grammar, for round-trip fuzzing."""
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice(
-            [Num(float(rng.integers(0, 50)) / 4.0), Var(), Num(float(rng.random()))]
-        )
+        # Indexed, not rng.choice: numpy would read the tuple nodes as rows.
+        leaves = [Num(float(rng.integers(0, 50)) / 4.0), Var(), Num(float(rng.random()))]
+        return leaves[rng.integers(0, 3)]
     kind = rng.random()
     if kind < 0.55:
         op = rng.choice(["+", "-", "*", "/", "^"])
@@ -144,6 +144,34 @@ def test_eval_errors():
         eval_coefficient(Constant(math.inf), 1.0)
     with pytest.raises(EvalError, match="not a real number"):
         eval_coefficient(Constant(1j), 1.0)
+
+
+# Each entry makes a string nested k levels above ``t``, a tree of height
+# k + 1, and gives the offset where the parser stops for k = MAX_DEPTH: at
+# the innermost operand, or after a left-associative chain.
+_NESTED = {
+    "parens": (lambda k: "(" * k + "t" + ")" * k, lambda k: k),
+    "minus": (lambda k: "-" * k + "t", lambda k: k),
+    "power": (lambda k: "t" + "^1" * k, lambda k: 2 * k),
+    "calls": (lambda k: "abs(" * k + "t" + ")" * k, lambda k: 4 * k),
+    "sum": (lambda k: "t" + "+t" * k, lambda k: 2 * k + 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_nesting_depth_is_limited(kind):
+    build, offset = _NESTED[kind]
+    deepest = Expression(parse_expr(build(MAX_DEPTH - 1)))
+    assert parse_expr(pretty(deepest.ast)) == deepest.ast
+    assert math.isfinite(deepest.eval(1.5))
+    assert repr(deepest).startswith("Expression(ast=")
+    message = f"nested deeper than {MAX_DEPTH} levels"
+    with pytest.raises(ExpressionSyntaxError, match=message) as info:
+        parse_expr(build(MAX_DEPTH))
+    assert info.value.offset == offset(MAX_DEPTH)
+    assert info.value.expected == ()
+    with pytest.raises(ExpressionSyntaxError):
+        parse_expr(build(10_000))  # no RecursionError, however deep
 
 
 def test_operator_outside_the_table_is_rejected():
@@ -196,6 +224,8 @@ def test_table_validation_and_range():
     with pytest.raises(DomainInvalid):
         Table(points=((-1.0, 0.0), (2.0, 1.0)))
     tbl = Table(points=((1.0, 0.0), (2.0, 1.0)))
+    with pytest.raises(DomainInvalid):
+        tbl._replace(points=((2.0, 0.0), (1.0, 1.0)))
     with pytest.raises(OutOfTableRange):
         eval_coefficient(tbl, 0.5)
     with pytest.raises(OutOfTableRange):

@@ -1,7 +1,8 @@
 """Which modules load numpy is decided by the module graph, not inside
 function bodies: the scalar modules never import it, the array modules
 import it once at the top, and the CLI imports the array modules (and numpy)
-only inside the commands that need them."""
+only inside the commands that need them.  The expression parser is a scalar
+module that, like the array modules, loads only on first use."""
 
 import ast
 from pathlib import Path
@@ -11,9 +12,15 @@ import pytest
 import hadamard_bvp
 
 PACKAGE = Path(hadamard_bvp.__file__).parent
-SCALAR = ("__init__", "__main__", "bounds", "coefficient", "errors", "gammafn", "kernel", "params")
+SCALAR = (
+    "__init__", "__main__", "bounds", "coefficient", "errors", "expression", "gammafn", "kernel",
+    "params",
+)
 ARRAY = ("fredholm", "grid", "operators", "selftest")
 LOADS_NUMPY = {"numpy", *ARRAY}
+# Loaded on first use: the package's _LAZY modules.  The other scalar modules
+# and the CLI import them, and csv, only inside functions.
+DEFERRED = ("expression", "fredholm", "grid", "operators")
 
 
 def _imports(tree: ast.AST) -> list[tuple[str, bool]]:
@@ -66,6 +73,21 @@ def test_cli_imports_array_modules_only_in_commands():
     assert [module for module, nested in imports if module in LOADS_NUMPY and not nested] == []
     nested_imports = {module for module, nested in imports if nested}
     assert nested_imports >= {"numpy", "grid", "fredholm", "selftest"}
+
+
+def test_lazy_modules_are_the_deferred_ones():
+    assert sorted(hadamard_bvp._LAZY) == sorted(DEFERRED)
+
+
+@pytest.mark.parametrize("name", [name for name in (*SCALAR, "cli") if name not in DEFERRED])
+def test_scalar_modules_defer_the_parser_and_csv(name):
+    top_level = {module for module, nested in _imports(_tree(name)) if not nested}
+    assert top_level.isdisjoint({*DEFERRED, "csv"})
+
+
+def test_no_module_imports_dataclasses():
+    for path in PACKAGE.glob("*.py"):
+        assert "dataclasses" not in {module for module, _ in _imports(_tree(path.stem))}, path.name
 
 
 def test_detects_a_function_local_import():

@@ -83,6 +83,20 @@ def test_direct_construction_is_validated(args, error):
         FracParams(*args)
     with pytest.raises(error):
         validate(*args)
+    with pytest.raises(error):
+        validate(1.75, 0.5, 1.0, 2.0)._replace(**dict(zip(FracParams._fields, args)))
+
+
+def test_records_are_immutable_tuples():
+    p = validate(1.75, 0.5, 1.0, 2.0)
+    v = Verdict.from_comparison(2.0, 1.0)
+    for record, field in ((p, "kappa"), (v, "bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.25)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert p == (1.75, 0.5, 1.0, 2.0) and hash(p) == hash((1.75, 0.5, 1.0, 2.0))
+    assert repr(p) == "FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=2.0)"
 
 
 def test_verdict_factory_strictness():
