@@ -175,7 +175,8 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     is added to a running slack.  QuadratureFailure is raised when the slack
     exceeds tol or the recursion exhausts its budget of 200 000 panels,
     which in practice means |q| is not integrable or too rough for the scan
-    resolution.
+    resolution.  NonFiniteResult is raised as soon as a pair of panels, or
+    the sum over the segments between sign changes, overflows.
     """
     if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
         raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
@@ -193,6 +194,11 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
 
     def absq(t: float) -> float:
         return abs(checked(t))
+
+    def finite(value: float) -> float:
+        if value == math.inf:  # a sum of |q| values is never nan or -inf
+            raise NonFiniteResult(f"integral of |q| over [{t1!r}, {t2!r}] is not finite")
+        return value
 
     # Locate kinks of |q|: sign changes of q on a fixed scan grid.
     scan = _scan_grid(t1, t2)
@@ -217,21 +223,22 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         mid = 0.5 * (a + b)
         left = _gauss_panel(absq, a, mid)
         right = _gauss_panel(absq, mid, b)
+        pair = finite(left + right)
         budget[0] -= 2
         if budget[0] <= 0:
             raise QuadratureFailure(
                 f"adaptive quadrature budget exhausted on [{a!r}, {b!r}]"
             )
-        error = abs(left + right - whole)
+        error = abs(pair - whole)
         if error <= tol_here:
-            return left + right
+            return pair
         if depth > 48:
             slack[0] += error
             if slack[0] > tol:
                 raise QuadratureFailure(
                     f"adaptive quadrature does not converge on [{a!r}, {b!r}]"
                 )
-            return left + right
+            return pair
         return adapt(a, mid, left, 0.5 * tol_here, depth + 1) + adapt(
             mid, b, right, 0.5 * tol_here, depth + 1
         )
@@ -241,7 +248,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         if b <= a:
             continue
         share = tol * (b - a) / (t2 - t1)
-        total += adapt(a, b, _gauss_panel(absq, a, b), max(share, 1e-300), 0)
+        total = finite(total + adapt(a, b, _gauss_panel(absq, a, b), max(share, 1e-300), 0))
     return float(total)
 
 

@@ -28,20 +28,12 @@ from hadamard_bvp import (
 )
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
 from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
-from hadamard_bvp.selftest import EX_A_REF, EX_B_REF
+from hadamard_bvp.selftest import EX_A_REF, EX_B_REF, random_params
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
 EX_B = FracParams(sigma=1.5, kappa=0.25, t1=1.0, t2=math.e)
 
 ABS_LNT_MINUS_HALF = 0.43830162717073368  # integral of |ln t - 1/2| over [1, e]
-
-
-def _random_params(rng):
-    sigma = rng.uniform(1.05, 2.0)
-    kappa = rng.uniform(0.1, 0.9) * (sigma - 1.0)
-    t1 = rng.uniform(0.5, 2.0)
-    t2 = t1 * math.exp(rng.uniform(0.3, 1.5))
-    return FracParams(sigma=sigma, kappa=kappa, t1=t1, t2=t2)
 
 
 def test_reference_bounds():
@@ -55,7 +47,7 @@ def test_reference_bounds():
 def test_bound_is_reciprocal_of_kernel_max():
     rng = np.random.default_rng(20260815)
     for _ in range(20):
-        p = _random_params(rng)
+        p = random_params(rng)
         product = lyapunov_bound(p) * green_max(p).max_abs_g
         assert abs(product - 1.0) <= 1e-12
 
@@ -63,7 +55,7 @@ def test_bound_is_reciprocal_of_kernel_max():
 def test_eigen_bound_is_exact_width_multiple():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        p = _random_params(rng)
+        p = random_params(rng)
         assert eigenvalue_bound(p) == lyapunov_bound(p) * (p.t2 - p.t1)
 
 
@@ -180,6 +172,22 @@ def test_quadrature_rejects_non_finite_values():
         integrate_abs_q(lambda t: math.nan, 1.0, math.e)
     with pytest.raises(QuadratureFailure):
         integrate_abs_q(lambda t: math.inf if t > 2.0 else 1.0, 1.0, math.e)
+
+
+def test_overflowing_integral_fails_at_once():
+    # The panels over [1, 10] overflow: fail there, not after the whole panel budget.
+    with pytest.raises(NonFiniteResult, match=r"over \[1.0, 10.0\] is not finite"):
+        integrate_abs_q(Constant(1e308), 1.0, 10.0)
+    # Four segments between the sign changes at 2, 3 and 4, each integrated
+    # exactly and finite, whose sum overflows: inf is never returned.
+    c = 0.898e308
+
+    def q(t):
+        return 0.0 if t == int(t) else (c if int(t) % 2 else -c)
+
+    with pytest.raises(NonFiniteResult, match="is not finite"):
+        integrate_abs_q(q, 1.0, 5.0)
+    assert integrate_abs_q(q, 1.0, 3.0) == pytest.approx(2.0 * c, rel=1e-15)
 
 
 def test_quadrature_gives_up_on_non_integrable_spike():

@@ -119,7 +119,7 @@ def test_eigenvalue_estimate_matches_dense_solver(p):
 
 def test_reference_eigenvalue_estimate():
     res = min_eigenvalue_modulus(EX_A, 400)
-    assert res.lambda_min >= 4.0463865405
+    assert res.lambda_min >= EX_A_REF["eigen_bound"]
     assert res.analytic_bound == pytest.approx(EX_A_REF["eigen_bound"], rel=1e-12)
     assert res.satisfied is True
     assert res.eigenvector_boundary_residual == 0.0

@@ -6,22 +6,7 @@ import numpy as np
 import pytest
 
 from hadamard_bvp import DomainInvalid, gamma, reciprocal_gamma
-
-# Reference values computed at 50-digit precision.
-GAMMA_REFS = (
-    (0.001, 999.42377248459547),
-    (0.5, 1.7724538509055160),
-    (1.0, 1.0),
-    (1.25, 0.90640247705547708),
-    (1.5, 0.88622692545275801),
-    (2.0, 1.0),
-    (3.0, 2.0),
-    (3.7, 4.1706517837966032),
-    (10.0, 362880.0),
-    (25.5, 3.0867705405286968e24),
-    (29.999, 8.8118883281841422e30),
-    (30.0, 8.8417619937397020e30),
-)
+from hadamard_bvp.selftest import GAMMA_REFS
 
 
 def test_reference_values():

@@ -35,20 +35,12 @@ from hadamard_bvp import (
 from hadamard_bvp import grid, kernel
 from hadamard_bvp.cli import main
 from hadamard_bvp.grid import _green_xy
-from hadamard_bvp.selftest import EX_A_REF
+from hadamard_bvp.selftest import EX_A_REF, random_params
 
 EX_A = validate(1.75, 0.5, 1.0, math.e)
 EX_B = validate(1.5, 0.25, 1.0, math.e)
 # Bench defect 5: kappa near sigma - 1 puts the left-edge maximum at x = 8.5e-5 L.
 DEFECT_5 = validate(1.2251193390645163, 0.18564107820557843, 0.22859266985750926, 0.6437148677146808)
-
-
-def _random_params(rng):
-    sigma = rng.uniform(1.05, 2.0)
-    kappa = rng.uniform(0.1, 0.9) * (sigma - 1.0)
-    t1 = rng.uniform(0.5, 2.0)
-    t2 = t1 * math.exp(rng.uniform(0.3, 1.5))
-    return validate(sigma, kappa, t1, t2)
 
 
 def test_green_point_values():
@@ -82,7 +74,7 @@ def test_domain_errors():
 def test_discriminant_two_forms_agree():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        p = _random_params(rng)
+        p = random_params(rng)
         a = p.sigma - 1.0
         form1 = discriminant(p)
         form2 = (p.L - p.kappa) ** 2 + 4.0 * a * a - 4.0 * a * p.kappa
@@ -93,7 +85,7 @@ def test_discriminant_two_forms_agree():
 def test_critical_root_location():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        p = _random_params(rng)
+        p = random_params(rng)
         x2 = critical_x2(p)
         assert 0.0 < x2 < p.L
         # Vieta: both root identities hold to near machine precision.
@@ -130,7 +122,7 @@ def test_omega_mho_consistency_with_profiles():
 def test_diagonal_continuity_and_sign_structure():
     rng = np.random.default_rng(13)
     for _ in range(20):
-        p = _random_params(rng)
+        p = random_params(rng)
         for frac in rng.uniform(0.001, 0.999, 50):
             t = p.t1 * math.exp(p.L * frac)
             assert abs(xi1(p, t, t) - xi2(p, t, t)) <= 1e-12
@@ -141,7 +133,7 @@ def test_diagonal_continuity_and_sign_structure():
 def test_monotonicity_in_s():
     rng = np.random.default_rng(14)
     for _ in range(20):
-        p = _random_params(rng)
+        p = random_params(rng)
         frac = rng.uniform(0.05, 0.95)
         t = p.t1 * math.exp(p.L * frac)
         up = np.sort(p.t1 * np.exp(p.L * rng.uniform(frac, 1.0, 25)))
@@ -155,7 +147,7 @@ def test_monotonicity_in_s():
 def test_bruteforce_matches_closed_form():
     rng = np.random.default_rng(15)
     for _ in range(10):
-        p = _random_params(rng)
+        p = random_params(rng)
         closed = green_max(p).max_abs_g
         brute, (t_at, s_at) = green_max_bruteforce(p, 400)
         assert abs(brute - closed) <= 1e-12 * closed
@@ -321,7 +313,7 @@ def _green_xy_reference(p, x, y):
 @pytest.mark.parametrize("shape", ["square", "grid-row", "single"])
 def test_green_xy_is_bit_identical_to_reference(shape):
     rng = np.random.default_rng(16)
-    for p in (EX_A, EX_B, *(_random_params(rng) for _ in range(8))):
+    for p in (EX_A, EX_B, *(random_params(rng) for _ in range(8))):
         u = np.linspace(0.0, p.L, 301)
         if shape == "square":  # includes the diagonal x == y
             x, y = u[:, None], u[None, :]

@@ -85,7 +85,7 @@ def test_frozen_fractional_values():
 def test_derivative_power_rule_sweep():
     # The difference-of-integral derivative needs a smooth integrand to hit
     # 1e-6; singular log-powers are exercised through the integral sweep and
-    # the inversion check of test_acceptance's criterion 6 instead.
+    # the selftest check operators.inversion instead.
     rng = np.random.default_rng(20260815)
     for _ in range(20):
         order = float(rng.uniform(0.05, 1.95))
