@@ -1,57 +1,12 @@
-"""The embedded checks, each run once; the checks that carry an acceptance
-criterion also meet its runtime budget.
-
-Run with `pytest tests/test_selftest.py -v -s` to see one
-`criterion N: PASS - ...` line per check that carries a criterion.
-"""
-
-import time
-
 import pytest
 
 from hadamard_bvp.selftest import SELFTEST_NAMES, run_selftests
 
-# The check(s) asserting each acceptance criterion: (criterion, budget in s).
-# Criterion 6 spans two checks, and its budget covers the two together.
-CRITERIA = {
-    "green.reference-max": (1, 1e-3),
-    "bounds.integral-verdicts": (2, 50e-3),
-    "bounds.eigen-thresholds": (3, 1e-3),
-    "green.bruteforce-agreement": (4, 60.0),
-    "fredholm.eigen-example": (5, 120.0),
-    "operators.power-rule": (6, 10.0),
-    "operators.inversion": (6, 10.0),
-    "bounds.kappa-limit": (7, 10e-3),
-    "green.kernel-structure": (8, 5.0),
-    "coefficient.parser": (9, 100e-3),
-}
-
-
-@pytest.fixture(scope="module")
-def spent():
-    """Seconds per criterion, summed over its checks run so far."""
-    return {}
-
-
-def _run(name):
-    start = time.perf_counter()
-    [result] = [r for r in run_selftests(name_filter=name) if r["name"] == name]
-    return result, time.perf_counter() - start
-
 
 @pytest.mark.parametrize("name", SELFTEST_NAMES)
-def test_embedded_check_passes(name, spent):
-    result, elapsed = _run(name)
+def test_embedded_check_passes(name):
+    [result] = [r for r in run_selftests(name_filter=name) if r["name"] == name]
     assert result["ok"], result["detail"]
-    if name not in CRITERIA:
-        return
-    num, budget = CRITERIA[name]
-    if budget <= 1e-3:  # the first run pays for imports and first calls
-        result, elapsed = _run(name)
-        assert result["ok"], result["detail"]
-    spent[num] = spent.get(num, 0.0) + elapsed
-    assert spent[num] < budget
-    print(f"criterion {num}: PASS - {name}: {result['detail']}, {elapsed * 1e3:.2f} ms")
 
 
 def test_check_list_is_pinned():
@@ -71,5 +26,3 @@ def test_check_list_is_pinned():
         "fredholm.eigen-example",
         "fredholm.residual-check",
     )
-    assert set(CRITERIA) <= set(SELFTEST_NAMES)
-    assert sorted({num for num, _ in CRITERIA.values()}) == list(range(1, 10))
