@@ -20,10 +20,11 @@ All output is deterministic for identical flags.  Reals in JSON and CSV are
 printed with 17 significant digits, which round-trips doubles exactly.  A
 result that is not finite is never printed: it exits 3 instead.
 
-numpy and the array modules (`grid`, `fredholm`, `selftest`) are imported
-only inside the commands that use them (`green grid`, `eigen` and
-`selftest`), so `bound`, `check`, `green eval` and `green max` start without
-loading numpy; no command loads scipy.  Likewise the expression parser
+The array modules (`fredholm`, `selftest`) are imported only inside the
+commands that use them (`eigen` and `selftest`), so every other command,
+`green grid` included, starts without loading numpy; no command loads
+scipy.  `green grid` evaluates G on floats (`_write_grid`), not through the
+array evaluation `grid._green_xy`.  Likewise the expression parser
 (`expression`) loads only for `check --q-expr`, and `csv` only for
 `check --q-table`.
 """
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import enum
-import json
 import math
 import sys
 
@@ -57,6 +57,15 @@ def _fmt_real(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# The escapes of json.dumps(text, ensure_ascii=False): a short one for the
+# quote, the backslash and five control characters, \u00xx for the other
+# code points below 0x20; everything else stays as it is.
+_JSON_ESCAPES = str.maketrans({
+    **{chr(c): f"\\u{c:04x}" for c in range(0x20)},
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f",
+})
+
+
 def _to_json(value) -> str:
     """Serialize with fixed float formatting (17 significant digits).
 
@@ -77,7 +86,7 @@ def _to_json(value) -> str:
         return _fmt_real(value)
     if value is None:
         return "null"
-    return json.dumps(str(value), ensure_ascii=False)
+    return '"' + str(value).translate(_JSON_ESCAPES) + '"'
 
 
 def _record(rec) -> dict:
@@ -150,6 +159,45 @@ def cmd_check(args) -> tuple[FracParams, dict]:
     return p, payload
 
 
+def _write_grid(p: FracParams, n: int, path: str) -> None:
+    """Write G on the n x n grid to ``path`` as CSV rows "t,s,G", t-major.
+
+    Both axes are numpy.linspace(0, L, n) in log coordinates, built as
+    ``bounds._scan_grid`` builds its grid.  Each value takes the operations
+    of ``grid._green_xy`` in its order, on floats:
+
+        ((x^a (L - y)^b) / L^a - (x - y)^b) / (t1 e^y Gamma(sigma - kappa)),
+
+    with (x - y)^b only below the diagonal, so the digits do not depend on
+    which SIMD kernels numpy would pick.  Raises NonFiniteResult before
+    writing a row that holds inf or nan; the rows before it stay written.
+    """
+    L, a, b, gsk = p.L, p.a, p.b, p.gamma_sk
+    step = L / (n - 1)
+    us = [i * step for i in range(n - 1)] + [L]
+    ts = [p.t1 * math.exp(u) for u in us]
+    if not math.isfinite(ts[-1]):
+        raise NonFiniteResult(f"the last grid point t1 e^L is not finite for t2={p.t2!r}")
+    La = L**a
+    D = [max(L - y, 0.0) ** b for y in us]
+    S = [t * gsk for t in ts]
+    # Each row "t,s_j,G\n" for all j is one %-template: the s columns and
+    # the %.17g slots (the same digits as _fmt_real) joined by the t text.
+    cols = [f",{_fmt_real(s)},%.17g\n" for s in ts]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,s,G\n")
+        for i, (x, t) in enumerate(zip(us, ts)):
+            A = x**a
+            row = [(A * d / La - (x - y) ** b) / s for y, d, s in zip(us[:i], D, S)]
+            row += [A * d / La / s for d, s in zip(D[i:], S[i:])]
+            t_text = _fmt_real(t)
+            # The sum is not finite when an entry is not, and otherwise only
+            # if it overflows; then the entries themselves decide.
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                raise NonFiniteResult(f"G is not finite on the grid row t = {t_text}")
+            fh.write((t_text + t_text.join(cols)) % tuple(row))
+
+
 def cmd_green(args) -> tuple[FracParams, dict]:
     p = _params_from(args)
     if args.green_cmd == "eval":
@@ -162,20 +210,7 @@ def cmd_green(args) -> tuple[FracParams, dict]:
             raise DomainInvalid(f"grid needs --n >= 2, got {args.n}")
         if args.n > GRID_MAX_N:
             raise ResourceLimit(f"grid --n {args.n} exceeds cap {GRID_MAX_N}")
-        import numpy as np
-
-        from .grid import _green_xy
-
-        us = np.linspace(0.0, p.L, args.n)
-        # Each row "t,s_j,G\n" for all j is one %-template: the s columns and
-        # the %.17g slots (the same digits as _fmt_real) joined by the t text.
-        cols = [f",{_fmt_real(p.t1 * math.exp(u))},%.17g\n" for u in us]
-        with open(args.out, "w", newline="") as fh:
-            fh.write("t,s,G\n")
-            for ui in us:
-                g_row = _green_xy(p, np.full(args.n, ui), us)
-                t_text = _fmt_real(p.t1 * math.exp(ui))
-                fh.write((t_text + t_text.join(cols)) % tuple(g_row.tolist()))
+        _write_grid(p, args.n, args.out)
         payload = {"path": args.out, "rows": args.n * args.n}
     return p, payload
 

@@ -1,11 +1,12 @@
 """Array evaluation of the Green's function and the brute-force max|G|.
 
 The closed forms of ``kernel`` are scalar; this module holds the numerics
-that need arrays: ``_green_xy``, G on log-coordinate arrays (also the row
-writer of ``hbvp green grid``), and ``green_max_bruteforce``, which
-recomputes max|G| by direct search so that the closed forms are testable
-against an independent route.  The package loads it on first use, so the
-scalar commands never import numpy.
+that need arrays: ``_green_xy``, G on log-coordinate arrays, and
+``green_max_bruteforce``, which recomputes max|G| by direct search so that
+the closed forms are testable against an independent route.  The package
+loads it on first use, and of the ``hbvp`` commands only ``selftest`` does:
+``hbvp green grid`` writes its CSV with the operations of ``_green_xy`` on
+floats (``cli._write_grid``).
 
 The search of the grid uses the kernel's structure: above the diagonal G is
 rank one in (x, y), and below it a branch and bound over tiles evaluates
@@ -58,7 +59,8 @@ def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Computes (x^a (L - y)^b / L^a - max(x - y, 0)^b) / (s Gamma(sigma - kappa))
     in two result-sized buffers; the power of x - y runs only below the
-    diagonal, where it is nonzero.
+    diagonal, where it is nonzero.  The brute-force zoom is its caller;
+    ``cli._write_grid`` repeats these operations, in this order, on floats.
     """
     scale = p.t1 * np.exp(y) * p.gamma_sk
     g = np.power(x, p.a) * np.power(np.maximum(p.L - y, 0.0), p.b)

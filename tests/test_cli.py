@@ -2,15 +2,18 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from hadamard_bvp import __version__
+from hadamard_bvp import __version__, validate
 from hadamard_bvp.errors import NonFiniteResult
 from hadamard_bvp.cli import GRID_MAX_N, _build_parser, _to_json, main
+from hadamard_bvp.grid import _green_xy
 from hadamard_bvp.selftest import EX_A_REF
 
 E_STR = "2.718281828459045"
@@ -117,9 +120,12 @@ def test_green_grid(tmp_path, capsys):
     assert max(g for _, _, g in values) > 0.3
 
 
-# SHA-256 of `green grid --n 64` for the paper's example, as written before
-# the kernel was evaluated in place; any change to a digit of G shows here.
-GRID_64_SHA256 = "c194ca3b56819aef980d2ca199f475a3d8c876cf982ce03f02df0b3ef896c463"
+# SHA-256 of `green grid --n 64` for the paper's example; any change to a
+# digit of G shows here.  It is what the numpy evaluation wrote with numpy's
+# AVX-512 kernels switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR"); the grid is now evaluated on floats, so it no longer depends
+# on the CPU's SIMD features.
+GRID_64_SHA256 = "ef6922068e9beb4a6110a882e6c59ba3f9018d81a00f11f7decbeb8ceab22811"
 
 
 def test_green_grid_bytes_are_frozen(tmp_path, capsys):
@@ -129,7 +135,63 @@ def test_green_grid_bytes_are_frozen(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GRID_64_SHA256
 
 
-# SHA-256 of `eigen --json --n 400` stdout for the paper's example.
+@pytest.mark.parametrize("seed, width", [(0, 1e-9), (1, 50.0), (2, 0.3), (3, 4.0)])
+def test_green_grid_rows_match_the_array_evaluation(tmp_path, capsys, seed, width):
+    # The CSV (floats) and the brute-force zoom (grid._green_xy, arrays)
+    # evaluate G by separate code; on one grid they agree to rounding.
+    # width = ln(t2/t1): 1e-9 and 50 are the narrow and the wide interval.
+    rng = random.Random(seed)
+    sigma = rng.uniform(1.02, 2.0)
+    kappa = (sigma - 1.0) * rng.uniform(0.02, 0.98)
+    t1 = 10.0 ** rng.uniform(-3.0, 3.0)
+    p = validate(sigma, kappa, t1, t1 * math.exp(width))
+    n = 40
+    out_path = tmp_path / "grid.csv"
+    argv = ["green", "grid", "--sigma", repr(p.sigma), "--kappa", repr(p.kappa),
+            "--t1", repr(p.t1), "--t2", repr(p.t2), "--n", str(n), "--out", str(out_path)]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    lines = out_path.read_text().splitlines()[1:]
+    written = np.array([float(line.split(",")[2]) for line in lines]).reshape(n, n)
+    us = np.linspace(0.0, p.L, n)
+    expected = _green_xy(p, us[:, None], us[None, :])
+    scale = np.max(np.abs(expected))
+    assert scale > 0.0
+    assert np.max(np.abs(written - expected)) <= 1e-13 * scale
+
+
+def test_green_grid_never_writes_a_non_finite_value(tmp_path, capsys):
+    # On [1e-310, 2e-310] |G| exceeds the float range inside the square, as
+    # `green max` and `green eval` there report with exit 3.
+    out_path = tmp_path / "grid.csv"
+    argv = ["green", "grid", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1e-310",
+            "--t2", "2e-310", "--n", "4", "--out", str(out_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "G is not finite" in err
+    values = [float(v) for line in out_path.read_text().splitlines()[1:] for v in line.split(",")]
+    assert values and all(map(math.isfinite, values))
+
+
+def test_green_grid_rejects_a_last_point_beyond_the_float_range(tmp_path, capsys):
+    # t2 is the largest float and t1 e^L rounds above it, so the last t and
+    # s would print as inf; nothing is written.
+    out_path = tmp_path / "grid.csv"
+    argv = ["green", "grid", "--sigma", "1.75", "--kappa", "0.5", "--t1", "6.864336754504866e+107",
+            "--t2", "1.7976931348623157e+308", "--n", "3", "--out", str(out_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+    assert not out_path.exists()
+
+
+# SHA-256 of `eigen --json --n 400` stdout for the paper's example.  The
+# Nystrom matrix and the Arnoldi solve go through numpy's SIMD kernels, so
+# this digest holds only where numpy dispatches the same ones: with its
+# AVX-512 kernels switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR") the output differs and the test fails.
 EIGEN_400_SHA256 = "f657a9f524f668da84f3d64776ba906d81894af07568cf316a27f5770519b897"
 
 
@@ -344,6 +406,15 @@ def test_to_json_escapes_strings():
     assert "é" in out  # not escaped to \u00e9
 
 
+def test_to_json_strings_match_json_dumps():
+    samples = [chr(c) for c in range(0x80)] + [
+        "é", "\x80\x9f\xa0", "中文", "\u2028\u2029", "\U0001f600", "\ud800",
+        'tab\tquote"back\\slash\x00\x1f\x7f é',
+    ]
+    for text in samples:
+        assert _to_json(text) == json.dumps(text, ensure_ascii=False), repr(text)
+
+
 def test_division_by_zero_in_expression(capsys):
     # The scan grid hits t = 2 exactly; the evaluator sees a plain float zero.
     argv = ["check", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", "3",
@@ -476,6 +547,23 @@ def test_eigen_loads_no_scipy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({['eigen', *PP_A, '--n', '64', '--json']!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_green_grid_loads_no_numpy(tmp_path):
+    # The grid is evaluated on floats; `grid._green_xy` is left to the
+    # brute-force search, which only selftest runs.
+    argv = ["green", "grid", *PP_A, "--n", "8", "--out", str(tmp_path / "grid.csv")]
+    code = (
+        "import contextlib, io, sys\n"
+        "from hadamard_bvp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        + _LOADED_ARRAY_MODULES
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -242,7 +242,9 @@ def test_table_range_error_propagates():
 
 # SHA-256 over the operators' reprs and the Nystrom matrix bytes, as
 # computed before the product-integration weights were cached; any change
-# to a bit of the core's output shows here.
+# to a bit of the core's output shows here.  The bits depend on numpy's SIMD
+# dispatch: with its AVX-512 kernels switched off
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") the test fails.
 OPERATORS_SHA256 = "ea08ae88e2e908bdc9a74472e280acce9595a20fb15f3c16e38cd8f9a8b31881"
 
 

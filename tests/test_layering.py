@@ -1,7 +1,7 @@
 """Which modules load numpy is decided by the module graph, not inside
 function bodies: the scalar modules never import it, the array modules
-import it once at the top, and the CLI imports the array modules (and numpy)
-only inside the commands that need them.  The expression parser is a scalar
+import it once at the top, and the CLI imports only `fredholm` and
+`selftest`, only inside the commands that need them (never numpy or `grid`).  The expression parser is a scalar
 module that, like the array modules, loads only on first use."""
 
 import ast
@@ -72,7 +72,7 @@ def test_cli_imports_array_modules_only_in_commands():
     imports = _imports(_tree("cli"))
     assert [module for module, nested in imports if module in LOADS_NUMPY and not nested] == []
     nested_imports = {module for module, nested in imports if nested}
-    assert nested_imports >= {"numpy", "grid", "fredholm", "selftest"}
+    assert nested_imports & LOADS_NUMPY == {"fredholm", "selftest"}
 
 
 def test_lazy_modules_are_the_deferred_ones():
