@@ -226,6 +226,8 @@ def cmd_selftest(args) -> tuple[None, dict]:
     from .selftest import run_selftests
 
     results = run_selftests(name_filter=args.filter)
+    if not results:
+        raise DomainInvalid(f"no selftest check name contains --filter {args.filter!r}")
     payload = {
         "total": len(results),
         "passed": sum(1 for r in results if r["ok"]),

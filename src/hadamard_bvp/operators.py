@@ -14,10 +14,9 @@ panels on [0, U], uniform but for the first, which is cut geometrically
 toward u = 0, and ``_product_weights`` gives R[i][j] = integral_0^{u_i}
 (u_i - y)^b l_j(y) dy for the Lagrange basis l_j of node j's panel.  The
 integral at t is R's last row for b = a - 1, dotted with f at the interior
-nodes.  The one mesh setting is ``panels`` (default 64, at most
-``MAX_PANELS``): that many panels of Gauss order ``PANEL_ORDER`` = 8, about
-half of them graded at ratio 0.25, but only as many graded panels (and,
-below U of about 1e-12, panels) as keep the innermost node above about
+nodes.  The mesh is ``PANELS`` = 64 panels of Gauss order ``PANEL_ORDER`` =
+8, about half of them graded at ratio 0.25, but only as many graded panels
+(and, below U of about 1e-12, panels) as keep the innermost node above about
 3e-16, so that t1 * e^u stays strictly above t1 and f is never evaluated at
 the singular endpoint itself.
 
@@ -42,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficient import all_finite, as_callable
-from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure, ResourceLimit
+from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure
 from .gammafn import gamma, reciprocal_gamma
 from .params import log_ratio
 
@@ -57,12 +56,10 @@ __all__ = [
 # Gauss-Legendre order of every product-integration panel, here and in the
 # Nystrom matrix of ``fredholm``.
 PANEL_ORDER = 8
+# Panels of the operators' mesh on [0, U].
+PANELS = 64
 # Width ratio of the operators' geometric panels toward u = 0.
 _GRADING = 0.25
-# Largest accepted ``panels``: 8 * 500 + 2 = 4002 nodes, the scale of the
-# Nystrom matrix cap, since ``composition_check`` builds a square matrix of
-# that many rows.
-MAX_PANELS = 500
 
 
 class OperatorKind(enum.Enum):
@@ -220,28 +217,13 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
     return r
 
 
-def _check_panels(panels: int) -> None:
-    """Raise DomainInvalid unless ``panels`` is an integer >= 1, and
-    ResourceLimit above ``MAX_PANELS``.
-
-    ``hadamard_integral`` (and with it ``hadamard_derivative``) and
-    ``composition_check`` call this before their order-0 and t = t1
-    shortcuts, so a bad value fails on every path while the shortcuts still
-    build no mesh.
-    """
-    if not (isinstance(panels, int) and panels >= 1):
-        raise DomainInvalid(f"panels must be an integer >= 1, got {panels!r}")
-    if panels > MAX_PANELS:
-        raise ResourceLimit(f"panels={panels} exceeds cap {MAX_PANELS}")
-
-
-def _config_mesh(panels: int, length: float) -> _Mesh:
-    """``panels`` panels on [0, length], with fewer graded panels (and on
+def _config_mesh(length: float) -> _Mesh:
+    """``PANELS`` panels on [0, length], with fewer graded panels (and on
     intervals below about 1e-12 fewer panels) where needed to keep the
     innermost node above about 3e-16."""
     xg, _ = _gauss_legendre(PANEL_ORDER)
     floor = 3e-16 / ((1.0 - float(xg[-1])) / 2.0)
-    panels = max(1, int(min(panels, length / floor)))
+    panels = max(1, int(min(PANELS, length / floor)))
     graded = panels // 2
     while graded and length / (panels - graded) * _GRADING**graded < floor:
         graded -= 1
@@ -274,11 +256,11 @@ def _integral_at_end(m: _Mesh, order: float, values) -> float:
     return total / gamma(order)
 
 
-def _integral(order: float, fe, t1: float, U: float, panels: int) -> float:
+def _integral(order: float, fe, t1: float, U: float) -> float:
     """The integral of order > 0 at u = U >= 0, from checked arguments."""
     if U == 0.0:
         return 0.0
-    m = _config_mesh(panels, U)
+    m = _config_mesh(U)
     return _integral_at_end(m, order, _eval_f(fe, t1, m.u[1:-1].tolist()))
 
 
@@ -288,25 +270,24 @@ def _log_span(t1: float, t: float) -> float:
     return log_ratio(t, t1)
 
 
-def hadamard_integral(order: float, f, t1: float, t: float, panels: int = 64) -> float:
+def hadamard_integral(order: float, f, t1: float, t: float) -> float:
     """Hadamard fractional integral of `f` of the given order, from t1 to t.
 
     Order 0 is the identity (returns f(t), checked like the values at the
     quadrature nodes).  For order > 0 the value is
     (1/Gamma(order)) * integral_{t1}^{t} (ln(t/s))^(order-1) f(s)/s ds,
-    computed on ``panels`` order-8 panels (module docstring).
+    computed on ``PANELS`` order-8 panels (module docstring).
     """
     if not (math.isfinite(order) and order >= 0.0):
         raise DomainInvalid(f"integral order must be >= 0, got {order!r}")
-    _check_panels(panels)
     U = _log_span(t1, t)
     fe = as_callable(f)
     if order == 0.0:
         return _finite([fe(t)])[0]
-    return _integral(order, fe, t1, U, panels)
+    return _integral(order, fe, t1, U)
 
 
-def hadamard_derivative(order: float, f, t1: float, t: float, panels: int = 64) -> float:
+def hadamard_derivative(order: float, f, t1: float, t: float) -> float:
     """Hadamard fractional derivative of order in (0, 2] at an interior t.
 
     The stencil differences the (n - order)-order integral at u = x0 +- h
@@ -319,7 +300,6 @@ def hadamard_derivative(order: float, f, t1: float, t: float, panels: int = 64) 
         raise DomainInvalid(f"derivative order must lie in (0, 2], got {order!r}")
     if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 < t):
         raise DomainInvalid(f"need 0 < t1 < t, got t1={t1!r}, t={t!r}")
-    _check_panels(panels)
     n = math.ceil(order)
     inner = n - order
     fe = as_callable(f)
@@ -327,7 +307,7 @@ def hadamard_derivative(order: float, f, t1: float, t: float, panels: int = 64) 
     def G(x: float) -> float:
         if inner == 0.0:
             return _finite([fe(t1 * math.exp(x))])[0]
-        return _integral(inner, fe, t1, x, panels)
+        return _integral(inner, fe, t1, x)
 
     x0 = log_ratio(t, t1)
     h = 1e-4 * x0
@@ -380,9 +360,7 @@ def power_rule_reference(
     return coef * X**power
 
 
-def composition_check(
-    sigma: float, kappa: float, f, t1: float, t: float, panels: int = 64
-) -> tuple[float, float]:
+def composition_check(sigma: float, kappa: float, f, t1: float, t: float) -> tuple[float, float]:
     """Return (I^sigma (I^kappa f)(t), I^(sigma+kappa) f(t)) for comparison.
 
     The two components agree up to quadrature error when the semigroup
@@ -390,12 +368,11 @@ def composition_check(
     """
     if not (math.isfinite(sigma) and sigma > 0.0 and math.isfinite(kappa) and kappa > 0.0):
         raise DomainInvalid(f"orders must be > 0, got sigma={sigma!r}, kappa={kappa!r}")
-    _check_panels(panels)
     U = _log_span(t1, t)
     fe = as_callable(f)
     if U == 0.0:
         return 0.0, 0.0
-    m = _config_mesh(panels, U)
+    m = _config_mesh(U)
     interior = np.arange(1, len(m.u) - 1)
     fv = np.array(_eval_f(fe, t1, m.u[interior].tolist()))
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.

@@ -446,6 +446,14 @@ def test_selftest_filter(capsys):
     assert all("green" in c["name"] for c in obj["payload"]["checks"])
 
 
+def test_selftest_filter_matching_nothing_is_a_usage_error(capsys):
+    # A misspelt filter would otherwise run no check and pass.
+    code, out, err = run(["selftest", "--filter", "nosuch"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'nosuch'" in err
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(["green", "max", *PP_A, "--json"], capsys)
     _, second, _ = run(["green", "max", *PP_A, "--json"], capsys)
@@ -554,23 +562,6 @@ def test_eigen_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_green_grid_loads_no_numpy(tmp_path):
-    # The grid is evaluated on floats; `grid._green_xy` is left to the
-    # brute-force search, which only selftest runs.
-    argv = ["green", "grid", *PP_A, "--n", "8", "--out", str(tmp_path / "grid.csv")]
-    code = (
-        "import contextlib, io, sys\n"
-        "from hadamard_bvp.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        + _LOADED_ARRAY_MODULES
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -580,13 +571,20 @@ def test_green_grid_loads_no_numpy(tmp_path):
         ["check", "--q-table", "{table}"],
         ["green", "eval", "--t", "1.5", "--s", "2"],
         ["green", "max"],
+        ["green", "grid", "--n", "8", "--out", "{out}"],
     ],
-    ids=["bound", "check-expr", "check-const", "check-table", "green-eval", "green-max"],
+    ids=[
+        "bound", "check-expr", "check-const", "check-table", "green-eval", "green-max",
+        "green-grid",
+    ],
 )
 def test_scalar_commands_load_no_numpy(argv, tmp_path):
+    # `green grid` evaluates G on floats; `grid._green_xy` is left to the
+    # brute-force search, which only selftest runs.
     table = tmp_path / "q.csv"
     table.write_text(f"t,q\n1.0,-0.5\n{E_STR},1.5\n")
-    argv = [arg.format(table=table) for arg in argv]
+    grid_csv = tmp_path / "grid.csv"
+    argv = [arg.format(table=table, out=grid_csv) for arg in argv]
     code = (
         "import contextlib, io, sys\n"
         "from hadamard_bvp.cli import main\n"

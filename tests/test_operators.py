@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hadamard_bvp import (
     EvalError,
     OperatorKind,
     QuadratureFailure,
-    ResourceLimit,
     composition_check,
     hadamard_derivative,
     hadamard_integral,
@@ -20,8 +18,8 @@ from hadamard_bvp import (
 )
 from hadamard_bvp.bounds import _scan_grid
 from hadamard_bvp.operators import (
-    MAX_PANELS,
     PANEL_ORDER,
+    PANELS,
     _adjacent_rule,
     _gauss_jacobi,
     _gauss_legendre,
@@ -118,16 +116,6 @@ def test_second_difference_stencil_stays_in_log_coordinates():
     assert np.quantile(errors, 0.9) <= 7e-7
 
 
-def test_refinement_improves_accuracy():
-    f = lambda s: math.sqrt(math.log(s))
-    coarse = hadamard_integral(0.5, f, 1.0, 2.0, panels=8)
-    fine = hadamard_integral(0.5, f, 1.0, 2.0, panels=16)
-    e_coarse = abs(coarse - I_HALF_SQRTLOG_AT_2)
-    e_fine = abs(fine - I_HALF_SQRTLOG_AT_2)
-    assert e_fine < e_coarse
-    assert e_coarse / e_fine >= 2.0
-
-
 def test_integer_order_derivatives():
     got = hadamard_derivative(1.0, lambda s: math.log(s), 1.0, 2.0)
     assert abs(got - 1.0) <= 1e-9
@@ -162,12 +150,12 @@ def test_power_rule_validation():
 
 def test_semigroup_composition():
     f = lambda s: math.log(s) ** 1.5
-    nested, direct = composition_check(0.5, 0.75, f, 1.0, 2.0, panels=12)
+    nested, direct = composition_check(0.5, 0.75, f, 1.0, 2.0)
     assert abs(nested - direct) <= 1e-6
     ref = power_rule_reference(OperatorKind.Integral, 1.25, 2.5, 1.0, 2.0)
     assert abs(direct - ref) <= 1e-6
     with pytest.raises(DomainInvalid):
-        composition_check(0.0, 0.75, f, 1.0, 2.0, panels=12)
+        composition_check(0.0, 0.75, f, 1.0, 2.0)
 
 
 def test_rapid_oscillation_detected_as_unstable():
@@ -236,36 +224,6 @@ def test_node_rounding_onto_t1_is_a_quadrature_failure(U):
         composition_check(0.7, 0.5, f, 3.0, t)
 
 
-@pytest.mark.parametrize(
-    "panels, error", [(0, DomainInvalid), (2.5, DomainInvalid), (MAX_PANELS + 1, ResourceLimit)]
-)
-def test_panels_validation(panels, error):
-    # Every path checks the panel count, the order-0 and t = t1 shortcuts too.
-    f = lambda s: 1.0
-    calls = (
-        lambda: hadamard_integral(0.5, f, 1.0, 2.0, panels),
-        lambda: hadamard_integral(0.0, f, 1.0, 2.0, panels),
-        lambda: hadamard_integral(0.5, f, 2.0, 2.0, panels),
-        lambda: hadamard_derivative(0.5, f, 1.0, 2.0, panels),
-        lambda: hadamard_derivative(1.0, f, 1.0, 2.0, panels),
-        lambda: composition_check(0.5, 0.75, f, 1.0, 2.0, panels),
-        lambda: composition_check(0.5, 0.75, f, 2.0, 2.0, panels),
-    )
-    for call in calls:
-        with pytest.raises(error):
-            call()
-
-
-def test_huge_panel_count_fails_before_allocating():
-    # 10**9 panels would ask composition_check for an 8e9 x 8e9 matrix.
-    calls = []
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimit):
-        composition_check(0.5, 0.75, lambda s: calls.append(s) or 1.0, 1.0, math.e, panels=10**9)
-    assert time.perf_counter() - start < 0.05
-    assert calls == []
-
-
 def test_argument_validation():
     with pytest.raises(DomainInvalid):
         hadamard_integral(-0.5, lambda s: 1.0, 1.0, 2.0)
@@ -312,7 +270,7 @@ def test_integral_matches_exact_references(order, U):
 def test_composition_evaluates_f_once_per_node():
     calls = []
     composition_check(0.75, 0.5, lambda s: calls.append(s) or math.sqrt(math.log(s)), 1.0, math.e)
-    assert len(calls) <= 64 * PANEL_ORDER + 2  # the default 64 panels
+    assert len(calls) <= PANELS * PANEL_ORDER + 2
 
 
 def test_composition_nested_side_meets_power_rule():

@@ -1,5 +1,6 @@
 import pytest
 
+from hadamard_bvp import operators
 from hadamard_bvp.selftest import SELFTEST_NAMES, run_selftests
 
 
@@ -26,3 +27,14 @@ def test_check_list_is_pinned():
         "fredholm.eigen-example",
         "fredholm.residual-check",
     )
+
+
+def test_inversion_check_builds_one_mesh_per_stencil_point(monkeypatch):
+    # Four points, each differenced over at most six stencil points, and
+    # each stencil point's nested integral I^(n-a) I^a f on one mesh.
+    built = []
+    config_mesh = operators._config_mesh
+    monkeypatch.setattr(operators, "_config_mesh", lambda *a: built.append(a) or config_mesh(*a))
+    [result] = run_selftests(name_filter="operators.inversion")
+    assert result["ok"], result["detail"]
+    assert len(built) <= 4 * 6

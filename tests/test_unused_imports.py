@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used, or re-exported in
-``__all__``.  A stand-in for a linter's unused-import rule, with no linter
-dependency."""
+"""Every name a module of the package or of its tests imports is used, or
+re-exported in ``__all__``.  A stand-in for a linter's unused-import rule,
+with no linter dependency."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 import hadamard_bvp
 
 MODULES = sorted(Path(hadamard_bvp.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -27,7 +28,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
