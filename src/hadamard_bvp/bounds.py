@@ -184,13 +184,16 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         raise DomainInvalid(f"tolerance must be positive, got {tol!r}")
     if isinstance(q, Table):
         return q.abs_integral(t1, t2)
-    qf = as_callable(q)
-
-    def checked(t: float) -> float:
-        value = qf(t)
-        if not all_finite((value,)):
-            raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
-        return value
+    qf = checked = as_callable(q)
+    # eval_coefficient already rejects a Coefficient's value that is not
+    # finite (EvalError), so only a plain callable's values are checked here.
+    plain = not isinstance(q, Coefficient)
+    if plain:
+        def checked(t: float) -> float:
+            value = qf(t)
+            if not all_finite((value,)):
+                raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
+            return value
 
     def absq(t: float) -> float:
         return abs(checked(t))
@@ -203,7 +206,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     # Locate kinks of |q|: sign changes of q on a fixed scan grid.
     scan = _scan_grid(t1, t2)
     scan_vals = [qf(t) for t in scan]
-    if not all_finite(scan_vals):
+    if plain and not all_finite(scan_vals):
         raise QuadratureFailure("coefficient not finite on the scan grid")
     breakpoints = [t1]
     for left, right, f_left, f_right in zip(scan, scan[1:], scan_vals, scan_vals[1:]):

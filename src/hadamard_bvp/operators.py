@@ -24,7 +24,8 @@ Only R's row-dependent part is formed per call.  Cached, as read-only
 arrays, are the mesh layout per tuple of panel orders (``_layout``), the
 own-panel weights per (panel order, b) at every reference position a node
 can take (``_own_rule``), the adjacent-panel rule per panel order and the
-Gauss rules; R is bit-identical to forming all of them afresh.
+Gauss-Legendre rules, which are literals (``_GAUSS_LEGENDRE``) rather than
+numpy calls; R is bit-identical to forming all of them afresh.
 
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
@@ -74,9 +75,64 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=64)
+# The Gauss-Legendre rule (nodes, weights) of every panel order a mesh can
+# have, written out as literals (equal, bit for bit, to
+# ``numpy.polynomial.legendre.leggauss(order)``), so that no caller loads
+# ``numpy.polynomial``: ``fredholm`` uses order ``PANEL_ORDER`` and, on one
+# panel, any lower order.
+_GAUSS_LEGENDRE = {
+    1: (
+        (0.0,),
+        (2.0,),
+    ),
+    2: (
+        (-0.5773502691896257, 0.5773502691896257),
+        (1.0, 1.0),
+    ),
+    3: (
+        (-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557),
+    ),
+    4: (
+        (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
+         0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464,
+         0.34785484513745357),
+    ),
+    5: (
+        (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+         0.906179845938664),
+        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+         0.4786286704993663, 0.23692688505618928),
+    ),
+    6: (
+        (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+         0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+         0.46791393457269104, 0.3607615730481387, 0.17132449237917027),
+    ),
+    7: (
+        (-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+         0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+        (0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+         0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+         0.12948496616886973),
+    ),
+    8: (
+        (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+         -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+         0.7966664774136267, 0.9602898564975362),
+        (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+         0.22238103445337443, 0.10122853629037706),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(*np.polynomial.legendre.leggauss(order))
+    """The order-``order`` rule of ``_GAUSS_LEGENDRE`` as read-only arrays."""
+    return _read_only(*map(np.array, _GAUSS_LEGENDRE[order]))
 
 
 def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -311,11 +367,12 @@ def hadamard_derivative(order: float, f, t1: float, t: float) -> float:
 
     x0 = log_ratio(t, t1)
     h = 1e-4 * x0
+    g0 = G(x0) if n == 2 else None  # shared by both second differences
 
     def delta_n(step: float) -> float:
         if n == 1:
             return (G(x0 + step) - G(x0 - step)) / (2.0 * step)
-        return (G(x0 + step) - 2.0 * G(x0) + G(x0 - step)) / (step * step)
+        return (G(x0 + step) - 2.0 * g0 + G(x0 - step)) / (step * step)
 
     d_h = delta_n(h)
     d_h2 = delta_n(0.5 * h)

@@ -28,6 +28,7 @@ from hadamard_bvp import (
 )
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
 from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
+from hadamard_bvp.operators import _GAUSS_LEGENDRE, PANEL_ORDER
 from hadamard_bvp.selftest import EX_A_REF, EX_B_REF, random_params
 
 EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
@@ -148,12 +149,19 @@ def test_integral_of_sign_flipping_line():
     assert abs(got - exact) <= 1e-9
 
 
-def test_panel_rule_is_leggauss_15():
-    # The rule is written out as literals so that bounds needs no numpy.
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    assert _GL_NODES == tuple(nodes.tolist())
-    assert _GL_WEIGHTS == tuple(weights.tolist())
-    assert all(type(v) is float for v in _GL_NODES + _GL_WEIGHTS)
+@pytest.mark.parametrize(
+    "order, rule",
+    [(15, (_GL_NODES, _GL_WEIGHTS)), *_GAUSS_LEGENDRE.items()],
+    ids=["bounds-15", *(f"operators-{k}" for k in _GAUSS_LEGENDRE)],
+)
+def test_panel_rule_is_leggauss(order, rule):
+    # Every Gauss-Legendre rule of the package is written out as literals,
+    # so that bounds needs no numpy and the operators no numpy.polynomial.
+    # The operators' table holds every panel order a mesh can have.
+    assert list(_GAUSS_LEGENDRE) == list(range(1, PANEL_ORDER + 1))
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    assert rule == (tuple(nodes.tolist()), tuple(weights.tolist()))
+    assert all(type(v) is float for v in rule[0] + rule[1])
 
 
 @pytest.mark.parametrize("t1", [1e-3, 0.37, 1.0, 2.5, 1e4])

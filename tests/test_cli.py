@@ -548,13 +548,16 @@ def test_sign_change_below_one_ulp_terminates():
 
 def test_eigen_loads_no_scipy():
     # The Gauss-Jacobi rules of the Nystrom near field and the Arnoldi
-    # eigensolver are built with numpy alone.
+    # eigensolver are built with numpy alone, and the Gauss-Legendre rules
+    # of the Nystrom matrix and the operators are literals.
     code = (
         "import contextlib, io, sys\n"
+        "from hadamard_bvp import hadamard_integral\n"
         "from hadamard_bvp.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({['eigen', *PP_A, '--n', '64', '--json']!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "hadamard_integral(0.6, lambda s: s, 1.0, 2.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -30,11 +30,13 @@ def test_check_list_is_pinned():
 
 
 def test_inversion_check_builds_one_mesh_per_stencil_point(monkeypatch):
-    # Four points, each differenced over at most six stencil points, and
-    # each stencil point's nested integral I^(n-a) I^a f on one mesh.
+    # Two functions at two orders a, each differenced at n = ceil(a) over
+    # four stencil points (n = 1) or five (n = 2, the centre shared by both
+    # steps), and each stencil point's nested integral I^(n-a) I^a f on one
+    # mesh: 2 * (4 + 5) meshes.
     built = []
     config_mesh = operators._config_mesh
     monkeypatch.setattr(operators, "_config_mesh", lambda *a: built.append(a) or config_mesh(*a))
     [result] = run_selftests(name_filter="operators.inversion")
     assert result["ok"], result["detail"]
-    assert len(built) <= 4 * 6
+    assert len(built) <= 18
