@@ -1,6 +1,7 @@
-import sys
+"""``python -m hadamard_bvp``: the `hbvp` command line, entered through
+`cli.run`, which ends the process without interpreter teardown."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -27,6 +27,11 @@ scipy.  `green grid` evaluates G on floats (`_write_grid`), not through the
 array evaluation `grid._green_xy`.  Likewise the expression parser
 (`expression`) loads only for `check --q-expr`, and `csv` only for
 `check --q-table`.
+
+`run` is the process entry point of `hbvp` and `python -m hadamard_bvp`: it
+calls `main` and ends the process with `os._exit`, skipping atexit hooks and
+interpreter teardown.  `main` itself never ends the process, so tests and
+benchmarks call it in-process.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import enum
 import math
+import os
 import sys
 
 from . import __version__
@@ -43,7 +49,7 @@ from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLi
 from .kernel import green_eval, green_max
 from .params import FracParams, validate
 
-__all__ = ["main", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
+__all__ = ["main", "run", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
 
 _USAGE_ERROR = 2
 _BOUND_VIOLATION = 4
@@ -333,3 +339,26 @@ def main(argv=None) -> int:
 
     print(_render(args.command, p, payload, args.json))
     return exit_code
+
+
+def run() -> None:
+    """Run `main` on ``sys.argv`` and end the process with its exit code.
+
+    After `main` returns, stdout and stderr are flushed and the process ends
+    through `os._exit`: atexit hooks, the last garbage collection and module
+    teardown are skipped, as nothing the commands leave behind needs them.
+    That holds by one invariant: a command closes every file it writes
+    before `main` returns (`green grid` and `load_table` use `with`).
+
+    A reader that closes stdout early (``hbvp ... | head``) ends the process
+    with exit code 1 and nothing on stderr.  A usage error (argparse's
+    SystemExit) and an uncaught exception leave through the normal exit.
+    """
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)

@@ -10,7 +10,7 @@ on a mesh graded at ratio 0.5 instead of 0.2, where n = 1000 to 4000 agree
 to 5e-15 relative.  The tests import the same reference tables.
 
 The checks also carry the acceptance criteria of the paper's results, each
-written here once: ``tests/test_selftest.py`` maps each criterion to its
+written here once: ``tests/test_acceptance.py`` maps each criterion to its
 check(s) and asserts the criterion's runtime budget.
 """
 

@@ -1,7 +1,13 @@
 import argparse
+import ast
+import functools
 import hashlib
+import importlib
+import inspect
 import json
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -599,3 +605,100 @@ def test_scalar_commands_load_no_numpy(argv, tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def _table_100(tmp_path):
+    # 100 knots on [1, e], the last one on t2 itself.
+    path = tmp_path / "q100.csv"
+    ts = [1.0 + (math.e - 1.0) * i / 99 for i in range(99)] + [math.e]
+    path.write_text("t,q\n" + "".join(f"{t!r},{math.sin(3 * t) + 0.2!r}\n" for t in ts))
+    return path
+
+
+PROCESS_ARGV = {
+    "bound": ["bound", *PP_A],
+    "check-const": ["check", *PP_A, "--q-const", "0.5", "--json"],
+    "check-expr": ["check", *PP_A, "--q-expr", "0.37*sin(4.1*t)+0.05*t"],
+    "check-table": ["check", *PP_A, "--q-table", "TABLE", "--json"],
+    "green-eval": ["green", "eval", *PP_A, "--t", "1.5", "--s", "2", "--json"],
+    "green-max": ["green", "max", *PP_A],
+    "green-grid": ["green", "grid", *PP_A, "--n", "64", "--out", "GRID", "--json"],
+    "eigen": ["eigen", *PP_A, "--n", "64", "--json"],
+    "selftest": ["selftest", "--filter", "gamma"],
+    "exit-2": ["bound", "--sigma", "3", "--kappa", "0.5", "--t1", "1", "--t2", "2"],
+    "exit-3": ["check", *PP_A, "--q-expr", "ln(t-3)"],
+    "exit-4": ["eigen", "--sigma", "1.8", "--kappa", "0.3", "--t1", "1", "--t2", "8",
+               "--n", "64", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", list(PROCESS_ARGV))
+def test_process_entry_matches_main(tmp_path, capsys, name):
+    # `python -m hadamard_bvp` ends through cli.run; its stdout bytes, stderr
+    # and exit code are those of main called in-process.
+    grid_csv = tmp_path / "grid.csv"
+    paths = {"TABLE": str(_table_100(tmp_path)), "GRID": str(grid_csv)}
+    argv = [paths.get(arg, arg) for arg in PROCESS_ARGV[name]]
+    code, out, err = run(argv, capsys)
+    grid_csv.unlink(missing_ok=True)  # the child writes its own grid
+    done = subprocess.run(
+        [sys.executable, "-m", "hadamard_bvp", *argv], capture_output=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    if name == "green-grid":
+        assert hashlib.sha256(grid_csv.read_bytes()).hexdigest() == GRID_64_SHA256
+    assert code == {"exit-2": 2, "exit-3": 3, "exit-4": 4}.get(name, 0)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["bound", *PP_A], ["selftest", "--filter", "gamma"]],
+                         ids=["bound", "selftest"])
+def test_closed_stdout_exits_1_quietly(argv, buffered):
+    # A reader that is gone before the first write: print raises
+    # BrokenPipeError on unbuffered stdout, the final flush on buffered.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hadamard_bvp", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_process_exit_skips_atexit_hooks(capsys):
+    # The package run as __main__ ends through os._exit: a registered atexit
+    # hook never runs, and stdout still carries the whole report.
+    argv = ["bound", *PP_A, "--json"]
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit hook ran'))\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "runpy.run_module('hadamard_bvp', run_name='__main__', alter_sys=True)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert main(argv) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out.encode(), b"")
+
+
+def test_console_script_is_the_module_entry_point():
+    # `hbvp` and `python -m hadamard_bvp` start through the same function.
+    tomllib = pytest.importorskip("tomllib")
+    import hadamard_bvp.__main__ as entry
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hbvp"]
+    module_name, _, attr = target.partition(":")
+    script = getattr(importlib.import_module(module_name), attr)
+    [guard] = [node for node in ast.parse(inspect.getsource(entry)).body
+               if isinstance(node, ast.If)]
+    [stmt] = guard.body
+    head, *rest = ast.unparse(stmt.value.func).split(".")
+    assert script is functools.reduce(getattr, rest, vars(entry)[head])
