@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .coefficient import Coefficient, Table, all_finite, as_callable
+from .coefficient import Coefficient, Table, sampler
 from .errors import (
     DomainInvalid,
     NonFiniteResult,
@@ -126,12 +126,13 @@ def lambda_nonexistence_check(p: FracParams, lam: float) -> Verdict:
     return Verdict.from_comparison(eigenvalue_bound(p), abs(lam))
 
 
-def _gauss_panel(f, a: float, b: float) -> float:
+def _gauss_panel(sample, a: float, b: float) -> float:
+    """The 15-node Gauss rule for the integral of |q| over [a, b], from q's sampler."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     total = 0.0
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        total += weight * f(mid + half * node)
+    for weight, value in zip(_GL_WEIGHTS, sample([mid + half * node for node in _GL_NODES])):
+        total += weight * abs(value)
     return half * total
 
 
@@ -141,17 +142,17 @@ def _scan_grid(t1: float, t2: float) -> list[float]:
     return [t1 + i * step for i in range(256)] + [t2]
 
 
-def _bisect_sign_change(f, a: float, b: float, fa: float, width: float) -> float:
-    """Narrow a bracket with f(a)*f(b) < 0 down to `width` and return its midpoint.
+def _bisect_sign_change(sample, a: float, b: float, fa: float, width: float) -> float:
+    """Narrow a bracket with q(a)*q(b) < 0 down to `width` and return its midpoint.
 
-    ``f`` must raise for a value that is not finite: the bisection reads the
-    sign of every value it samples.
+    ``sample`` is q's sampler, which raises for a value that is not finite:
+    the bisection reads the sign of every value it samples.
     """
     while b - a > width:
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent floats
             break
-        fm = f(mid)
+        fm = sample([mid])[0]
         if fm == 0.0:
             return mid
         if (fa < 0.0) != (fm < 0.0):
@@ -176,7 +177,11 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     exceeds tol or the recursion exhausts its budget of 200 000 panels,
     which in practice means |q| is not integrable or too rough for the scan
     resolution.  NonFiniteResult is raised as soon as a pair of panels, or
-    the sum over the segments between sign changes, overflows.
+    the sum over the segments between sign changes, overflows.  q is
+    evaluated only through ``coefficient.sampler``, which decides whether a
+    value is valid: one that is not a real number is an EvalError, and one
+    that is not finite is an EvalError from a Coefficient and a
+    QuadratureFailure from a plain callable.
     """
     if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
         raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
@@ -184,19 +189,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         raise DomainInvalid(f"tolerance must be positive, got {tol!r}")
     if isinstance(q, Table):
         return q.abs_integral(t1, t2)
-    qf = checked = as_callable(q)
-    # eval_coefficient already rejects a Coefficient's value that is not
-    # finite (EvalError), so only a plain callable's values are checked here.
-    plain = not isinstance(q, Coefficient)
-    if plain:
-        def checked(t: float) -> float:
-            value = qf(t)
-            if not all_finite((value,)):
-                raise QuadratureFailure(f"coefficient returned {value!r} at t={t!r}")
-            return value
-
-    def absq(t: float) -> float:
-        return abs(checked(t))
+    sample = sampler(q)
 
     def finite(value: float) -> float:
         if value == math.inf:  # a sum of |q| values is never nan or -inf
@@ -205,18 +198,14 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
 
     # Locate kinks of |q|: sign changes of q on a fixed scan grid.
     scan = _scan_grid(t1, t2)
-    scan_vals = [qf(t) for t in scan]
-    if plain and not all_finite(scan_vals):
-        raise QuadratureFailure("coefficient not finite on the scan grid")
+    scan_vals = sample(scan)
     breakpoints = [t1]
     for left, right, f_left, f_right in zip(scan, scan[1:], scan_vals, scan_vals[1:]):
         if f_left == 0.0:
             if left != t1:
                 breakpoints.append(left)
         elif f_right != 0.0 and (f_left < 0.0) != (f_right < 0.0):
-            breakpoints.append(
-                _bisect_sign_change(checked, left, right, f_left, 1e-12 * (t2 - t1))
-            )
+            breakpoints.append(_bisect_sign_change(sample, left, right, f_left, 1e-12 * (t2 - t1)))
     breakpoints.append(t2)
 
     budget = [200_000]  # panel evaluations, shared across segments
@@ -224,8 +213,8 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
 
     def adapt(a: float, b: float, whole: float, tol_here: float, depth: int) -> float:
         mid = 0.5 * (a + b)
-        left = _gauss_panel(absq, a, mid)
-        right = _gauss_panel(absq, mid, b)
+        left = _gauss_panel(sample, a, mid)
+        right = _gauss_panel(sample, mid, b)
         pair = finite(left + right)
         budget[0] -= 2
         if budget[0] <= 0:
@@ -251,7 +240,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         if b <= a:
             continue
         share = tol * (b - a) / (t2 - t1)
-        total = finite(total + adapt(a, b, _gauss_panel(absq, a, b), max(share, 1e-300), 0))
+        total = finite(total + adapt(a, b, _gauss_panel(sample, a, b), max(share, 1e-300), 0))
     return float(total)
 
 

@@ -11,6 +11,11 @@ s_k = (v_{k+1} - v_k) / ln(t_{k+1}/t_k) and both logarithms formed by
 ``params.log_ratio``; at a knot it is the knot's value exactly.  So the
 integral of |q| over a range of the table has a closed form,
 ``Table.abs_integral``, and a table is never sampled to integrate it.
+
+``sampler(q)`` is the one place that decides whether a value of q is valid,
+for a Coefficient and for a plain callable alike: ``bounds.integrate_abs_q``
+and the operators evaluate q only through it, and ``eval_coefficient``
+applies its rule for a Coefficient to a single value.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import DomainInvalid, EvalError, NonFiniteResult, OutOfTableRange
+from .errors import DomainInvalid, EvalError, NonFiniteResult, OutOfTableRange, QuadratureFailure
 from .params import log_ratio
 
 __all__ = ["Coefficient", "Constant", "Table", "eval_coefficient", "load_table"]
@@ -161,32 +166,43 @@ class Table(Coefficient, namedtuple("Table", "points")):
         return total
 
 
+def _checked(values, ts, fault):
+    """``values``, which q took at the points ``ts``, if they are finite
+    reals: EvalError for a value that is not a real number, ``fault`` for
+    the first one that is not finite."""
+    try:
+        if all(map(math.isfinite, values)):
+            return values
+    except TypeError as exc:
+        raise EvalError(f"coefficient value is not a real number: {exc}") from None
+    value, t = next((v, t) for v, t in zip(values, ts) if not math.isfinite(v))
+    raise fault(f"coefficient evaluated to {value!r} at t={t!r}")
+
+
 def eval_coefficient(q: Coefficient, t: float) -> float:
     """Evaluate a coefficient at t; raises EvalError / OutOfTableRange."""
     if not isinstance(q, Coefficient):
         raise DomainInvalid(f"not a Coefficient: {q!r}")
-    value = q.eval(t)
-    if not all_finite((value,)):
-        raise EvalError(f"coefficient evaluated to {value!r} at t={t!r}")
-    return value
+    return _checked((q.eval(t),), (t,), EvalError)[0]
 
 
-def all_finite(values) -> bool:
-    """Whether every coefficient value is finite; EvalError for one that is
-    not a real number, such as a complex value from a plain callable."""
-    try:
-        return all(map(math.isfinite, values))
-    except TypeError as exc:
-        raise EvalError(f"coefficient value is not a real number: {exc}") from None
+def sampler(q):
+    """The function that maps a list of points to q's values there.
 
-
-def as_callable(q) -> "callable":
-    """Accept either a Coefficient or a plain callable and return a callable."""
+    This is the one place that decides whether a value of q is valid.  q is
+    a Coefficient or a plain callable; anything else is DomainInvalid.  q
+    is evaluated at every point before any value is checked.  A value that
+    is not a real number, such as a complex one from a plain callable, is
+    an EvalError.  A value that is not finite is an EvalError from a
+    Coefficient and a QuadratureFailure from a plain callable.
+    """
     if isinstance(q, Coefficient):
-        return lambda t: eval_coefficient(q, t)
-    if callable(q):
-        return q
-    raise DomainInvalid(f"coefficient must be a Coefficient or callable, got {q!r}")
+        f, fault = q.eval, EvalError
+    elif callable(q):
+        f, fault = q, QuadratureFailure
+    else:
+        raise DomainInvalid(f"coefficient must be a Coefficient or callable, got {q!r}")
+    return lambda ts: _checked(list(map(f, ts)), ts, fault)
 
 
 def load_table(path: str) -> Table:

@@ -30,6 +30,11 @@ numpy calls; R is bit-identical to forming all of them afresh.
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
 realised as centred differences in x = ln t plus one Richardson step.
+
+f is a Coefficient or a plain callable, evaluated only through
+``coefficient.sampler``, which decides whether a value is valid: a value
+that is not a real number is an EvalError, and one that is not finite is an
+EvalError from a Coefficient and a QuadratureFailure from a plain callable.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficient import all_finite, as_callable
+from .coefficient import sampler
 from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure
 from .gammafn import gamma, reciprocal_gamma
 from .params import log_ratio
@@ -286,20 +291,13 @@ def _config_mesh(length: float) -> _Mesh:
     return _graded_mesh(length, (PANEL_ORDER,) * panels, graded, _GRADING)
 
 
-def _eval_f(fe, t1: float, us: list[float]) -> list[float]:
-    """f at t1 e^u for the ascending interior nodes ``us``."""
+def _eval_f(sample, t1: float, us: list[float]) -> list[float]:
+    """f at t1 e^u for the ascending interior nodes ``us``, from f's ``sample``."""
     if t1 * math.exp(us[0]) == t1:
         raise QuadratureFailure(
             f"innermost node u={us[0]!r} rounds onto t1={t1!r}; the interval is too short"
         )
-    return _finite([fe(t1 * math.exp(u)) for u in us])
-
-
-def _finite(values: list) -> list:
-    """``values``, checked to be finite reals (QuadratureFailure, EvalError)."""
-    if not all_finite(values):
-        raise QuadratureFailure("integrand not finite at a quadrature node")
-    return values
+    return sample([t1 * math.exp(u) for u in us])
 
 
 def _integral_at_end(m: _Mesh, order: float, values) -> float:
@@ -312,12 +310,12 @@ def _integral_at_end(m: _Mesh, order: float, values) -> float:
     return total / gamma(order)
 
 
-def _integral(order: float, fe, t1: float, U: float) -> float:
+def _integral(order: float, sample, t1: float, U: float) -> float:
     """The integral of order > 0 at u = U >= 0, from checked arguments."""
     if U == 0.0:
         return 0.0
     m = _config_mesh(U)
-    return _integral_at_end(m, order, _eval_f(fe, t1, m.u[1:-1].tolist()))
+    return _integral_at_end(m, order, _eval_f(sample, t1, m.u[1:-1].tolist()))
 
 
 def _log_span(t1: float, t: float) -> float:
@@ -337,10 +335,10 @@ def hadamard_integral(order: float, f, t1: float, t: float) -> float:
     if not (math.isfinite(order) and order >= 0.0):
         raise DomainInvalid(f"integral order must be >= 0, got {order!r}")
     U = _log_span(t1, t)
-    fe = as_callable(f)
+    sample = sampler(f)
     if order == 0.0:
-        return _finite([fe(t)])[0]
-    return _integral(order, fe, t1, U)
+        return sample([t])[0]
+    return _integral(order, sample, t1, U)
 
 
 def hadamard_derivative(order: float, f, t1: float, t: float) -> float:
@@ -358,12 +356,12 @@ def hadamard_derivative(order: float, f, t1: float, t: float) -> float:
         raise DomainInvalid(f"need 0 < t1 < t, got t1={t1!r}, t={t!r}")
     n = math.ceil(order)
     inner = n - order
-    fe = as_callable(f)
+    sample = sampler(f)
 
     def G(x: float) -> float:
         if inner == 0.0:
-            return _finite([fe(t1 * math.exp(x))])[0]
-        return _integral(inner, fe, t1, x)
+            return sample([t1 * math.exp(x)])[0]
+        return _integral(inner, sample, t1, x)
 
     x0 = log_ratio(t, t1)
     h = 1e-4 * x0
@@ -426,12 +424,12 @@ def composition_check(sigma: float, kappa: float, f, t1: float, t: float) -> tup
     if not (math.isfinite(sigma) and sigma > 0.0 and math.isfinite(kappa) and kappa > 0.0):
         raise DomainInvalid(f"orders must be > 0, got sigma={sigma!r}, kappa={kappa!r}")
     U = _log_span(t1, t)
-    fe = as_callable(f)
+    sample = sampler(f)
     if U == 0.0:
         return 0.0, 0.0
     m = _config_mesh(U)
     interior = np.arange(1, len(m.u) - 1)
-    fv = np.array(_eval_f(fe, t1, m.u[interior].tolist()))
+    fv = np.array(_eval_f(sample, t1, m.u[interior].tolist()))
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.
     inner = _product_weights(m, kappa - 1.0, interior)[:, 1:-1] @ fv / gamma(kappa)
     nested = _integral_at_end(m, sigma, inner)

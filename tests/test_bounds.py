@@ -29,10 +29,7 @@ from hadamard_bvp import (
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
 from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
 from hadamard_bvp.operators import _GAUSS_LEGENDRE, PANEL_ORDER
-from hadamard_bvp.selftest import EX_A_REF, EX_B_REF, random_params
-
-EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
-EX_B = FracParams(sigma=1.5, kappa=0.25, t1=1.0, t2=math.e)
+from hadamard_bvp.selftest import EX_A, EX_A_REF, EX_B, EX_B_REF, random_params
 
 ABS_LNT_MINUS_HALF = 0.43830162717073368  # integral of |ln t - 1/2| over [1, e]
 

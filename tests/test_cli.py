@@ -180,6 +180,20 @@ def test_green_grid_never_writes_a_non_finite_value(tmp_path, capsys):
     assert values and all(map(math.isfinite, values))
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "command, key",
+    [(["green", "max"], "omega"), (["green", "eval", "--t", "1.5e-310", "--s", "1.2e-310"], "value")],
+    ids=["max", "eval"],
+)
+def test_non_finite_payload_is_never_printed(command, key, as_json, capsys):
+    # On [1e-310, 2e-310] omega and G(1.5e-310, 1.2e-310) exceed the float
+    # range; `main` checks the payload before it prints anything.
+    argv = [*command, "--sigma", "1.75", "--kappa", "0.5", "--t1", "1e-310", "--t2", "2e-310"]
+    code, out, err = run(argv + ["--json"] * as_json, capsys)
+    assert (code, out, err) == (3, "", f"error: {key} is not finite\n")
+
+
 def test_green_grid_rejects_a_last_point_beyond_the_float_range(tmp_path, capsys):
     # t2 is the largest float and t1 e^L rounds above it, so the last t and
     # s would print as inf; nothing is written.
@@ -458,6 +472,22 @@ def test_selftest_filter_matching_nothing_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "'nosuch'" in err
+
+
+def test_failed_and_crashed_checks_exit_1(monkeypatch, capsys):
+    def crash():
+        raise ValueError("boom")
+
+    checks = (("fake.fails", lambda: (False, "off by one")), ("fake.raises", crash))
+    monkeypatch.setattr("hadamard_bvp.selftest._CHECKS", checks)
+    code, out, err = run(["selftest"], capsys)
+    assert (code, err) == (1, "")
+    assert "FAIL  fake.fails  (off by one)\nFAIL  fake.raises  (raised ValueError: boom)\n" in out
+    code, out, err = run(["selftest", "--json"], capsys)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)["payload"]
+    assert (payload["total"], payload["passed"], payload["failed"]) == (2, 0, 2)
+    assert [c["detail"] for c in payload["checks"]] == ["off by one", "raised ValueError: boom"]
 
 
 def test_output_is_deterministic(capsys):

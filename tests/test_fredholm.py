@@ -24,10 +24,7 @@ from hadamard_bvp.cli import main
 from hadamard_bvp.errors import ResultUnderflow
 from hadamard_bvp.fredholm import MATRIX_MAX_N, _mesh, _nodes
 from hadamard_bvp.grid import _green_xy
-from hadamard_bvp.selftest import EX_A_REF
-
-EX_A = FracParams(sigma=1.75, kappa=0.5, t1=1.0, t2=math.e)
-EX_B = FracParams(sigma=1.5, kappa=0.25, t1=1.0, t2=math.e)
+from hadamard_bvp.selftest import EX_A, EX_A_REF, EX_B
 
 
 def test_matrix_boundary_structure():

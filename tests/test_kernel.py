@@ -35,10 +35,8 @@ from hadamard_bvp import (
 from hadamard_bvp import grid, kernel
 from hadamard_bvp.cli import main
 from hadamard_bvp.grid import _green_xy
-from hadamard_bvp.selftest import EX_A_REF, random_params
+from hadamard_bvp.selftest import EX_A, EX_A_REF, EX_B, random_params
 
-EX_A = validate(1.75, 0.5, 1.0, math.e)
-EX_B = validate(1.5, 0.25, 1.0, math.e)
 # Bench defect 5: kappa near sigma - 1 puts the left-edge maximum at x = 8.5e-5 L.
 DEFECT_5 = validate(1.2251193390645163, 0.18564107820557843, 0.22859266985750926, 0.6437148677146808)
 
@@ -69,6 +67,13 @@ def test_domain_errors():
         xi1(EX_A, 2.0, 1.5)  # needs t <= s
     with pytest.raises(DomainInvalid):
         xi2(EX_A, 1.5, 2.0)  # needs s <= t
+
+
+@pytest.mark.parametrize("profile", [diag_h, zeta], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_profiles_reject_t_outside_the_interval(profile, t):
+    with pytest.raises(DomainInvalid, match=rf"t={t!r} outside \[1.0, 2.718281828459045\]"):
+        profile(EX_A, t)
 
 
 def test_discriminant_two_forms_agree():
