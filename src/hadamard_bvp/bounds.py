@@ -136,10 +136,10 @@ def _gauss_panel(sample, a: float, b: float) -> float:
     return half * total
 
 
-def _scan_grid(t1: float, t2: float) -> list[float]:
-    """257 equally spaced points from t1 to t2, equal to numpy.linspace(t1, t2, 257)."""
-    step = (t2 - t1) / 256
-    return [t1 + i * step for i in range(256)] + [t2]
+def _scan_grid(t1: float, t2: float, n: int = 257) -> list[float]:
+    """n >= 2 equally spaced points from t1 to t2, equal to numpy.linspace(t1, t2, n)."""
+    step = (t2 - t1) / (n - 1)
+    return [t1 + i * step for i in range(n - 1)] + [t2]
 
 
 def _bisect_sign_change(sample, a: float, b: float, fa: float, width: float) -> float:

@@ -14,11 +14,19 @@ take the problem flags --sigma, --kappa, --t1 and --t2):
 A command accepts only the flags it reads; any other flag is a usage error.
 Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 3 numerical failure, 4 eigenvalue-bound violation (which would falsify the
-analytic bound and must never pass silently).
+analytic bound and must never pass silently).  Codes 2 and 3 come from the
+package's typed errors (a file that cannot be read is a usage error); codes
+1 and 4 are a command's own result: each `cmd_*` returns its parameters, its
+payload and its exit code, `cmd_selftest` 1 when a check failed and
+`cmd_eigen` 4 when the Nystrom estimate is not `satisfied`.
 
 All output is deterministic for identical flags.  Reals in JSON and CSV are
 printed with 17 significant digits, which round-trips doubles exactly.  A
-result that is not finite is never printed: it exits 3 instead.
+result that is not finite is never printed: `main` renders the whole report
+before it prints anything, and the JSON serializer `_to_json`, which builds
+the report in both modes (the text report is a view of the same payload),
+raises NonFiniteResult (exit 3, nothing on stdout) for an inf or nan at any
+depth.  Commands never print.
 
 The array modules (`fredholm`, `selftest`) are imported only inside the
 commands that use them (`eigen` and `selftest`), so every other command,
@@ -43,7 +51,7 @@ import os
 import sys
 
 from . import __version__
-from .bounds import DEFAULT_TOL, lyapunov_report, nonexistence_check
+from .bounds import DEFAULT_TOL, _scan_grid, lyapunov_report, nonexistence_check
 from .coefficient import Constant, load_table
 from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
 from .kernel import green_eval, green_max
@@ -51,6 +59,7 @@ from .params import FracParams, validate
 
 __all__ = ["main", "run", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
 
+_CHECK_FAILED = 1
 _USAGE_ERROR = 2
 _BOUND_VIOLATION = 4
 
@@ -72,23 +81,24 @@ _JSON_ESCAPES = str.maketrans({
 })
 
 
-def _to_json(value) -> str:
+def _to_json(value, key: str = "value") -> str:
     """Serialize with fixed float formatting (17 significant digits).
 
-    Raises NonFiniteResult for inf or nan, which JSON cannot represent.
+    Raises NonFiniteResult for inf or nan, which JSON cannot represent; the
+    message names ``key``, the key of the innermost object holding the value.
     """
     if isinstance(value, dict):
-        items = ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in value.items())
+        items = ", ".join(f"{_to_json(str(k))}: {_to_json(v, k)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in value) + "]"
+        return "[" + ", ".join(_to_json(v, key) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise NonFiniteResult(f"{value!r} has no JSON representation")
+            raise NonFiniteResult(f"{key} is not finite")
         return _fmt_real(value)
     if value is None:
         return "null"
@@ -101,20 +111,26 @@ def _record(rec) -> dict:
 
 
 def _render(command: str, p: FracParams | None, payload: dict, as_json: bool) -> str:
+    """The report, built as JSON in both modes, so that either raises NonFiniteResult.
+
+    The text report lists the selftest checks, if any, then the command, the
+    parameters and each scalar of the payload.
+    """
     params = None if p is None else _record(p)
+    report = _to_json({"command": command, "params": params, "payload": payload,
+                       "warnings": [], "version": __version__})
     if as_json:
-        return _to_json({"command": command, "params": params, "payload": payload,
-                         "warnings": [], "version": __version__})
-    lines = [f"command: {command}"]
+        return report
+    lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}  ({c['detail']})"
+             for c in payload.get("checks", [])]
+    lines.append(f"command: {command}")
     if params is not None:
         joined = ", ".join(f"{k}={_fmt_real(v)}" for k, v in params.items())
         lines.append(f"params: {joined}")
     for key, value in payload.items():
         if isinstance(value, float):
             lines.append(f"{key} = {_fmt_real(value)}")
-        elif isinstance(value, list):
-            continue  # detail tables are printed by the command itself
-        else:
+        elif not isinstance(value, list):
             lines.append(f"{key} = {value}")
     return "\n".join(lines)
 
@@ -138,12 +154,12 @@ def _params_from(args) -> FracParams:
     return validate(args.sigma, args.kappa, args.t1, args.t2)
 
 
-def cmd_bound(args) -> tuple[FracParams, dict]:
+def cmd_bound(args) -> tuple[FracParams, dict, int]:
     p = _params_from(args)
     rep = green_max(p)
     payload = _record(lyapunov_report(p))
     payload.update(omega=rep.omega, mho=rep.mho, x2=rep.x2, delta=rep.delta)
-    return p, payload
+    return p, payload, 0
 
 
 def _coefficient_from(args):
@@ -156,21 +172,21 @@ def _coefficient_from(args):
     return load_table(args.q_table)
 
 
-def cmd_check(args) -> tuple[FracParams, dict]:
+def cmd_check(args) -> tuple[FracParams, dict, int]:
     p = _params_from(args)
     q = _coefficient_from(args)
     verdict = nonexistence_check(p, q, tol=args.tol)
     payload = _record(lyapunov_report(p))
     payload.update(q_integral=verdict.q_integral, verdict=verdict.kind.value)
-    return p, payload
+    return p, payload, 0
 
 
 def _write_grid(p: FracParams, n: int, path: str) -> None:
     """Write G on the n x n grid to ``path`` as CSV rows "t,s,G", t-major.
 
-    Both axes are numpy.linspace(0, L, n) in log coordinates, built as
-    ``bounds._scan_grid`` builds its grid.  Each value takes the operations
-    of ``grid._green_xy`` in its order, on floats:
+    Both axes are numpy.linspace(0, L, n) in log coordinates, from
+    ``bounds._scan_grid``.  Each value takes the operations of
+    ``grid._green_xy`` in its order, on floats:
 
         ((x^a (L - y)^b) / L^a - (x - y)^b) / (t1 e^y Gamma(sigma - kappa)),
 
@@ -179,8 +195,7 @@ def _write_grid(p: FracParams, n: int, path: str) -> None:
     writing a row that holds inf or nan; the rows before it stay written.
     """
     L, a, b, gsk = p.L, p.a, p.b, p.gamma_sk
-    step = L / (n - 1)
-    us = [i * step for i in range(n - 1)] + [L]
+    us = _scan_grid(0.0, L, n)
     ts = [p.t1 * math.exp(u) for u in us]
     if not math.isfinite(ts[-1]):
         raise NonFiniteResult(f"the last grid point t1 e^L is not finite for t2={p.t2!r}")
@@ -204,7 +219,7 @@ def _write_grid(p: FracParams, n: int, path: str) -> None:
             fh.write((t_text + t_text.join(cols)) % tuple(row))
 
 
-def cmd_green(args) -> tuple[FracParams, dict]:
+def cmd_green(args) -> tuple[FracParams, dict, int]:
     p = _params_from(args)
     if args.green_cmd == "eval":
         value = green_eval(p, args.t, args.s)
@@ -218,17 +233,18 @@ def cmd_green(args) -> tuple[FracParams, dict]:
             raise ResourceLimit(f"grid --n {args.n} exceeds cap {GRID_MAX_N}")
         _write_grid(p, args.n, args.out)
         payload = {"path": args.out, "rows": args.n * args.n}
-    return p, payload
+    return p, payload, 0
 
 
-def cmd_eigen(args) -> tuple[FracParams, dict]:
+def cmd_eigen(args) -> tuple[FracParams, dict, int]:
     from .fredholm import min_eigenvalue_modulus
 
     p = _params_from(args)
-    return p, _record(min_eigenvalue_modulus(p, args.n))
+    result = min_eigenvalue_modulus(p, args.n)
+    return p, _record(result), 0 if result.satisfied else _BOUND_VIOLATION
 
 
-def cmd_selftest(args) -> tuple[None, dict]:
+def cmd_selftest(args) -> tuple[None, dict, int]:
     from .selftest import run_selftests
 
     results = run_selftests(name_filter=args.filter)
@@ -240,7 +256,7 @@ def cmd_selftest(args) -> tuple[None, dict]:
         "failed": sum(1 for r in results if not r["ok"]),
         "checks": results,
     }
-    return None, payload
+    return None, payload, _CHECK_FAILED if payload["failed"] else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,42 +318,17 @@ _DISPATCH = {
 }
 
 
-def _is_finite(value) -> bool:
-    """False if any float in value, at any depth of lists and dicts, is inf or nan."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        return all(map(_is_finite, value.values()))
-    if isinstance(value, (list, tuple)):
-        return all(map(_is_finite, value))
-    return True
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        p, payload = _DISPATCH[args.command](args)
-        for key, value in payload.items():
-            if not _is_finite(value):
-                raise NonFiniteResult(f"{key} is not finite")
+        p, payload, exit_code = _DISPATCH[args.command](args)
+        report = _render(args.command, p, payload, args.json)
     except (HadamardBVPError, OSError) as exc:
         # Package errors carry their exit code; a file that cannot be read
         # is a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", _USAGE_ERROR)
-
-    exit_code = 0
-    if args.command == "selftest":
-        if not args.json:
-            for check in payload["checks"]:
-                status = "PASS" if check["ok"] else "FAIL"
-                print(f"{status}  {check['name']}  ({check['detail']})")
-        if payload["failed"]:
-            exit_code = 1
-    if args.command == "eigen" and not payload["satisfied"]:
-        exit_code = _BOUND_VIOLATION
-
-    print(_render(args.command, p, payload, args.json))
+    print(report)
     return exit_code
 
 

@@ -39,9 +39,6 @@ class Coefficient:
     def eval(self, t: float) -> float:
         raise NotImplementedError
 
-    def __call__(self, t: float) -> float:
-        return self.eval(t)
-
 
 class Constant(Coefficient, namedtuple("Constant", "value")):
     __slots__ = ()

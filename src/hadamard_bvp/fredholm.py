@@ -37,11 +37,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bounds import eigenvalue_bound
+from .bounds import eigenvalue_bound, lambda_nonexistence_check
 from .coefficient import Coefficient, Constant, eval_coefficient
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
-from .params import FracParams
+from .params import FracParams, VerdictKind
 
 __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check"]
 
@@ -147,11 +147,13 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
     |h_{m+1,m} y_m| is at most ``_RITZ_TOL`` times its modulus, or is exact
     (a breakdown, or a basis that spans B).  Raises ConvergenceFailure when
     ``KRYLOV_MAX`` vectors do not reach that, and ResultUnderflow, before
-    assembly, if the analytic bound rounds to 0.
+    assembly, if the analytic bound rounds to 0.  ``satisfied`` is the
+    verdict of ``bounds.lambda_nonexistence_check`` on lambda_min: the bound
+    holds when that verdict is Inconclusive.
     """
     if not (isinstance(n, int) and n >= 32):
         raise DomainInvalid(f"eigenvalue estimate needs integer n >= 32, got {n!r}")
-    bound = eigenvalue_bound(p)
+    eigenvalue_bound(p)  # ResultUnderflow before the assembly
     K = nystrom_matrix(p, Constant(1.0), n)
     B = K[1:-1, 1:-1]
     dim = n - 2
@@ -189,12 +191,13 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
     kx = np.hypot(*(K @ x).T)
     residual = float(max(kx[0], kx[-1]) / np.max(kx))
     lambda_min = 1.0 / rho
+    verdict = lambda_nonexistence_check(p, lambda_min)
     return NystromResult(
         n=n,
         dominant_mu=rho,
         lambda_min=lambda_min,
-        analytic_bound=bound,
-        satisfied=lambda_min >= bound,
+        analytic_bound=verdict.bound,
+        satisfied=verdict.kind is VerdictKind.Inconclusive,
         eigenvector_boundary_residual=residual,
     )
 

@@ -29,7 +29,7 @@ from hadamard_bvp import (
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
 from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
 from hadamard_bvp.operators import _GAUSS_LEGENDRE, PANEL_ORDER
-from hadamard_bvp.selftest import EX_A, EX_A_REF, EX_B, EX_B_REF, random_params
+from hadamard_bvp.selftest import EX_A, EX_A_REF, EX_B, EX_B_REF, SEED, random_params
 
 ABS_LNT_MINUS_HALF = 0.43830162717073368  # integral of |ln t - 1/2| over [1, e]
 
@@ -43,7 +43,7 @@ def test_reference_bounds():
 
 
 def test_bound_is_reciprocal_of_kernel_max():
-    rng = np.random.default_rng(20260815)
+    rng = np.random.default_rng(SEED)
     for _ in range(20):
         p = random_params(rng)
         product = lyapunov_bound(p) * green_max(p).max_abs_g
@@ -170,6 +170,8 @@ def test_scan_grid_is_linspace(t1):
         scan = _scan_grid(t1, t2)
         assert scan == np.linspace(t1, t2, 257).tolist()
         assert all(type(t) is float for t in scan)
+        for n in (2, 3, 17, 300):
+            assert _scan_grid(t1, t2, n) == np.linspace(t1, t2, n).tolist()
 
 
 def test_quadrature_rejects_non_finite_values():

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hadamard_bvp import __version__, validate
+from hadamard_bvp import __version__, cli, validate
 from hadamard_bvp.errors import NonFiniteResult
 from hadamard_bvp.cli import GRID_MAX_N, _build_parser, _to_json, main
 from hadamard_bvp.grid import _green_xy
@@ -194,6 +194,21 @@ def test_non_finite_payload_is_never_printed(command, key, as_json, capsys):
     assert (code, out, err) == (3, "", f"error: {key} is not finite\n")
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "payload, key",
+    [({"omega": 1.0, "rows": [[1.0, math.inf]]}, "rows"),
+     ({"total": 1, "checks": [{"name": "x", "ok": True, "detail": math.nan}]}, "detail")],
+    ids=["list", "dict"],
+)
+def test_nested_non_finite_value_is_never_printed(monkeypatch, payload, key, as_json, capsys):
+    # The text report prints no list, yet it is rendered from the same JSON
+    # report, so a value nested in one is caught too, named by its key.
+    monkeypatch.setitem(cli._DISPATCH, "bound", lambda args: (None, payload, 0))
+    code, out, err = run(["bound", *PP_A] + ["--json"] * as_json, capsys)
+    assert (code, out, err) == (3, "", f"error: {key} is not finite\n")
+
+
 def test_green_grid_rejects_a_last_point_beyond_the_float_range(tmp_path, capsys):
     # t2 is the largest float and t1 e^L rounds above it, so the last t and
     # s would print as inf; nothing is written.
@@ -313,6 +328,16 @@ def test_json_keys_are_pinned(tmp_path, capsys, name):
     else:
         assert list(obj["params"]) == PARAMS_KEYS
     assert list(obj["payload"]) == PAYLOAD_KEYS[name]
+
+
+def test_main_names_no_command_and_no_payload_key():
+    # Exit codes and per-command output belong to the commands and to
+    # _render; main only dispatches, renders and prints.
+    tree = ast.parse(inspect.getsource(cli.main))
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and isinstance(n.value, str)}
+    keys = set(cli._DISPATCH).union(*PAYLOAD_KEYS.values(), ["ok", "name", "detail"])
+    assert not strings & keys
 
 
 def test_argparse_rejects_bad_reals(capsys):
