@@ -16,6 +16,8 @@ nor the (L - y)^b end singularity costs accuracy.  With q = 1 the
 reciprocal of the spectral radius of K estimates the smallest eigenvalue
 modulus of the associated eigenproblem, which the analytic bound must stay
 below; at n = 128 it is within about 1e-9 relative of its converged value.
+The matrix is assembled in place, 128 rows at a time, so it needs one n x n
+array plus one block of 128 rows: 128 MB at the cap ``MATRIX_MAX_N`` = 4000.
 
 Boundary structure: the node set contains t1 and t2 explicitly with zero
 quadrature weight.  G(t1, .) = 0 and G(., t2) contributes nothing, so row 0
@@ -40,7 +42,7 @@ import numpy as np
 from .bounds import eigenvalue_bound, lambda_nonexistence_check
 from .coefficient import Coefficient, Constant, eval_coefficient
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
-from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
+from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights, _row_blocks
 from .params import FracParams, VerdictKind
 
 __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check"]
@@ -126,10 +128,16 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
         scale = eval_coefficient(q, float(p.t1)) / p.gamma_sk
     else:
         scale = np.array([eval_coefficient(q, float(t)) for t in _nodes(p, m)]) / p.gamma_sk
-    r = _product_weights(m, p.b, np.arange(n))
-    k = np.multiply.outer((m.u / p.L) ** p.a, r[-1])
-    k -= r
-    k *= scale
+    # R goes into K itself; then each block of rows becomes K in place.
+    k = np.empty((n, n))
+    for _ in _product_weights(m, p.b, np.arange(n), out=k):
+        pass
+    s = k[-1].copy()
+    a = (m.u / p.L) ** p.a
+    for block in _row_blocks(n):
+        r = k[block]
+        np.subtract(np.multiply.outer(a[block], s), r, out=r)
+        r *= scale
     return k
 
 
@@ -208,18 +216,27 @@ def residual_check(
     """Sup-norm residual of x - Kx at the nodes for a candidate solution x.
 
     ``x_samples`` is a sequence of (t, value) pairs covering [t1, t2];
-    values are interpolated linearly in ln t onto the Nystrom nodes.
+    values are interpolated linearly in ln t onto the Nystrom nodes.  Every
+    t must be finite and positive and every value finite, and one t (or two
+    t with the same ln t) cannot carry two values: DomainInvalid otherwise.
+    Repeats of one pair count once.
     """
-    pairs = sorted((float(t), float(v)) for t, v in x_samples)
+    pairs = sorted({(float(t), float(v)) for t, v in x_samples})
     if not pairs:
         raise DomainInvalid("x_samples must be non-empty")
     ts = np.array([t for t, _ in pairs])
     vs = np.array([v for _, v in pairs])
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs)) and ts[0] > 0.0):
+        raise DomainInvalid("x_samples need finite t > 0 and finite values")
     if ts[0] > p.t1 or ts[-1] < p.t2:
         raise DomainInvalid(
             f"samples cover [{ts[0]!r}, {ts[-1]!r}], need [{p.t1!r}, {p.t2!r}]"
         )
+    log_ts = np.log(ts)
+    clash = np.flatnonzero(np.diff(log_ts) == 0.0)
+    if len(clash):
+        raise DomainInvalid(f"x_samples give two values at t={float(ts[clash[0] + 1])!r}")
     K = nystrom_matrix(p, q, n)
     s = _nodes(p, _mesh(p, n))
-    x = np.interp(np.log(s), np.log(ts), vs)
+    x = np.interp(np.log(s), log_ts, vs)
     return float(np.max(np.abs(x - K @ x)))

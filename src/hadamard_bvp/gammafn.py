@@ -1,26 +1,37 @@
 """Gamma function wrapper restricted to positive arguments.
 
-Every order combination produced by this package stays inside (0, 30]:
-sigma - kappa lies in (1, 2), and power-rule constants involve arguments
-like kappa + sigma < 4.  ``math.gamma`` (platform libm, Lanczos-class) is
-well below the 1e-12 relative-error requirement on that range, so there is
-no reason to hand-roll an approximation.
+The boundary value problem itself needs only small arguments: sigma - kappa
+lies in (1, 2), and the kernel and bound constants involve arguments below
+4.  The public operators take any order, so gamma also meets arguments past
+171.6, where it overflows double precision; that is a NonFiniteResult, and
+so is a 1/gamma that overflows.  ``math.gamma`` (platform libm,
+Lanczos-class) is well below the 1e-12 relative-error requirement on the
+range that matters, so there is no reason to hand-roll an approximation.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainInvalid
+from .errors import DomainInvalid, NonFiniteResult
 
 __all__ = ["gamma", "reciprocal_gamma"]
 
 
+def _libm_gamma(x: float) -> float:
+    """``math.gamma``, with its overflow a NonFiniteResult."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise NonFiniteResult(f"gamma({x!r}) overflows double precision") from None
+
+
 def gamma(x: float) -> float:
-    """Euler gamma for x > 0; raises DomainInvalid otherwise."""
+    """Euler gamma for x > 0; raises DomainInvalid otherwise, and
+    NonFiniteResult past x = 171.6, where it overflows."""
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise DomainInvalid(f"gamma requires finite x > 0, got {x!r}")
-    return math.gamma(x)
+    return _libm_gamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -28,10 +39,13 @@ def reciprocal_gamma(x: float) -> float:
 
     The reciprocal gamma function is entire; defining it as 0 at the poles
     makes differentiation formulas for log-power functions total (terms whose
-    coefficient hits a pole simply drop out).
+    coefficient hits a pole simply drop out).  Where gamma(x) or 1/gamma(x)
+    is not a finite non-zero double (x past 171.6, or below about -171.5)
+    this raises NonFiniteResult.
     """
-    if x > 0:
-        return 1.0 / math.gamma(x)
-    if x == math.floor(x):
+    if x <= 0 and x == math.floor(x):
         return 0.0
-    return 1.0 / math.gamma(x)
+    g = _libm_gamma(x)
+    if g == 0.0 or not math.isfinite(1.0 / g):
+        raise NonFiniteResult(f"1/gamma({x!r}) overflows double precision")
+    return 1.0 / g

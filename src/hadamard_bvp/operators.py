@@ -27,6 +27,14 @@ can take (``_own_rule``), the adjacent-panel rule per panel order and the
 Gauss-Legendre rules, which are literals (``_GAUSS_LEGENDRE``) rather than
 numpy calls; R is bit-identical to forming all of them afresh.
 
+R comes in blocks of ``_BLOCK_ROWS`` = 128 rows.  The own- and
+adjacent-panel weights of all requested rows are formed at once, and the
+far field per block, so R's bits do not depend on the block size.  The
+Nystrom matrix takes the blocks straight into its one n x n array, and
+``composition_check`` holds one block at a time: the peak memory is one
+n x n array plus one block of 128 rows, 128 MB at ``fredholm``'s cap
+n = 4000.
+
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
 realised as centred differences in x = ln t plus one Richardson step.
@@ -66,6 +74,8 @@ PANEL_ORDER = 8
 PANELS = 64
 # Width ratio of the operators' geometric panels toward u = 0.
 _GRADING = 0.25
+# Rows of the product-integration weights formed at a time.
+_BLOCK_ROWS = 128
 
 
 class OperatorKind(enum.Enum):
@@ -146,8 +156,14 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix of the Jacobi(0, beta) recurrence, and each weight is the total
     mass 2^(beta+1)/(beta+1) times the squared first component of its
-    normalised eigenvector.
+    normalised eigenvector.  Below an order of about 1.1e-16, where
+    2 + beta rounds to 1 and the recurrence divides by zero, there is no
+    rule to form: a QuadratureFailure.
     """
+    if not 2.0 + beta > 1.0:
+        raise QuadratureFailure(
+            f"kernel exponent {beta!r} is too close to -1: the order is too small to integrate"
+        )
     k = np.arange(1.0, order)
     s = 2.0 * k + beta
     diag = np.empty(order)
@@ -234,25 +250,21 @@ def _own_rule(order: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(pos, wj @ _lagrange(xg, -1.0 + 0.5 * (1.0 + pos)[:, None] * (1.0 - zj)))
 
 
-def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
-    """R[i][j] = int_0^{u_i} (u_i - y)^b l_j(y) dy for the mesh nodes i in ``rows``.
+def _row_blocks(count: int) -> list[slice]:
+    """Slices of ``_BLOCK_ROWS`` consecutive rows, the last one shorter, that
+    cover ``count`` rows."""
+    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, count, _BLOCK_ROWS)]
 
-    l_j is the Lagrange basis of node j on its panel.  R is the Gauss weight
-    times (u_i - u_j)^b on the panels left of the one next to u_i's own, a
-    rule graded toward u_i on that neighbour, and a Gauss-Jacobi rule on
-    [panel start, u_i] on u_i's own panel.
-    """
+
+def _near_weights(m: _Mesh, b: float, rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The own- and adjacent-panel weights of ``_product_weights`` for all of
+    ``rows`` at once: per panel order and kind, the positions in ``rows`` of
+    the rows concerned, the first column of the panel each row's weights
+    cover, and the weights, one row each."""
     ref, own = m.ref[rows], m.panel[rows]
     width = np.diff(m.edges)
     orders = np.array(m.orders)
-
-    # Gauss weight times (u_i - u_j)^b for u_j < u_i; the columns of each
-    # row's own and adjacent panel are overwritten below.
-    r = m.u[rows, None] - m.u[None, :]
-    np.maximum(r, 0.0, out=r)
-    np.power(r, b, out=r, where=r > 0.0)
-    r *= m.w
-
+    near = []
     for order in set(m.orders):
         # Own panel: y = u_i - (u_i - lo)(1 + z)/2, weight (1 + z)^b.
         # Rows sharing a reference position share their weights up to scale.
@@ -260,22 +272,53 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray) -> np.ndarray:
         pos, table = _own_rule(order, b)
         vals = table[np.searchsorted(pos, ref[sel])]
         vals *= ((0.25 * width[own[sel]] * (1.0 + ref[sel])) ** (b + 1.0))[:, None]
-        r[sel[:, None], m.first[own[sel]][:, None] + np.arange(order)] = vals
+        near.append((sel, m.first[own[sel]], vals))
 
         # Adjacent panel Q = [lo, hi]: u_i - y = (hi - lo)/2 ((1 - eta) + delta).
         sel = np.flatnonzero((own > 0) & (orders[own - 1] == order))
         eta, wts, basis = _adjacent_rule(order)
         left = own[sel] - 1
         # Rows with the same delta, such as the same node of equal panels,
-        # share their weights up to scale; one row has none to share.
+        # share their weights up to scale; one row has none to share.  The
+        # product with ``basis`` takes all rows at once: BLAS may round a
+        # one-row product differently.
         delta = width[own[sel]] / width[left] * (1.0 + ref[sel])
         inv = slice(None)
         if len(delta) > 1:
             delta, inv = np.unique(delta, return_inverse=True)
         vals = ((np.power((1.0 - eta) + delta[:, None], b) * wts) @ basis)[inv]
         vals *= ((0.5 * width[left]) ** (b + 1.0))[:, None]
-        r[sel[:, None], m.first[left][:, None] + np.arange(order)] = vals
-    return r
+        near.append((sel, m.first[left], vals))
+    return near
+
+
+def _product_weights(m: _Mesh, b: float, rows: np.ndarray, out: np.ndarray | None = None):
+    """R[i][j] = int_0^{u_i} (u_i - y)^b l_j(y) dy for the mesh nodes i in ``rows``.
+
+    l_j is the Lagrange basis of node j on its panel.  R is the Gauss weight
+    times (u_i - u_j)^b on the panels left of the one next to u_i's own, a
+    rule graded toward u_i on that neighbour, and a Gauss-Jacobi rule on
+    [panel start, u_i] on u_i's own panel.
+
+    Yields (slice of ``rows``, block of R) per slice of ``_row_blocks``.  The
+    block is that slice's rows of ``out`` if given, and otherwise one buffer,
+    which the next block overwrites.
+    """
+    near = _near_weights(m, b, rows)
+    buf = np.empty((min(_BLOCK_ROWS, len(rows)), len(m.u))) if out is None else None
+    for block in _row_blocks(len(rows)):
+        # Gauss weight times (u_i - u_j)^b for u_j < u_i; the columns of each
+        # row's own and adjacent panel are overwritten below.
+        dest = out[block] if buf is None else buf[: len(rows[block])]
+        r = np.subtract(m.u[rows[block], None], m.u, out=dest)
+        np.maximum(r, 0.0, out=r)
+        np.power(r, b, out=r, where=r > 0.0)
+        r *= m.w
+        for sel, first, vals in near:
+            lo, hi = np.searchsorted(sel, (block.start, block.stop))
+            cols = first[lo:hi, None] + np.arange(vals.shape[1])
+            r[sel[lo:hi, None] - block.start, cols] = vals[lo:hi]
+        yield block, r
 
 
 def _config_mesh(length: float) -> _Mesh:
@@ -303,11 +346,14 @@ def _eval_f(sample, t1: float, us: list[float]) -> list[float]:
 def _integral_at_end(m: _Mesh, order: float, values) -> float:
     """Integral of the given order over the whole mesh, up to u = ln(t/t1),
     of the function with ``values`` at the interior nodes."""
-    row = _product_weights(m, order - 1.0, np.array([len(m.u) - 1]))[0, 1:-1]
-    total = float(np.dot(row, values))
+    scale = gamma(order)  # NonFiniteResult, before any weight, past order 171.6
+    [(_, r)] = _product_weights(m, order - 1.0, np.array([len(m.u) - 1]))
+    total = float(np.dot(r[0, 1:-1], values))
     if not math.isfinite(total):
-        raise QuadratureFailure(f"integral of order {order!r} at u={m.u[-1]!r} is not finite")
-    return total / gamma(order)
+        raise QuadratureFailure(
+            f"integral of order {order!r} at u={float(m.u[-1])!r} is not finite"
+        )
+    return total / scale
 
 
 def _integral(order: float, sample, t1: float, U: float) -> float:
@@ -431,7 +477,11 @@ def composition_check(sigma: float, kappa: float, f, t1: float, t: float) -> tup
     interior = np.arange(1, len(m.u) - 1)
     fv = np.array(_eval_f(sample, t1, m.u[interior].tolist()))
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.
-    inner = _product_weights(m, kappa - 1.0, interior)[:, 1:-1] @ fv / gamma(kappa)
+    scale = gamma(kappa)  # NonFiniteResult, before any weight, past order 171.6
+    inner = np.empty(len(interior))
+    for block, r in _product_weights(m, kappa - 1.0, interior):
+        inner[block] = r[:, 1:-1] @ fv
+    inner /= scale
     nested = _integral_at_end(m, sigma, inner)
     direct = _integral_at_end(m, sigma + kappa, fv)
     return nested, direct

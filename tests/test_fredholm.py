@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hadamard_bvp import (
     parse_expr,
     residual_check,
 )
+from hadamard_bvp import operators
 from hadamard_bvp.cli import main
 from hadamard_bvp.errors import ResultUnderflow
 from hadamard_bvp.fredholm import MATRIX_MAX_N, _mesh, _nodes
@@ -218,6 +220,51 @@ def test_residual_requires_full_coverage():
         residual_check(EX_A, Constant(1.0), [(1.0, 1.0), (2.0, 0.0)], 64)
     with pytest.raises(DomainInvalid):
         residual_check(EX_A, Constant(1.0), [], 64)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [(1.0, 0.0), (2.0, math.nan), (math.e, 0.0)],
+        [(1.0, 0.0), (2.0, math.inf), (math.e, 0.0)],
+        [(1.0, 0.0), (math.nan, 1.0), (math.e, 0.0)],
+        [(1.0, 0.0), (math.inf, 1.0)],
+        [(-1.0, 0.0), (1.0, 1.0), (math.e, 0.0)],
+        [(1.0, 0.0), (2.0, 1.0), (2.0, 3.0), (math.e, 0.0)],
+    ],
+    ids=["nan-value", "inf-value", "nan-t", "inf-t", "negative-t", "two-values-at-one-t"],
+)
+def test_residual_rejects_unusable_samples(samples):
+    with pytest.raises(DomainInvalid):
+        residual_check(EX_A, Constant(1.0), samples, 64)
+
+
+def test_residual_counts_a_repeated_sample_once():
+    samples = [(1.0, 0.0), (2.0, 1.0), (math.e, 0.0)]
+    once = residual_check(EX_A, Constant(1.0), samples, 64)
+    assert residual_check(EX_A, Constant(1.0), samples + samples[1:2], 64) == once
+
+
+@pytest.mark.parametrize("n", [33, 129, 257, 400])
+def test_matrix_does_not_depend_on_block_size(monkeypatch, n):
+    cases = [(EX_A, Constant(1.0)), (EX_B, Expression(parse_expr("1 + sin(3*t)")))]
+    ref = [nystrom_matrix(p, q, n) for p, q in cases]
+    for rows in (1, 7, 128, n, n + 1):
+        monkeypatch.setattr(operators, "_BLOCK_ROWS", rows)
+        for (p, q), k in zip(cases, ref):
+            assert np.array_equal(nystrom_matrix(p, q, n), k)
+
+
+def test_matrix_assembly_peak_memory():
+    # One n x n array and one block of rows: at the cap n = 4000 about 128 MB.
+    n = 1000
+    tracemalloc.start()
+    try:
+        nystrom_matrix(EX_A, Constant(1.0), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_size_validation():

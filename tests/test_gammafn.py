@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hadamard_bvp import DomainInvalid, gamma, reciprocal_gamma
+from hadamard_bvp.errors import NonFiniteResult
 from hadamard_bvp.selftest import GAMMA_REFS
 
 
@@ -40,3 +41,12 @@ def test_reciprocal_gamma_poles_and_positives():
     assert abs(reciprocal_gamma(1.5) - 1.0 / 0.88622692545275801) < 1e-12
     # Negative non-integers go through the reflection in libm.
     assert abs(reciprocal_gamma(-0.5) - 1.0 / math.gamma(-0.5)) < 1e-12
+
+
+def test_overflow_is_a_non_finite_result():
+    assert math.isfinite(gamma(171.6))
+    assert reciprocal_gamma(171.6) > 0.0
+    for call in (lambda: gamma(172.0), lambda: reciprocal_gamma(172.0),
+                 lambda: reciprocal_gamma(-199.5)):
+        with pytest.raises(NonFiniteResult):
+            call()

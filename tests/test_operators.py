@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hadamard_bvp import (
     integrate_abs_q,
     power_rule_reference,
 )
+from hadamard_bvp import operators
 from hadamard_bvp.bounds import _scan_grid
+from hadamard_bvp.errors import NonFiniteResult
 from hadamard_bvp.operators import (
     PANEL_ORDER,
     PANELS,
@@ -323,3 +326,65 @@ def test_power_rule_reference_on_a_narrow_interval(op, order, exponent_kappa):
         sign = 1 if op is OperatorKind.Integral else -1
         exact = mpmath.gamma(k) * mpmath.rgamma(k + sign * a) * X ** (k + sign * a - 1)
         assert abs(got - exact) <= 1e-14 * abs(exact)
+
+
+def _frozen_f(s):
+    return s * math.cos(s) + math.log(s) ** 0.5
+
+
+@pytest.mark.parametrize("rows", [1, 7, 128, 512])
+def test_composition_does_not_depend_on_block_size(monkeypatch, rows):
+    # The composition_check case of the frozen operator outputs, whose mesh
+    # has 512 interior nodes.
+    ref = composition_check(0.5, 0.3, _frozen_f, 1.0, 2.5)
+    monkeypatch.setattr(operators, "_BLOCK_ROWS", rows)
+    assert composition_check(0.5, 0.3, _frozen_f, 1.0, 2.5) == ref
+
+
+def test_composition_holds_one_block_of_weights():
+    # All 512 x 514 weights at once would take 2.1 MB.
+    tracemalloc.start()
+    try:
+        composition_check(0.5, 0.3, _frozen_f, 1.0, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: hadamard_integral(172.0, _frozen_f, 1.0, 2.5), NonFiniteResult),
+        (lambda: hadamard_integral(1e300, _frozen_f, 1.0, 2.5), NonFiniteResult),
+        (lambda: power_rule_reference(OperatorKind.Integral, 200.0, 0.5, 1.0, 2.5), NonFiniteResult),
+        (lambda: power_rule_reference(OperatorKind.Derivative, 200.0, 0.5, 1.0, 2.5), NonFiniteResult),
+        (lambda: power_rule_reference(OperatorKind.Derivative, 0.5, 200.0, 1.0, 2.5), NonFiniteResult),
+        (lambda: composition_check(150.0, 50.0, _frozen_f, 1.0, 2.5), NonFiniteResult),
+        (lambda: composition_check(0.5, 1e300, _frozen_f, 1.0, 2.5), NonFiniteResult),
+        (lambda: hadamard_integral(1e-30, _frozen_f, 1.0, 2.5), QuadratureFailure),
+        (lambda: hadamard_integral(1e-17, _frozen_f, 1.0, 2.5), QuadratureFailure),
+        (lambda: hadamard_integral(1e-16, _frozen_f, 1.0, 2.5), QuadratureFailure),
+        (lambda: composition_check(1e-30, 0.5, _frozen_f, 1.0, 2.5), QuadratureFailure),
+        (lambda: composition_check(0.5, 1e-30, _frozen_f, 1.0, 2.5), QuadratureFailure),
+    ],
+    ids=[
+        "integral-172", "integral-1e300", "power-rule-integral-200",
+        "power-rule-derivative-200", "power-rule-kappa-200", "composition-150-50",
+        "composition-kappa-1e300", "integral-1e-30", "integral-1e-17", "integral-1e-16",
+        "composition-sigma-1e-30", "composition-kappa-1e-30",
+    ],
+)
+def test_extreme_orders_are_numerical_failures(call, error):
+    # Gamma overflows past order 171.6, and below about 1.1e-16 the kernel
+    # exponent order - 1 lies too close to -1 for a Gauss-Jacobi rule.
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.exit_code == 3
+
+
+def test_non_finite_integral_names_u_as_a_plain_float():
+    # The order-2 weights add up to (ln 20)^2 / 2 = 4.5, so the sum overflows.
+    with pytest.raises(QuadratureFailure, match=r"at u=2\.995732273553991 is not finite$"):
+        with np.errstate(over="ignore"):
+            hadamard_integral(2.0, lambda s: 1e308, 1.0, 20.0)
