@@ -13,8 +13,9 @@ integral of |q| over a range of the table has a closed form,
 ``Table.abs_integral``, and a table is never sampled to integrate it.
 
 ``sampler(q)`` is the one place that decides whether a value of q is valid,
-for a Coefficient and for a plain callable alike: ``bounds.integrate_abs_q``
-and the operators evaluate q only through it, and ``eval_coefficient``
+for a Coefficient and for a plain callable alike: ``bounds.integrate_abs_q``,
+the operators and the Nystrom matrix (``fredholm.nystrom_matrix`` and
+``residual_check``) evaluate q only through it, and ``eval_coefficient``
 applies its rule for a Coefficient to a single value.
 """
 

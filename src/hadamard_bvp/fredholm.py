@@ -16,8 +16,12 @@ nor the (L - y)^b end singularity costs accuracy.  With q = 1 the
 reciprocal of the spectral radius of K estimates the smallest eigenvalue
 modulus of the associated eigenproblem, which the analytic bound must stay
 below; at n = 128 it is within about 1e-9 relative of its converged value.
-The matrix is assembled in place, 128 rows at a time, so it needs one n x n
-array plus one block of 128 rows: 128 MB at the cap ``MATRIX_MAX_N`` = 4000.
+The matrix is assembled in place in one pass over blocks of 128 rows of the
+product-integration weights, taken from the last rows to the first, so it
+needs one n x n array plus one block of 128 rows: 128 MB at the cap
+``MATRIX_MAX_N`` = 4000.  q is sampled at the nodes through
+``coefficient.sampler``, which decides whether its values are valid, as it
+does for the operators: q is a Coefficient or a plain callable.
 
 Boundary structure: the node set contains t1 and t2 explicitly with zero
 quadrature weight.  G(t1, .) = 0 and G(., t2) contributes nothing, so row 0
@@ -40,9 +44,9 @@ from collections import namedtuple
 import numpy as np
 
 from .bounds import eigenvalue_bound, lambda_nonexistence_check
-from .coefficient import Coefficient, Constant, eval_coefficient
+from .coefficient import Constant, sampler
 from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
-from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights, _row_blocks
+from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
 from .params import FracParams, VerdictKind
 
 __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check"]
@@ -107,7 +111,7 @@ def _nodes(p: FracParams, m: _Mesh) -> np.ndarray:
     return t
 
 
-def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
+def nystrom_matrix(p: FracParams, q, n: int) -> np.ndarray:
     """Product-integration Nystrom matrix of the operator v -> int G q v ds.
 
     In x = ln(t/t1), y = ln(s/t1) and the notation of the module docstring,
@@ -116,26 +120,25 @@ def nystrom_matrix(p: FracParams, q: Coefficient, n: int) -> np.ndarray:
     x = L:
 
         K[i][j] = q(s_j) ((x_i/L)^a S[j] - R[i][j]) / Gamma(sigma - kappa).
+
+    q is a Coefficient or a plain callable, sampled at every node through
+    ``coefficient.sampler``, which decides whether its values are valid.
+    K is built in one pass over the blocks of R, which come from the last
+    rows to the first: the first block ends with S, and each block becomes
+    K's rows in place as it arrives.
     """
     if not (isinstance(n, int) and n >= 8):
         raise DomainInvalid(f"nystrom matrix needs integer n >= 8, got {n!r}")
     if n > MATRIX_MAX_N:
         raise ResourceLimit(f"nystrom matrix n={n} exceeds cap {MATRIX_MAX_N}")
     m = _mesh(p, n)
-    if type(q) is Constant:
-        # One value at every node: one evaluation and one scalar factor,
-        # the same bit for bit as the column factors below.
-        scale = eval_coefficient(q, float(p.t1)) / p.gamma_sk
-    else:
-        scale = np.array([eval_coefficient(q, float(t)) for t in _nodes(p, m)]) / p.gamma_sk
-    # R goes into K itself; then each block of rows becomes K in place.
-    k = np.empty((n, n))
-    for _ in _product_weights(m, p.b, np.arange(n), out=k):
-        pass
-    s = k[-1].copy()
+    scale = np.array(sampler(q)(_nodes(p, m).tolist())) / p.gamma_sk
     a = (m.u / p.L) ** p.a
-    for block in _row_blocks(n):
-        r = k[block]
+    k = np.empty((n, n))
+    s = None
+    for block, r in _product_weights(m, p.b, np.arange(n), out=k):
+        if s is None:  # the first block ends with row n - 1: S = R at x = L
+            s = r[-1].copy()
         np.subtract(np.multiply.outer(a[block], s), r, out=r)
         r *= scale
     return k
@@ -210,9 +213,7 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
     )
 
 
-def residual_check(
-    p: FracParams, q: Coefficient, x_samples, n: int
-) -> float:
+def residual_check(p: FracParams, q, x_samples, n: int) -> float:
     """Sup-norm residual of x - Kx at the nodes for a candidate solution x.
 
     ``x_samples`` is a sequence of (t, value) pairs covering [t1, t2];

@@ -39,10 +39,13 @@ def reciprocal_gamma(x: float) -> float:
 
     The reciprocal gamma function is entire; defining it as 0 at the poles
     makes differentiation formulas for log-power functions total (terms whose
-    coefficient hits a pole simply drop out).  Where gamma(x) or 1/gamma(x)
-    is not a finite non-zero double (x past 171.6, or below about -171.5)
-    this raises NonFiniteResult.
+    coefficient hits a pole simply drop out).  x must be finite, as for
+    gamma: DomainInvalid otherwise.  Where gamma(x) or 1/gamma(x) is not a
+    finite non-zero double (x past 171.6, or below about -171.5) this raises
+    NonFiniteResult.
     """
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+        raise DomainInvalid(f"reciprocal_gamma requires finite x, got {x!r}")
     if x <= 0 and x == math.floor(x):
         return 0.0
     g = _libm_gamma(x)

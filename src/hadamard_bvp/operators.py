@@ -27,13 +27,21 @@ can take (``_own_rule``), the adjacent-panel rule per panel order and the
 Gauss-Legendre rules, which are literals (``_GAUSS_LEGENDRE``) rather than
 numpy calls; R is bit-identical to forming all of them afresh.
 
-R comes in blocks of ``_BLOCK_ROWS`` = 128 rows.  The own- and
-adjacent-panel weights of all requested rows are formed at once, and the
-far field per block, so R's bits do not depend on the block size.  The
-Nystrom matrix takes the blocks straight into its one n x n array, and
+R comes in blocks of ``_BLOCK_ROWS`` = 128 rows, from the last rows to the
+first.  The own- and adjacent-panel weights of all requested rows are
+formed at once, and the far field per block, so R's bits do not depend on
+the block size or order.  The Nystrom matrix takes the blocks straight into
+its one n x n array, in one pass that needs R's last row first, and
 ``composition_check`` holds one block at a time: the peak memory is one
 n x n array plus one block of 128 rows, 128 MB at ``fredholm``'s cap
 n = 4000.
+
+The smallest order these integrals take is about 1e-8 (``_kernel_exponent``):
+below it the kernel exponent a - 1, a double, can be that of an order more
+than 1e-8 relative away from a, and the result would be off by as much, so
+such an order raises QuadratureFailure.  The derivative's inner order
+n - a and its exponent n - a - 1 are exact, so of the derivatives only
+order 1 - 2^-53 fails, where 2 + (n - a - 1) rounds to 1.
 
 The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
@@ -156,14 +164,10 @@ def _gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix of the Jacobi(0, beta) recurrence, and each weight is the total
     mass 2^(beta+1)/(beta+1) times the squared first component of its
-    normalised eigenvector.  Below an order of about 1.1e-16, where
-    2 + beta rounds to 1 and the recurrence divides by zero, there is no
-    rule to form: a QuadratureFailure.
+    normalised eigenvector.  The recurrence divides by zero where 2 + beta
+    rounds to 1; ``_kernel_exponent`` keeps the operators' orders away from
+    that.
     """
-    if not 2.0 + beta > 1.0:
-        raise QuadratureFailure(
-            f"kernel exponent {beta!r} is too close to -1: the order is too small to integrate"
-        )
     k = np.arange(1.0, order)
     s = 2.0 * k + beta
     diag = np.empty(order)
@@ -250,12 +254,6 @@ def _own_rule(order: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(pos, wj @ _lagrange(xg, -1.0 + 0.5 * (1.0 + pos)[:, None] * (1.0 - zj)))
 
 
-def _row_blocks(count: int) -> list[slice]:
-    """Slices of ``_BLOCK_ROWS`` consecutive rows, the last one shorter, that
-    cover ``count`` rows."""
-    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, count, _BLOCK_ROWS)]
-
-
 def _near_weights(m: _Mesh, b: float, rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """The own- and adjacent-panel weights of ``_product_weights`` for all of
     ``rows`` at once: per panel order and kind, the positions in ``rows`` of
@@ -300,13 +298,15 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray, out: np.ndarray | Non
     rule graded toward u_i on that neighbour, and a Gauss-Jacobi rule on
     [panel start, u_i] on u_i's own panel.
 
-    Yields (slice of ``rows``, block of R) per slice of ``_row_blocks``.  The
-    block is that slice's rows of ``out`` if given, and otherwise one buffer,
-    which the next block overwrites.
+    Yields (slice of ``rows``, block of R) for slices of ``_BLOCK_ROWS``
+    rows, from the last rows to the first, so the first block ends with the
+    last row.  The block is that slice's rows of ``out`` if given, and
+    otherwise one buffer, which the next block overwrites.
     """
     near = _near_weights(m, b, rows)
     buf = np.empty((min(_BLOCK_ROWS, len(rows)), len(m.u))) if out is None else None
-    for block in _row_blocks(len(rows)):
+    for lo in reversed(range(0, len(rows), _BLOCK_ROWS)):
+        block = slice(lo, lo + _BLOCK_ROWS)
         # Gauss weight times (u_i - u_j)^b for u_j < u_i; the columns of each
         # row's own and adjacent panel are overwritten below.
         dest = out[block] if buf is None else buf[: len(rows[block])]
@@ -343,11 +343,30 @@ def _eval_f(sample, t1: float, us: list[float]) -> list[float]:
     return sample([t1 * math.exp(u) for u in us])
 
 
+def _kernel_exponent(order: float) -> float:
+    """The exponent b = order - 1 of the kernel (u - y)^b of an integral of
+    the given order.
+
+    The weights integrate the kernel of order b + 1, but the result divides
+    by Gamma(order), so it is off by (order - (b + 1))/(b + 1), up to about
+    1.1e-16/order: 3.6e-2 at order 2.3e-16, 8.3e-8 at 1e-11, 5e-9 at 1e-8.
+    A miss of more than 1e-8 relative, or an order so small that 2 + b
+    rounds to 1, is a QuadratureFailure.
+    """
+    b = order - 1.0
+    if not (2.0 + b > 1.0 and abs((b + 1.0) - order) <= 1e-8 * order):
+        raise QuadratureFailure(
+            f"order {order!r} is too small to integrate: its kernel exponent {b!r} "
+            f"is that of order {b + 1.0!r}"
+        )
+    return b
+
+
 def _integral_at_end(m: _Mesh, order: float, values) -> float:
     """Integral of the given order over the whole mesh, up to u = ln(t/t1),
     of the function with ``values`` at the interior nodes."""
     scale = gamma(order)  # NonFiniteResult, before any weight, past order 171.6
-    [(_, r)] = _product_weights(m, order - 1.0, np.array([len(m.u) - 1]))
+    [(_, r)] = _product_weights(m, _kernel_exponent(order), np.array([len(m.u) - 1]))
     total = float(np.dot(r[0, 1:-1], values))
     if not math.isfinite(total):
         raise QuadratureFailure(
@@ -479,7 +498,7 @@ def composition_check(sigma: float, kappa: float, f, t1: float, t: float) -> tup
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.
     scale = gamma(kappa)  # NonFiniteResult, before any weight, past order 171.6
     inner = np.empty(len(interior))
-    for block, r in _product_weights(m, kappa - 1.0, interior):
+    for block, r in _product_weights(m, _kernel_exponent(kappa), interior):
         inner[block] = r[:, 1:-1] @ fv
     inner /= scale
     nested = _integral_at_end(m, sigma, inner)

@@ -7,12 +7,15 @@ import pytest
 from scipy.integrate import quad
 
 from hadamard_bvp import (
+    Coefficient,
     Constant,
     ConvergenceFailure,
     DomainInvalid,
+    EvalError,
     Expression,
     FracParams,
     OutOfTableRange,
+    QuadratureFailure,
     ResourceLimit,
     Table,
     green_eval,
@@ -282,6 +285,35 @@ def test_table_range_error_propagates():
     q = Table(points=((1.0, 1.0), (2.0, 1.0)))  # does not reach t2 = e
     with pytest.raises(OutOfTableRange):
         nystrom_matrix(EX_A, q, 32)
+
+
+@pytest.mark.parametrize("n", [33, 64, 129, 400])
+@pytest.mark.parametrize("p", [EX_A, EX_B], ids=["EX_A", "EX_B"])
+def test_constant_coefficient_gives_one_matrix_in_every_form(p, n):
+    # q is sampled at every node, whatever its form; a constant, a flat
+    # table and a plain callable take the same value there.
+    c = 1.7
+    k = nystrom_matrix(p, Constant(c), n)
+    assert np.array_equal(nystrom_matrix(p, Table(((p.t1, c), (p.t2, c))), n), k)
+    assert np.array_equal(nystrom_matrix(p, lambda t: c, n), k)
+
+
+def test_non_finite_value_at_one_node_is_the_samplers_error():
+    node = float(_nodes(EX_A, _mesh(EX_A, 64))[17])
+
+    class Spike(Coefficient):
+        def eval(self, t):
+            return math.inf if t == node else 1.0
+
+    message = f"coefficient evaluated to inf at t={node!r}$"
+    with pytest.raises(EvalError, match=message):
+        nystrom_matrix(EX_A, Spike(), 64)
+    with pytest.raises(EvalError, match=message):
+        residual_check(EX_A, Spike(), [(1.0, 1.0), (math.e, 0.0)], 64)
+    # A plain callable's non-finite value is a QuadratureFailure, as in the
+    # operators.
+    with pytest.raises(QuadratureFailure, match=message):
+        nystrom_matrix(EX_A, lambda t: Spike().eval(t), 64)
 
 
 # SHA-256 over the operators' reprs and the Nystrom matrix bytes, as

@@ -50,3 +50,10 @@ def test_overflow_is_a_non_finite_result():
                  lambda: reciprocal_gamma(-199.5)):
         with pytest.raises(NonFiniteResult):
             call()
+
+
+def test_reciprocal_gamma_rejects_non_finite_x():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainInvalid) as info:
+            reciprocal_gamma(bad)
+        assert info.value.exit_code == 2

@@ -383,6 +383,30 @@ def test_extreme_orders_are_numerical_failures(call, error):
     assert info.value.exit_code == 3
 
 
+@pytest.mark.parametrize("order", [2.3e-16, 5e-16, 1e-15, 1e-12, 1e-11])
+def test_tiny_orders_are_quadrature_failures(order):
+    # The kernel exponent order - 1 is that of order (order - 1) + 1, which
+    # misses these orders by 3.6e-2 (at 2.3e-16) down to 8.3e-8 relative,
+    # and every integral of theirs would be off by as much.
+    calls = (
+        lambda: hadamard_integral(order, lambda s: 1.0, 1.0, 2.0),
+        lambda: composition_check(order, 0.5, _frozen_f, 1.0, 2.5),
+        lambda: composition_check(0.5, order, _frozen_f, 1.0, 2.5),
+    )
+    for call in calls:
+        with pytest.raises(QuadratureFailure, match="too small to integrate") as info:
+            call()
+        assert info.value.exit_code == 3
+
+
+@pytest.mark.parametrize("order", [1e-8, 1e-6])
+def test_smallest_orders_still_integrate(order):
+    # (ln 2)^order / Gamma(order + 1) is I^order 1 at t = 2; at 1e-8 the
+    # kernel exponent misses the order by 5e-9 relative.
+    exact = math.log(2.0) ** order / math.gamma(order + 1.0)
+    assert abs(hadamard_integral(order, lambda s: 1.0, 1.0, 2.0) - exact) <= 1e-8 * exact
+
+
 def test_non_finite_integral_names_u_as_a_plain_float():
     # The order-2 weights add up to (ln 20)^2 / 2 = 4.5, so the sum overflows.
     with pytest.raises(QuadratureFailure, match=r"at u=2\.995732273553991 is not finite$"):
