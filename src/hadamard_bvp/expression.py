@@ -92,9 +92,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, byte offset) triples; final sentinel is ('end', '', len)."""
     if not src.isascii():
         bad = next(i for i, ch in enumerate(src) if not ch.isascii())
-        raise ExpressionSyntaxError(
-            "non-ASCII character", len(src[:bad].encode()), ("ASCII character",)
-        )
+        # The prefix before it is ASCII, so its length is the byte offset.
+        raise ExpressionSyntaxError("non-ASCII character", bad, ("ASCII character",))
     tokens = []
     pos = 0
     n = len(src)

@@ -17,9 +17,9 @@ reciprocal of the spectral radius of K estimates the smallest eigenvalue
 modulus of the associated eigenproblem, which the analytic bound must stay
 below; at n = 128 it is within about 1e-9 relative of its converged value.
 The matrix is assembled in place in one pass over blocks of 128 rows of the
-product-integration weights, taken from the last rows to the first, so it
-needs one n x n array plus one block of 128 rows: 128 MB at the cap
-``MATRIX_MAX_N`` = 4000.  q is sampled at the nodes through
+product-integration weights, taken from the last rows to the first in one
+reused buffer, so it needs one n x n array plus one block of 128 rows:
+128 MB at the cap ``MATRIX_MAX_N`` = 4000.  q is sampled at the nodes through
 ``coefficient.sampler``, which decides whether its values are valid, as it
 does for the operators: q is a Coefficient or a plain callable.
 
@@ -124,8 +124,9 @@ def nystrom_matrix(p: FracParams, q, n: int) -> np.ndarray:
     q is a Coefficient or a plain callable, sampled at every node through
     ``coefficient.sampler``, which decides whether its values are valid.
     K is built in one pass over the blocks of R, which come from the last
-    rows to the first: the first block ends with S, and each block becomes
-    K's rows in place as it arrives.
+    rows to the first in one buffer: the first block ends with S, and each
+    block's rows of K are formed in place as it arrives, outer(a, S) first,
+    then minus the block, then times the scale.
     """
     if not (isinstance(n, int) and n >= 8):
         raise DomainInvalid(f"nystrom matrix needs integer n >= 8, got {n!r}")
@@ -136,11 +137,12 @@ def nystrom_matrix(p: FracParams, q, n: int) -> np.ndarray:
     a = (m.u / p.L) ** p.a
     k = np.empty((n, n))
     s = None
-    for block, r in _product_weights(m, p.b, np.arange(n), out=k):
+    for block, r in _product_weights(m, p.b, np.arange(n)):
         if s is None:  # the first block ends with row n - 1: S = R at x = L
             s = r[-1].copy()
-        np.subtract(np.multiply.outer(a[block], s), r, out=r)
-        r *= scale
+        rows = np.multiply.outer(a[block], s, out=k[block])
+        rows -= r
+        rows *= scale
     return k
 
 

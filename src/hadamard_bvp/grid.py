@@ -14,7 +14,9 @@ only those whose bound beats the best value so far.  Geometric points
 L/(n - 1) 2^-k, k = 1..60, on both axes catch a left-edge maximum inside
 the first grid cell; one closer to s = t1 than the last of them is not
 resolved.  A zoom of vectorised 33 x 33 grids, each an eighth of the width
-of the last, then refines the best grid point to float spacing.
+of the last, then refines the best grid point to float spacing.  The tiles
+and the zoom take every value of |G| from ``_green_xy``; only the rank-one
+part above the diagonal has its own form.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Computes (x^a (L - y)^b / L^a - max(x - y, 0)^b) / (s Gamma(sigma - kappa))
     in two result-sized buffers; the power of x - y runs only below the
-    diagonal, where it is nonzero.  The brute-force zoom is its caller;
-    ``cli._write_grid`` repeats these operations, in this order, on floats.
+    diagonal, where it is nonzero.  The brute-force search evaluates its
+    tiles below the diagonal and its zoom through it; ``cli._write_grid``
+    repeats these operations, in this order, on floats.
     """
     scale = p.t1 * np.exp(y) * p.gamma_sk
     g = np.power(x, p.a) * np.power(np.maximum(p.L - y, 0.0), p.b)
@@ -82,9 +85,8 @@ def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
         |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - [i > j] (z_i - z_j)^b|.
 
     On and above the diagonal this is rank one and nonnegative, so row i
-    peaks at A_i times the suffix maximum of C = D w; below it the search is
-    ``_lower_max``.  The positive factor 1/(t1 Gamma(sigma - kappa)) scales
-    only the winner.
+    peaks at A_i times the suffix maximum of C = D w, which is divided by
+    t1 Gamma(sigma - kappa) once; below it the search is ``_lower_max``.
     """
     w = np.exp(-z)
     A = np.power(z, p.a) / p.L**p.a
@@ -94,60 +96,54 @@ def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
     suffix = np.maximum.accumulate(C[::-1])[::-1]
     i = int(np.argmax(A * suffix))
     j = i + int(np.argmax(C[i:]))
-    best, cell = _lower_max(z, A, D, w, p.b, float(A[i] * C[j]), (i, j))
-    return best / (p.t1 * p.gamma_sk), cell
+    return _lower_max(p, z, A, D, w, float(A[i] * C[j]) / (p.t1 * p.gamma_sk), (i, j))
 
 
 def _tile_bounds(
-    z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray, b: float
+    p: FracParams, z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tiles (I, J), J <= I, of the strict lower triangle and their bounds.
 
     Tile (I, J) holds rows I*_TILE.. and columns J*_TILE.. .  Its bound on
-    w_j |A_i D_j - (z_i - z_j)^b| comes from the extremes of A, D, w and z
-    over its rows and columns, as computed rather than from their monotony,
-    and carries a margin for the rounding of the products and powers, so no
-    computed value in the tile exceeds it.
+    |G| = w_j |A_i D_j - (z_i - z_j)^b| / (t1 Gamma(sigma - kappa)) comes from
+    the extremes of A, D, w and z over its rows and columns, as computed
+    rather than from their monotony, and carries a margin for the rounding
+    of the products and powers, so no value of ``_green_xy`` in the tile
+    exceeds it.
     """
     starts = np.arange(0, z.size, _TILE)
     hi, lo = np.maximum.reduceat, np.minimum.reduceat
     I, J = np.tril_indices(starts.size)
     ad_hi = hi(A, starts)[I] * hi(D, starts)[J]
     ad_lo = lo(A, starts)[I] * lo(D, starts)[J]
-    p_hi = np.power(hi(z, starts)[I] - lo(z, starts)[J], b)
+    p_hi = np.power(hi(z, starts)[I] - lo(z, starts)[J], p.b)
     # Diagonal tiles reach a zero difference.
-    p_lo = np.power(np.maximum(lo(z, starts)[I] - hi(z, starts)[J], 0.0), b)
+    p_lo = np.power(np.maximum(lo(z, starts)[I] - hi(z, starts)[J], 0.0), p.b)
     bound = hi(w, starts)[J] * (
         np.maximum(ad_hi - p_lo, p_hi - ad_lo) + _BOUND_MARGIN * np.maximum(ad_hi, p_hi)
     )
+    bound /= p.t1 * p.gamma_sk
     return I, J, bound
 
 
 def _lower_max(
-    z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray, b: float,
+    p: FracParams, z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray,
     best: float, cell: tuple[int, int] | None,
 ) -> tuple[float, tuple[int, int] | None]:
-    """Branch and bound for w_j |A_i D_j - (z_i - z_j)^b| over i > j.
+    """Branch and bound for |G| at (x, y) = (z_i, z_j) over i > j.
 
     Returns the largest value above ``best`` with its cell, or ``(best,
     cell)`` when no cell beats it.  Tiles (``_tile_bounds``) are evaluated
-    in descending bound order until a bound no longer beats the best value.
+    through ``_green_xy`` in descending bound order until a bound no longer
+    beats the best value.
     """
-    I, J, bound = _tile_bounds(z, A, D, w, b)
+    I, J, bound = _tile_bounds(p, z, A, D, w)
     strict_upper = ~np.tri(_TILE, k=-1, dtype=bool)
     for k in np.argsort(-bound, kind="stable").tolist():
         if not bound[k] > best:
             break
         r0, c0 = int(I[k]) * _TILE, int(J[k]) * _TILE
-        rows, cols = slice(r0, r0 + _TILE), slice(c0, c0 + _TILE)
-        d = z[rows, None] - z[None, cols]
-        if r0 == c0:
-            np.maximum(d, 0.0, out=d)
-        np.power(d, b, out=d)
-        g = A[rows, None] * D[None, cols]
-        g -= d
-        g *= w[cols]
-        np.abs(g, out=g)
+        g = np.abs(_green_xy(p, z[r0 : r0 + _TILE, None], z[None, c0 : c0 + _TILE]))
         if r0 == c0:
             # Cells on and above the diagonal are not part of this search.
             g[strict_upper[: g.shape[0], : g.shape[1]]] = 0.0
@@ -167,13 +163,14 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     is close to sigma - 1; one below L/(n - 1) 2^-60 is not resolved, and
     the result can then be well below ``green_max``.  The search over the
     grid (``_grid_search``) is exact: a suffix maximum above the diagonal
-    and branch and bound over tiles below it (``_lower_max``) return the
-    largest computed grid value while evaluating only the tiles that could
-    hold it.  The zoom then evaluates |G| on a 33 x 33 grid over +-span
-    around the best point, clipped to the square, starting from span =
-    2L/(n - 1); it moves to that grid's best point when it beats the best
-    value so far and divides span by 8.  It stops once span falls below the
-    float spacing of the point, or after ``_ZOOM_ROUNDS`` rounds.
+    and branch and bound over tiles below it (``_lower_max``, each tile
+    through ``_green_xy``) return the largest computed grid value while
+    evaluating only the tiles that could hold it.  The zoom then evaluates
+    |G| on a 33 x 33 grid over +-span around the best point, clipped to the
+    square, starting from span = 2L/(n - 1); it moves to that grid's best
+    point when it beats the best value so far and divides span by 8.  It
+    stops once span falls below the float spacing of the point, or after
+    ``_ZOOM_ROUNDS`` rounds.
 
     Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16 or an n that is not

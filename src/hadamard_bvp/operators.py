@@ -28,13 +28,13 @@ Gauss-Legendre rules, which are literals (``_GAUSS_LEGENDRE``) rather than
 numpy calls; R is bit-identical to forming all of them afresh.
 
 R comes in blocks of ``_BLOCK_ROWS`` = 128 rows, from the last rows to the
-first.  The own- and adjacent-panel weights of all requested rows are
-formed at once, and the far field per block, so R's bits do not depend on
-the block size or order.  The Nystrom matrix takes the blocks straight into
-its one n x n array, in one pass that needs R's last row first, and
-``composition_check`` holds one block at a time: the peak memory is one
-n x n array plus one block of 128 rows, 128 MB at ``fredholm``'s cap
-n = 4000.
+first, each in the same reused buffer.  The own- and adjacent-panel
+weights of all requested rows are formed at once, and the far field per
+block, so R's bits do not depend on the block size or order.  The Nystrom
+matrix turns each block into its rows of its one n x n array, in one pass
+that needs R's last row first, and ``composition_check`` reduces each block
+as it comes: the peak memory is one n x n array plus one block of 128 rows,
+128 MB at ``fredholm``'s cap n = 4000.
 
 The smallest order these integrals take is about 1e-8 (``_kernel_exponent``):
 below it the kernel exponent a - 1, a double, can be that of an order more
@@ -290,7 +290,7 @@ def _near_weights(m: _Mesh, b: float, rows: np.ndarray) -> list[tuple[np.ndarray
     return near
 
 
-def _product_weights(m: _Mesh, b: float, rows: np.ndarray, out: np.ndarray | None = None):
+def _product_weights(m: _Mesh, b: float, rows: np.ndarray):
     """R[i][j] = int_0^{u_i} (u_i - y)^b l_j(y) dy for the mesh nodes i in ``rows``.
 
     l_j is the Lagrange basis of node j on its panel.  R is the Gauss weight
@@ -300,17 +300,16 @@ def _product_weights(m: _Mesh, b: float, rows: np.ndarray, out: np.ndarray | Non
 
     Yields (slice of ``rows``, block of R) for slices of ``_BLOCK_ROWS``
     rows, from the last rows to the first, so the first block ends with the
-    last row.  The block is that slice's rows of ``out`` if given, and
-    otherwise one buffer, which the next block overwrites.
+    last row.  Every block is rows of one buffer, which the next block
+    overwrites.
     """
     near = _near_weights(m, b, rows)
-    buf = np.empty((min(_BLOCK_ROWS, len(rows)), len(m.u))) if out is None else None
-    for lo in reversed(range(0, len(rows), _BLOCK_ROWS)):
-        block = slice(lo, lo + _BLOCK_ROWS)
+    buf = np.empty((min(_BLOCK_ROWS, len(rows)), len(m.u)))
+    for start in reversed(range(0, len(rows), _BLOCK_ROWS)):
+        block = slice(start, start + _BLOCK_ROWS)
         # Gauss weight times (u_i - u_j)^b for u_j < u_i; the columns of each
         # row's own and adjacent panel are overwritten below.
-        dest = out[block] if buf is None else buf[: len(rows[block])]
-        r = np.subtract(m.u[rows[block], None], m.u, out=dest)
+        r = np.subtract(m.u[rows[block], None], m.u, out=buf[: len(rows[block])])
         np.maximum(r, 0.0, out=r)
         np.power(r, b, out=r, where=r > 0.0)
         r *= m.w

@@ -26,6 +26,7 @@ from hadamard_bvp import (
     parse_expr,
     reference_bound_kappa0,
 )
+from hadamard_bvp import bounds
 from hadamard_bvp.bounds import _GL_NODES, _GL_WEIGHTS, _scan_grid
 from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
 from hadamard_bvp.operators import _GAUSS_LEGENDRE, PANEL_ORDER
@@ -144,6 +145,26 @@ def test_integral_of_sign_flipping_line():
     got = integrate_abs_q(lambda t: t - 2.0, 1.0, math.e, tol=1e-10)
     exact = 0.5 + 0.5 * (math.e - 2.0) ** 2
     assert abs(got - exact) <= 1e-9
+
+
+def test_bisection_returns_an_exact_root(monkeypatch):
+    # The root of t - 1.501953125 is the first midpoint of the scan cell
+    # [1.5, 1.50390625], where q is exactly 0: the bisection returns it.
+    root = 1.501953125
+    assert _scan_grid(1.0, 2.0)[128:130] == [1.5, 1.50390625]
+    assert root == 0.5 * (1.5 + 1.50390625)
+    bisect = bounds._bisect_sign_change
+    found = []
+
+    def recording(*args):
+        found.append(bisect(*args))
+        return found[-1]
+
+    monkeypatch.setattr(bounds, "_bisect_sign_change", recording)
+    got = integrate_abs_q(lambda t: t - root, 1.0, 2.0)
+    assert found == [root]
+    # (root - 1)^2/2 + (2 - root)^2/2, exact in binary.
+    assert got == 0.2500038146972656 == ((root - 1.0) ** 2 + (2.0 - root) ** 2) / 2.0
 
 
 @pytest.mark.parametrize(

@@ -394,6 +394,8 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(["check", *PP_A, "--q-expr", "2*"], capsys)
     assert code == 2 and "error:" in err
+    code, out, err = run(["check", *PP_A, "--q-expr", "t$"], capsys)
+    assert code == 2 and out == "" and "unexpected character '$' at offset 1" in err
     code, _, err = run(["check", *PP_A, "--q-table", str(tmp_path / "missing.csv")], capsys)
     assert code == 2 and "error:" in err
 

@@ -92,6 +92,17 @@ def test_syntax_errors_report_offset_and_expectations():
     with pytest.raises(SyntaxError):
         parse_expr("1+2)")
 
+    # The tokenizer's two rejections: a character no token starts with, and
+    # one that is not ASCII.
+    with pytest.raises(ExpressionSyntaxError, match=r"unexpected character '\$' at offset 3") as info:
+        parse_expr("2*t$")
+    assert info.value.offset == 3
+    assert info.value.expected == ("identifier", "number", "operator", "parenthesis")
+    with pytest.raises(ExpressionSyntaxError, match="non-ASCII character at offset 1") as info:
+        parse_expr("t\u00b72")
+    assert info.value.offset == 1
+    assert info.value.expected == ("ASCII character",)
+
 
 def _random_expr(rng, depth):
     """Random AST matching the grammar, for round-trip fuzzing."""
@@ -245,6 +256,13 @@ def test_load_table(tmp_path):
     bad.write_text("t,q\n1.0,hello\n2.0,1\n")
     with pytest.raises(DomainInvalid):
         load_table(str(bad))
+    # A blank line is skipped; a row of three columns is rejected by line.
+    path.write_text("t,q\n1.0,0.5\n\n2.0,1.5\n")
+    assert load_table(str(path)) == Table(((1.0, 0.5), (2.0, 1.5)))
+    bad.write_text("t,q\n1.0,0.5\n2.0,1.5,7\n")
+    with pytest.raises(DomainInvalid) as info:
+        load_table(str(bad))
+    assert str(info.value) == f"{bad}:3: expected two columns, got 3"
 
 
 def test_eval_coefficient_rejects_non_coefficients():

@@ -214,15 +214,21 @@ def test_bruteforce_meets_closed_form_near_kappa_edge(sigma, e, L):
 @pytest.mark.parametrize("n", [16, 128, 2000])
 @pytest.mark.parametrize("which", ["EX_B", "defect-5", "left-edge"])
 def test_bruteforce_zoom_stops_before_round_cap(which, n, monkeypatch):
-    # Each zoom round makes one _green_xy call; the zoom must stop on the
-    # float spacing of its point, not on the cap, for a diagonal maximum,
-    # one at x = 8.5e-5 L and one at x = 0.2 L, both on s = t1.
+    # Each zoom round makes one 33 x 33 _green_xy call; the zoom must stop on
+    # the float spacing of its point, not on the cap, for a diagonal maximum,
+    # one at x = 8.5e-5 L and one at x = 0.2 L, both on s = t1.  The tiles
+    # below the diagonal go through _green_xy too, but none is 33 x 33: they
+    # are 64 wide but for the last, whose width is that of the n + 60 point
+    # axis modulo 64.
     p = {"EX_B": EX_B, "defect-5": DEFECT_5, "left-edge": validate(1.9, 0.5, 1.0, math.e)}[which]
+    assert (n + 60) % grid._TILE != grid._ZOOM_POINTS
     calls = []
 
     def counting(*args):
-        calls.append(None)
-        return _green_xy(*args)
+        g = _green_xy(*args)
+        if g.shape == (grid._ZOOM_POINTS, grid._ZOOM_POINTS):
+            calls.append(None)
+        return g
 
     monkeypatch.setattr(grid, "_green_xy", counting)
     brute, (_, s_at) = green_max_bruteforce(p, n)
@@ -267,9 +273,10 @@ def test_uniform_sweep_matches_direct_sweep(which, n):
 )
 def test_lower_max_pruning_is_exact(sigma, e, L, n):
     # r = kappa/(sigma - 1) = 1 - 10^-e runs from the middle of its range to
-    # the kappa -> sigma - 1 edge.  No tile's bound may fall below a value in
-    # the tile, and the search, started from best = 0 so that it prunes only
-    # against values found below the diagonal, must find the exhaustive max.
+    # the kappa -> sigma - 1 edge.  No tile's bound may fall below a value of
+    # _green_xy in the tile, and the search, started from best = 0 so that it
+    # prunes only against values found below the diagonal, must find the
+    # exhaustive max of |_green_xy| there.
     a = sigma - 1.0
     kappa = (1.0 - 10.0**-e) * a
     assume(0.0 < kappa < a)
@@ -279,21 +286,20 @@ def test_lower_max_pruning_is_exact(sigma, e, L, n):
     w = np.exp(-z)
     A = np.power(z, a) / p.L**a
     D = np.power(np.maximum(p.L - z, 0.0), b)
-    value, (i, j) = grid._lower_max(z, A, D, w, b, 0.0, None)
-    # The same cell expression on every cell below the diagonal, unpruned.
+    value, (i, j) = grid._lower_max(p, z, A, D, w, 0.0, None)
+    # |G| through _green_xy on every cell below the diagonal, unpruned.
     below = np.tri(z.size, k=-1, dtype=bool)
-    d = np.where(below, z[:, None] - z[None, :], 0.0)
-    g = np.abs(A[:, None] * D[None, :] - np.power(d, b)) * w[None, :]
+    g = np.abs(_green_xy(p, z[:, None], z[None, :]))
     g[~below] = 0.0
     ref = float(g.max())
     tiles = -(-z.size // grid._TILE)
     padded = np.zeros((tiles * grid._TILE,) * 2)
     padded[: z.size, : z.size] = g
     tile_max = padded.reshape(tiles, grid._TILE, tiles, grid._TILE).max(axis=(1, 3))
-    I, J, bound = grid._tile_bounds(z, A, D, w, b)
+    I, J, bound = grid._tile_bounds(p, z, A, D, w)
     assert np.all(tile_max[I, J] <= bound)
     assert i > j
-    assert abs(value - ref) <= 1e-15 * ref
+    assert value == ref == g[i, j]
 
 
 @pytest.mark.parametrize("n", [16, 64, 2000])

@@ -63,6 +63,7 @@ def test_order_zero_is_identity():
 
 def test_empty_interval_integrates_to_zero():
     assert hadamard_integral(0.7, lambda s: 1.0, 2.0, 2.0) == 0.0
+    assert composition_check(0.5, 0.3, lambda s: 1.0, 2.0, 2.0) == (0.0, 0.0)
 
 
 def test_order_one_matches_log_antiderivative():
@@ -239,6 +240,8 @@ def test_argument_validation():
         hadamard_derivative(2.5, lambda s: 1.0, 1.0, 2.0)
     with pytest.raises(DomainInvalid):
         hadamard_derivative(0.5, lambda s: 1.0, 2.0, 2.0)
+    with pytest.raises(DomainInvalid, match="^coefficient must be a Coefficient or callable, got 42$"):
+        hadamard_integral(0.5, 42, 1.0, 2.0)
 
 
 def _cos_reference(order, t1, t):
