@@ -55,7 +55,7 @@ from .bounds import DEFAULT_TOL, _scan_grid, lyapunov_report, nonexistence_check
 from .coefficient import Constant, load_table
 from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
 from .kernel import green_eval, green_max
-from .params import FracParams, validate
+from .params import FracParams, parse_decimal, validate
 
 __all__ = ["main", "run", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
 
@@ -135,19 +135,27 @@ def _render(command: str, p: FracParams | None, payload: dict, as_json: bool) ->
     return "\n".join(lines)
 
 
-def _real(text: str) -> float:
-    """Strict real-number parser for CLI flags.
+def _literal(kind: type):
+    """The argparse type of a flag that takes a ``kind`` (float or int).
 
-    Accepts decimal and exponent notation only; the constant name `e` is not
-    a value (pass 2.718281828459045), and non-finite values are rejected.
+    Accepts ASCII decimal literals only (`parse_decimal`): the constant name
+    `e` is not a value (pass 2.718281828459045), and a literal that
+    overflows to a non-finite value is rejected.
     """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value must be finite: {text!r}")
-    return value
+
+    def parse(text: str):
+        try:
+            value = parse_decimal(text, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"value must be finite: {text!r}")
+        return value
+
+    return parse
+
+
+_real = _literal(float)
 
 
 def _params_from(args) -> FracParams:
@@ -296,12 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gsub.add_parser("max", parents=[common, pp], help="closed-form maximum report")
     g_grid = gsub.add_parser("grid", parents=[common, pp], help="CSV grid of G values")
     g_grid.add_argument(
-        "--n", type=int, default=100, help=f"grid points per axis (2 to {GRID_MAX_N})"
+        "--n", type=_literal(int), default=100, help=f"grid points per axis (2 to {GRID_MAX_N})"
     )
     g_grid.add_argument("--out", required=True, help="output CSV path")
 
     p_eigen = sub.add_parser("eigen", parents=[common, pp], help="Nystrom eigenvalue check")
-    p_eigen.add_argument("--n", type=int, default=400, help="mesh size (>= 32)")
+    p_eigen.add_argument("--n", type=_literal(int), default=400, help="mesh size (>= 32)")
 
     p_self = sub.add_parser("selftest", parents=[common], help="run embedded checks")
     p_self.add_argument("--filter", help="only run checks whose name contains this")

@@ -27,7 +27,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import DomainInvalid, EvalError, NonFiniteResult, OutOfTableRange, QuadratureFailure
-from .params import log_ratio
+from .params import log_ratio, parse_decimal
 
 __all__ = ["Coefficient", "Constant", "Table", "eval_coefficient", "load_table"]
 
@@ -204,7 +204,11 @@ def sampler(q):
 
 
 def load_table(path: str) -> Table:
-    """Read a CSV table with header ``t,q`` into a Table coefficient."""
+    """Read a CSV table with header ``t,q`` into a Table coefficient.
+
+    Every cell is an ASCII decimal literal (``parse_decimal``); a cell that
+    is not is a DomainInvalid naming ``<path>:<line>``.
+    """
     import csv
 
     with open(path, newline="") as fh:
@@ -218,7 +222,7 @@ def load_table(path: str) -> Table:
         if len(row) != 2:
             raise DomainInvalid(f"{path}:{lineno}: expected two columns, got {len(row)}")
         try:
-            points.append((float(row[0]), float(row[1])))
+            points.append((parse_decimal(row[0]), parse_decimal(row[1])))
         except ValueError as exc:
             raise DomainInvalid(f"{path}:{lineno}: {exc}") from exc
     return Table(points=tuple(points))

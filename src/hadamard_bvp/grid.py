@@ -8,15 +8,14 @@ loads it on first use, and of the ``hbvp`` commands only ``selftest`` does:
 ``hbvp green grid`` writes its CSV with the operations of ``_green_xy`` on
 floats (``cli._write_grid``).
 
-The search of the grid uses the kernel's structure: above the diagonal G is
-rank one in (x, y), and below it a branch and bound over tiles evaluates
-only those whose bound beats the best value so far.  Geometric points
-L/(n - 1) 2^-k, k = 1..60, on both axes catch a left-edge maximum inside
-the first grid cell; one closer to s = t1 than the last of them is not
-resolved.  A zoom of vectorised 33 x 33 grids, each an eighth of the width
-of the last, then refines the best grid point to float spacing.  The tiles
-and the zoom take every value of |G| from ``_green_xy``; only the rank-one
-part above the diagonal has its own form.
+The grid is searched by one branch and bound over the tiles of the whole
+square, which evaluates only the tiles whose bound beats the best value so
+far.  Geometric points L/(n - 1) 2^-k, k = 1..60, on both axes catch a
+left-edge maximum inside the first grid cell; one closer to s = t1 than the
+last of them is not resolved.  A zoom of vectorised 33 x 33 grids, each an
+eighth of the width of the last, then refines the best grid point to float
+spacing.  The tiles and the zoom take every value of |G| from
+``_green_xy``.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ from .params import FracParams
 __all__ = ["green_max_bruteforce"]
 
 # Largest accepted grid size for the brute-force search.  Branch and bound
-# usually evaluates a few percent of the grid; when nothing prunes, it
-# touches all of about n^2/2 kernel values, so this caps work at ~8M.
+# usually evaluates about one percent of the grid; when nothing prunes, it
+# touches all of about n^2 kernel values, so this caps work at ~17M.
 BRUTEFORCE_MAX_N = 4096
 
-# Edge of the square tiles below the diagonal that the brute-force search
-# bounds and evaluates as a unit.
+# Edge of the square tiles that the brute-force search bounds and
+# evaluates as a unit.
 _TILE = 64
 
 # Relative slack on a tile's bound, as a share of its largest term: covers
@@ -62,8 +61,8 @@ def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Computes (x^a (L - y)^b / L^a - max(x - y, 0)^b) / (s Gamma(sigma - kappa))
     in two result-sized buffers; the power of x - y runs only below the
     diagonal, where it is nonzero.  The brute-force search evaluates its
-    tiles below the diagonal and its zoom through it; ``cli._write_grid``
-    repeats these operations, in this order, on floats.
+    tiles and its zoom through it; ``cli._write_grid`` repeats these
+    operations, in this order, on floats.
     """
     scale = p.t1 * np.exp(y) * p.gamma_sk
     g = np.power(x, p.a) * np.power(np.maximum(p.L - y, 0.0), p.b)
@@ -76,48 +75,30 @@ def _green_xy(p: FracParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g
 
 
-def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """max|G| over the grid ``z`` squared (z ascending), and its cell (i, j).
+def _tile_bounds(p: FracParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tiles (I, J) of the square and their bounds on |G|.
 
-    Row i is x = ln(t/t1), column j is y = ln(s/t1).  With A_i = (z_i/L)^a,
-    D_j = (L - z_j)^b and w_j = e^(-z_j),
+    Tile (I, J) holds rows I*_TILE.. (x = z_i) and columns J*_TILE.. (y =
+    z_j).  With A_i = (z_i/L)^a, D_j = (L - z_j)^b and w_j = e^(-z_j),
 
-        |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - [i > j] (z_i - z_j)^b|.
+        |G_ij| t1 Gamma(sigma - kappa) = w_j |A_i D_j - max(z_i - z_j, 0)^b|.
 
-    On and above the diagonal this is rank one and nonnegative, so row i
-    peaks at A_i times the suffix maximum of C = D w, which is divided by
-    t1 Gamma(sigma - kappa) once; below it the search is ``_lower_max``.
+    A tile's bound comes from the extremes of A, D, w and z over its rows
+    and columns, as computed rather than from their monotony, and carries a
+    margin for the rounding of the products and powers, so no value of
+    ``_green_xy`` in the tile exceeds it.  Above the diagonal the power is
+    0 and the bound is w A D (1 + margin), which the tile's corner cell
+    attains.
     """
     w = np.exp(-z)
     A = np.power(z, p.a) / p.L**p.a
     D = np.power(np.maximum(p.L - z, 0.0), p.b)
-    C = D * w
-
-    suffix = np.maximum.accumulate(C[::-1])[::-1]
-    i = int(np.argmax(A * suffix))
-    j = i + int(np.argmax(C[i:]))
-    return _lower_max(p, z, A, D, w, float(A[i] * C[j]) / (p.t1 * p.gamma_sk), (i, j))
-
-
-def _tile_bounds(
-    p: FracParams, z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tiles (I, J), J <= I, of the strict lower triangle and their bounds.
-
-    Tile (I, J) holds rows I*_TILE.. and columns J*_TILE.. .  Its bound on
-    |G| = w_j |A_i D_j - (z_i - z_j)^b| / (t1 Gamma(sigma - kappa)) comes from
-    the extremes of A, D, w and z over its rows and columns, as computed
-    rather than from their monotony, and carries a margin for the rounding
-    of the products and powers, so no value of ``_green_xy`` in the tile
-    exceeds it.
-    """
     starts = np.arange(0, z.size, _TILE)
     hi, lo = np.maximum.reduceat, np.minimum.reduceat
-    I, J = np.tril_indices(starts.size)
+    I, J = (k.ravel() for k in np.indices((starts.size, starts.size)))
     ad_hi = hi(A, starts)[I] * hi(D, starts)[J]
     ad_lo = lo(A, starts)[I] * lo(D, starts)[J]
-    p_hi = np.power(hi(z, starts)[I] - lo(z, starts)[J], p.b)
-    # Diagonal tiles reach a zero difference.
+    p_hi = np.power(np.maximum(hi(z, starts)[I] - lo(z, starts)[J], 0.0), p.b)
     p_lo = np.power(np.maximum(lo(z, starts)[I] - hi(z, starts)[J], 0.0), p.b)
     bound = hi(w, starts)[J] * (
         np.maximum(ad_hi - p_lo, p_hi - ad_lo) + _BOUND_MARGIN * np.maximum(ad_hi, p_hi)
@@ -126,27 +107,21 @@ def _tile_bounds(
     return I, J, bound
 
 
-def _lower_max(
-    p: FracParams, z: np.ndarray, A: np.ndarray, D: np.ndarray, w: np.ndarray,
-    best: float, cell: tuple[int, int] | None,
-) -> tuple[float, tuple[int, int] | None]:
-    """Branch and bound for |G| at (x, y) = (z_i, z_j) over i > j.
+def _grid_search(p: FracParams, z: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """max|G| over the grid ``z`` squared (z ascending), and its cell (i, j).
 
-    Returns the largest value above ``best`` with its cell, or ``(best,
-    cell)`` when no cell beats it.  Tiles (``_tile_bounds``) are evaluated
-    through ``_green_xy`` in descending bound order until a bound no longer
-    beats the best value.
+    Row i is x = z_i, column j is y = z_j.  A branch and bound evaluates the
+    tiles of ``_tile_bounds`` through ``_green_xy`` in descending bound
+    order, from best = 0 at cell (0, 0), until a bound no longer beats the
+    best value; it returns the largest computed value of the grid.
     """
-    I, J, bound = _tile_bounds(p, z, A, D, w)
-    strict_upper = ~np.tri(_TILE, k=-1, dtype=bool)
+    I, J, bound = _tile_bounds(p, z)
+    best, cell = 0.0, (0, 0)
     for k in np.argsort(-bound, kind="stable").tolist():
         if not bound[k] > best:
             break
         r0, c0 = int(I[k]) * _TILE, int(J[k]) * _TILE
         g = np.abs(_green_xy(p, z[r0 : r0 + _TILE, None], z[None, c0 : c0 + _TILE]))
-        if r0 == c0:
-            # Cells on and above the diagonal are not part of this search.
-            g[strict_upper[: g.shape[0], : g.shape[1]]] = 0.0
         m = int(np.argmax(g))
         if g.flat[m] > best:
             best, cell = float(g.flat[m]), (r0 + m // g.shape[1], c0 + m % g.shape[1])
@@ -162,15 +137,14 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     x = (b/a)^(1/kappa) L that lies inside the first uniform cell when kappa
     is close to sigma - 1; one below L/(n - 1) 2^-60 is not resolved, and
     the result can then be well below ``green_max``.  The search over the
-    grid (``_grid_search``) is exact: a suffix maximum above the diagonal
-    and branch and bound over tiles below it (``_lower_max``, each tile
-    through ``_green_xy``) return the largest computed grid value while
-    evaluating only the tiles that could hold it.  The zoom then evaluates
-    |G| on a 33 x 33 grid over +-span around the best point, clipped to the
-    square, starting from span = 2L/(n - 1); it moves to that grid's best
-    point when it beats the best value so far and divides span by 8.  It
-    stops once span falls below the float spacing of the point, or after
-    ``_ZOOM_ROUNDS`` rounds.
+    grid (``_grid_search``) is exact: one branch and bound over the tiles
+    of the square, each through ``_green_xy``, returns the largest computed
+    grid value while evaluating only the tiles that could hold it.  The
+    zoom then evaluates |G| on a 33 x 33 grid over +-span around the best
+    point, clipped to the square, starting from span = 2L/(n - 1); it moves
+    to that grid's best point when it beats the best value so far and
+    divides span by 8.  It stops once span falls below the float spacing of
+    the point, or after ``_ZOOM_ROUNDS`` rounds.
 
     Returns ``(value, (t, s))``.  Raises ResourceLimit for n above
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16 or an n that is not

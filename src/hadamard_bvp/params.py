@@ -20,12 +20,30 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from collections import namedtuple
 
 from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange
 from .gammafn import gamma
 
 __all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "log_width", "validate"]
+
+# ASCII decimal literals: [0-9], not \d, which matches any Unicode digit.
+_REAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_decimal(text: str, kind: type = float):
+    """``kind`` (float or int) of ``text``, an ASCII decimal literal.
+
+    Surrounding whitespace is stripped.  Raises ValueError for anything else
+    that ``float`` or ``int`` would accept: underscores (``2_7``), non-ASCII
+    digits, and the names ``inf``, ``nan`` and ``infinity``.
+    """
+    text = text.strip()
+    if (_INT if kind is int else _REAL).fullmatch(text) is None:
+        raise ValueError(f"not {'an integer' if kind is int else 'a real number'}: {text!r}")
+    return kind(text)
 
 
 def log_ratio(t: float, t1: float) -> float:

@@ -353,6 +353,33 @@ def test_argparse_rejects_bad_reals(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", *PP_A[:-1], "2_7"],
+    ["bound", "--sigma", "1.75", "--kappa", "0.5", "--t1", "\u0661", "--t2", E_STR],
+    ["eigen", *PP_A, "--n", "6_4"],
+    ["green", "grid", *PP_A, "--n", "1_0", "--out", os.devnull],
+    ["check", *PP_A, "--q-const", "1_0"],
+])
+def test_flags_take_only_ascii_decimal_literals(argv, capsys):
+    # float() and int() would read these as 27, 1, 64, 10 and 10.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a real number" in err or "not an integer" in err
+
+
+def test_table_cells_take_only_ascii_decimal_literals(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    for cell in ("1_5", "\u0661", "nan"):
+        path.write_text(f"t,q\n1,0.5\n2,{cell}\n")
+        code, out, err = run(["check", *PP_A, "--q-table", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"error: {path}:3: not a real number: {cell!r}" in err
+    path.write_text("t,q\n 1 , 0.5\n2.718281828459045,1e-3\n")
+    assert run(["check", *PP_A, "--q-table", str(path)], capsys)[0] == 0
+
+
 _PROBLEM_FLAGS = {"--sigma", "--kappa", "--t1", "--t2"}
 
 # Each leaf command's options: exactly the flags the command reads.

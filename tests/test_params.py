@@ -12,6 +12,7 @@ from hadamard_bvp import (
     VerdictKind,
     validate,
 )
+from hadamard_bvp.params import parse_decimal
 
 
 def test_validate_accepts_reference_parameters():
@@ -112,3 +113,17 @@ def test_verdict_soundness_bitwise():
     for bound, integral in ((1.0, 0.9999999999999999), (1.0, 1.0000000000000002), (3.5, 3.5)):
         v = Verdict.from_comparison(bound, integral)
         assert (v.kind is VerdictKind.NoNontrivialSolution) == (v.q_integral < v.bound)
+
+
+def test_parse_decimal_takes_only_ascii_decimal_literals():
+    for text, value in (("1.5", 1.5), (" 2 ", 2.0), ("1.", 1.0), (".5", 0.5), ("-3e2", -300.0),
+                        ("+1E-5", 1e-5), (repr(1e16), 1e16), (repr(0.1), 0.1), ("1e999", math.inf)):
+        assert parse_decimal(text) == value
+    assert parse_decimal("-064", int) == -64
+    # float() and int() accept all of these.
+    for text in ("2_7", "١", "１", "inf", "-nan", "Infinity", "1e", ".", ""):
+        with pytest.raises(ValueError, match="not a real number"):
+            parse_decimal(text)
+    for text in ("6_4", "٦٤", "6.4", "64.0", "1e2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_decimal(text, int)
