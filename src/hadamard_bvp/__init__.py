@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 # at start-up.
 _LAZY = {
     "expression": ("Expression", "parse_expr", "pretty"),
-    "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix", "residual_check"),
+    "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix"),
     "grid": ("green_max_bruteforce",),
     "operators": (
         "OperatorKind", "composition_check", "hadamard_derivative", "hadamard_integral",
@@ -103,7 +103,7 @@ __all__ = [
     "Coefficient", "Constant", "Expression", "Table", "parse_expr", "pretty",
     "eval_coefficient", "load_table",
     # fredholm
-    "NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check",
+    "NystromResult", "nystrom_matrix", "min_eigenvalue_modulus",
     # errors
     "HadamardBVPError", "DomainInvalid", "OrderOutOfRange",
     "BoundaryOrderUnsupported", "ResourceLimit", "QuadratureFailure",

@@ -14,9 +14,9 @@ integral of |q| over a range of the table has a closed form,
 
 ``sampler(q)`` is the one place that decides whether a value of q is valid,
 for a Coefficient and for a plain callable alike: ``bounds.integrate_abs_q``,
-the operators and the Nystrom matrix (``fredholm.nystrom_matrix`` and
-``residual_check``) evaluate q only through it, and ``eval_coefficient``
-applies its rule for a Coefficient to a single value.
+the operators and the Nystrom matrix (``fredholm.nystrom_matrix``)
+evaluate q only through it, and ``eval_coefficient`` applies its rule for a
+Coefficient to a single value.
 """
 
 from __future__ import annotations
@@ -206,13 +206,18 @@ def sampler(q):
 def load_table(path: str) -> Table:
     """Read a CSV table with header ``t,q`` into a Table coefficient.
 
-    Every cell is an ASCII decimal literal (``parse_decimal``); a cell that
-    is not is a DomainInvalid naming ``<path>:<line>``.
+    The file is UTF-8, with or without the byte-order mark that spreadsheet
+    "CSV UTF-8" exports write; other bytes are a DomainInvalid.  Every cell
+    is an ASCII decimal literal (``parse_decimal``); a cell that is not is a
+    DomainInvalid naming ``<path>:<line>``.
     """
     import csv
 
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DomainInvalid(f"{path}: not UTF-8 text") from exc
     if not rows or [cell.strip() for cell in rows[0]] != ["t", "q"]:
         raise DomainInvalid(f"{path}: expected CSV header 't,q'")
     points = []

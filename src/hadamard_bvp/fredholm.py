@@ -49,7 +49,7 @@ from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
 from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
 from .params import FracParams, VerdictKind
 
-__all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus", "residual_check"]
+__all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus"]
 
 MATRIX_MAX_N = 4000
 
@@ -214,32 +214,3 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
         eigenvector_boundary_residual=residual,
     )
 
-
-def residual_check(p: FracParams, q, x_samples, n: int) -> float:
-    """Sup-norm residual of x - Kx at the nodes for a candidate solution x.
-
-    ``x_samples`` is a sequence of (t, value) pairs covering [t1, t2];
-    values are interpolated linearly in ln t onto the Nystrom nodes.  Every
-    t must be finite and positive and every value finite, and one t (or two
-    t with the same ln t) cannot carry two values: DomainInvalid otherwise.
-    Repeats of one pair count once.
-    """
-    pairs = sorted({(float(t), float(v)) for t, v in x_samples})
-    if not pairs:
-        raise DomainInvalid("x_samples must be non-empty")
-    ts = np.array([t for t, _ in pairs])
-    vs = np.array([v for _, v in pairs])
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs)) and ts[0] > 0.0):
-        raise DomainInvalid("x_samples need finite t > 0 and finite values")
-    if ts[0] > p.t1 or ts[-1] < p.t2:
-        raise DomainInvalid(
-            f"samples cover [{ts[0]!r}, {ts[-1]!r}], need [{p.t1!r}, {p.t2!r}]"
-        )
-    log_ts = np.log(ts)
-    clash = np.flatnonzero(np.diff(log_ts) == 0.0)
-    if len(clash):
-        raise DomainInvalid(f"x_samples give two values at t={float(ts[clash[0] + 1])!r}")
-    K = nystrom_matrix(p, q, n)
-    s = _nodes(p, _mesh(p, n))
-    x = np.interp(np.log(s), log_ts, vs)
-    return float(np.max(np.abs(x - K @ x)))

@@ -80,6 +80,7 @@ GAMMA_REFS = (
 )
 
 _SWEEP_PARAMS = (EX_A, EX_B, validate(1.9, 0.3, 0.5, 4.0))
+_BVP_PARAMS = (EX_A, EX_B, validate(1.3, 0.1, 0.5, 4.0))
 SEED = 20260815  # every seeded sweep starts a fresh generator from it
 
 
@@ -374,27 +375,53 @@ def _check_nystrom_eigen():
     return True, f"lambda_min within {worst:.1e} of the references, 20 seeded sets above the bound"
 
 
-def _check_residual():
-    p = validate(1.9, 0.3, 1.0, math.e)
-    n = 80
-    K = fredholm.nystrom_matrix(p, Constant(1.0), n)
-    s = fredholm._nodes(p, fredholm._mesh(p, n))
-    mus, vecs = np.linalg.eig(K)
-    k = int(np.argmax(np.abs(mus)))
-    mu, v = float(mus[k].real), vecs[:, k].real
-    res = fredholm.residual_check(p, Constant(1.0 / mu), list(zip(s, v)), n)
-    if res > 1e-6 * float(np.max(np.abs(v))):
-        return False, f"eigenpair residual {res:.2e}"
-    rng = np.random.default_rng(SEED)
-    ts = np.linspace(p.t1, p.t2, 40)
-    xs = rng.standard_normal(40)
-    rand_res = fredholm.residual_check(p, Constant(1.0), list(zip(ts, xs)), n)
-    if rand_res <= 0.01 * float(np.max(np.abs(xs))):
-        return False, f"random residual {rand_res:.2e} suspiciously small"
-    zero = fredholm.residual_check(p, Constant(1.0), [(p.t1, 0.0), (p.t2, 0.0)], n)
-    if zero != 0.0:
-        return False, f"zero candidate residual {zero!r}"
-    return True, f"eigenpair {res:.1e}, random {rand_res:.2f}, zero exact"
+def _bvp_solution(p, m):
+    """u = int G(t, s) h(s) ds for h(s) = (ln(s/t1))^m, in closed form.
+
+    In x = ln(t/t1) it is B(b + 1, m + 1)/Gamma(sigma - kappa) times
+    x^a L^(b+m+1-a) - x^(b+m+1), taken as x^a (L^c - x^c) with c = b + m + 1 - a.
+    """
+    a, c = p.a, p.b + m + 1.0 - p.a
+    coef = gamma(p.b + 1.0) * gamma(m + 1.0) / (gamma(p.b + m + 2.0) * p.gamma_sk)
+    l_c = p.L**c
+
+    def u(t):
+        x = log_ratio(t, p.t1)
+        return coef * x**a * (l_c - x**c)
+
+    return u
+
+
+def _check_bvp_residual():
+    # G is the Green's function of D^sigma x + D^kappa(q x) = 0 with x(t1) =
+    # x(t2) = 0, so u = int G h solves D^sigma u + D^kappa h = 0 and vanishes
+    # at both ends.  u's closed form is held against the Nystrom rows of
+    # int G h at the nodes, then differentiated numerically.
+    gap_k = gap_d = 0.0
+    for p in _BVP_PARAMS:
+        K = fredholm.nystrom_matrix(p, Constant(1.0), 128)
+        nodes = fredholm._nodes(p, fredholm._mesh(p, 128)).tolist()
+        for m in (0, 1, 2):
+            u = _bvp_solution(p, m)
+            kh = K @ [log_ratio(s, p.t1) ** m for s in nodes]
+            if max(abs(kh[0]), abs(kh[-1]), abs(u(p.t1)), abs(u(p.t2))) != 0.0:
+                return False, f"int G h does not vanish at t1 and t2 for m={m}, {p!r}"
+            want = np.array([u(s) for s in nodes])
+            gap_k = max(gap_k, float(np.max(np.abs(kh - want)) / np.max(np.abs(want))))
+            for frac in (0.25, 0.5, 0.75):
+                t = p.t1 * math.exp(frac * p.L)
+                d_h = operators.power_rule_reference(
+                    operators.OperatorKind.Derivative, p.kappa, m + 1.0, p.t1, t
+                )
+                gap_d = max(gap_d, abs(operators.hadamard_derivative(p.sigma, u, p.t1, t) + d_h))
+    if gap_k > 1e-9:
+        return False, f"K h off the closed form of int G h by {gap_k:.2e} relative"
+    if gap_d > 1e-6:
+        return False, f"D^sigma u + D^kappa h = {gap_d:.2e}, not 0"
+    return True, (
+        f"{3 * len(_BVP_PARAMS)} cases: K h within {gap_k:.1e} relative, "
+        f"|D^sigma u + D^kappa h| <= {gap_d:.1e}, u(t1) = u(t2) = 0"
+    )
 
 
 _CHECKS = (
@@ -403,6 +430,7 @@ _CHECKS = (
     ("green.reference-max", _check_green_reference),
     ("green.kernel-structure", _check_green_structure),
     ("green.bruteforce-agreement", _check_green_bruteforce),
+    ("green.bvp-residual", _check_bvp_residual),
     ("bounds.integral-verdicts", _check_bound_verdicts),
     ("bounds.eigen-thresholds", _check_eigen_thresholds),
     ("bounds.kappa-limit", _check_kappa_limit),
@@ -411,7 +439,6 @@ _CHECKS = (
     ("coefficient.parser", _check_parser),
     ("fredholm.nystrom-structure", _check_nystrom_structure),
     ("fredholm.eigen-example", _check_nystrom_eigen),
-    ("fredholm.residual-check", _check_residual),
 )
 
 SELFTEST_NAMES = tuple(name for name, _ in _CHECKS)

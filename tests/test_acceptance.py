@@ -28,7 +28,7 @@ OTHER_CHECKS = (
     "params.validation",
     "gamma.reference-values",
     "fredholm.nystrom-structure",
-    "fredholm.residual-check",
+    "green.bvp-residual",
 )
 
 

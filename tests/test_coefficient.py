@@ -265,6 +265,21 @@ def test_load_table(tmp_path):
     assert str(info.value) == f"{bad}:3: expected two columns, got 3"
 
 
+def test_load_table_reads_a_utf8_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM and end lines in CRLF.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"t,q\r\n1.0,0.5\r\n2.0,1.5\r\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_table(str(marked)) == load_table(str(plain)) == Table(((1.0, 0.5), (2.0, 1.5)))
+
+
+def test_load_table_rejects_bytes_that_are_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"t,q\n1.0,0.5\xff\n2.0,1.5\n")
+    with pytest.raises(DomainInvalid, match=r"latin1\.csv: not UTF-8 text$"):
+        load_table(str(bad))
+
+
 def test_eval_coefficient_rejects_non_coefficients():
     with pytest.raises(DomainInvalid):
         eval_coefficient(lambda t: t, 1.0)

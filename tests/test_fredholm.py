@@ -22,7 +22,6 @@ from hadamard_bvp import (
     min_eigenvalue_modulus,
     nystrom_matrix,
     parse_expr,
-    residual_check,
 )
 from hadamard_bvp import operators
 from hadamard_bvp.cli import main
@@ -216,38 +215,6 @@ def test_sampled_narrow_intervals_satisfy_bound():
         assert res.satisfied
 
 
-def test_residual_requires_full_coverage():
-    with pytest.raises(DomainInvalid):
-        residual_check(EX_A, Constant(1.0), [(1.5, 1.0), (math.e, 0.0)], 64)
-    with pytest.raises(DomainInvalid):
-        residual_check(EX_A, Constant(1.0), [(1.0, 1.0), (2.0, 0.0)], 64)
-    with pytest.raises(DomainInvalid):
-        residual_check(EX_A, Constant(1.0), [], 64)
-
-
-@pytest.mark.parametrize(
-    "samples",
-    [
-        [(1.0, 0.0), (2.0, math.nan), (math.e, 0.0)],
-        [(1.0, 0.0), (2.0, math.inf), (math.e, 0.0)],
-        [(1.0, 0.0), (math.nan, 1.0), (math.e, 0.0)],
-        [(1.0, 0.0), (math.inf, 1.0)],
-        [(-1.0, 0.0), (1.0, 1.0), (math.e, 0.0)],
-        [(1.0, 0.0), (2.0, 1.0), (2.0, 3.0), (math.e, 0.0)],
-    ],
-    ids=["nan-value", "inf-value", "nan-t", "inf-t", "negative-t", "two-values-at-one-t"],
-)
-def test_residual_rejects_unusable_samples(samples):
-    with pytest.raises(DomainInvalid):
-        residual_check(EX_A, Constant(1.0), samples, 64)
-
-
-def test_residual_counts_a_repeated_sample_once():
-    samples = [(1.0, 0.0), (2.0, 1.0), (math.e, 0.0)]
-    once = residual_check(EX_A, Constant(1.0), samples, 64)
-    assert residual_check(EX_A, Constant(1.0), samples + samples[1:2], 64) == once
-
-
 @pytest.mark.parametrize("n", [33, 129, 257, 400])
 def test_matrix_does_not_depend_on_block_size(monkeypatch, n):
     cases = [(EX_A, Constant(1.0)), (EX_B, Expression(parse_expr("1 + sin(3*t)")))]
@@ -308,8 +275,6 @@ def test_non_finite_value_at_one_node_is_the_samplers_error():
     message = f"coefficient evaluated to inf at t={node!r}$"
     with pytest.raises(EvalError, match=message):
         nystrom_matrix(EX_A, Spike(), 64)
-    with pytest.raises(EvalError, match=message):
-        residual_check(EX_A, Spike(), [(1.0, 1.0), (math.e, 0.0)], 64)
     # A plain callable's non-finite value is a QuadratureFailure, as in the
     # operators.
     with pytest.raises(QuadratureFailure, match=message):

@@ -1,7 +1,12 @@
 import pytest
 
-from hadamard_bvp import operators
+from hadamard_bvp import FracParams, fredholm, operators
 from hadamard_bvp.selftest import SELFTEST_NAMES, run_selftests
+
+# FracParams with the kernel exponents a = sigma - 1 and b = sigma - kappa - 1
+# exchanged.
+_SWAPPED_A = property(lambda p: p.sigma - p.kappa - 1.0)
+_SWAPPED_B = property(lambda p: p.sigma - 1.0)
 
 
 @pytest.mark.parametrize("name", SELFTEST_NAMES)
@@ -19,6 +24,7 @@ def test_check_list_is_pinned():
         "green.reference-max",
         "green.kernel-structure",
         "green.bruteforce-agreement",
+        "green.bvp-residual",
         "bounds.integral-verdicts",
         "bounds.eigen-thresholds",
         "bounds.kappa-limit",
@@ -27,7 +33,6 @@ def test_check_list_is_pinned():
         "coefficient.parser",
         "fredholm.nystrom-structure",
         "fredholm.eigen-example",
-        "fredholm.residual-check",
     )
 
 
@@ -42,3 +47,25 @@ def test_inversion_check_builds_one_mesh_per_stencil_point(monkeypatch):
     [result] = run_selftests(name_filter="operators.inversion")
     assert result["ok"], result["detail"]
     assert len(built) <= 18
+
+
+def test_bvp_residual_fails_when_the_kernel_exponents_are_swapped(monkeypatch):
+    # Swapped everywhere, the closed form of int G h still matches the
+    # Nystrom rows, but no longer solves D^sigma u + D^kappa h = 0.
+    monkeypatch.setattr(FracParams, "a", _SWAPPED_A)
+    monkeypatch.setattr(FracParams, "b", _SWAPPED_B)
+    [result] = run_selftests(name_filter="green.bvp-residual")
+    assert not result["ok"]
+    assert result["detail"].startswith("D^sigma u + D^kappa h")
+
+
+def test_bvp_residual_fails_when_only_the_nystrom_exponents_are_swapped(monkeypatch):
+    class Swapped(FracParams):
+        __slots__ = ()
+        a, b = _SWAPPED_A, _SWAPPED_B
+
+    assemble = fredholm.nystrom_matrix
+    monkeypatch.setattr(fredholm, "nystrom_matrix", lambda p, q, n: assemble(Swapped(*p), q, n))
+    [result] = run_selftests(name_filter="green.bvp-residual")
+    assert not result["ok"]
+    assert result["detail"].startswith("K h off the closed form")
