@@ -27,12 +27,13 @@ from .errors import (
     EvalError,
     ExpressionSyntaxError,
     HadamardBVPError,
+    NonFiniteResult,
     OrderOutOfRange,
     OutOfTableRange,
     QuadratureFailure,
     ResourceLimit,
+    ResultUnderflow,
     UnknownIdentifier,
-    ZeroLambda,
 )
 from .gammafn import gamma, reciprocal_gamma
 from .kernel import (
@@ -107,6 +108,6 @@ __all__ = [
     # errors
     "HadamardBVPError", "DomainInvalid", "OrderOutOfRange",
     "BoundaryOrderUnsupported", "ResourceLimit", "QuadratureFailure",
-    "DifferenceInstability", "ConvergenceFailure", "ZeroLambda", "EvalError",
-    "OutOfTableRange", "UnknownIdentifier", "ExpressionSyntaxError",
+    "DifferenceInstability", "ConvergenceFailure", "NonFiniteResult", "ResultUnderflow",
+    "EvalError", "OutOfTableRange", "UnknownIdentifier", "ExpressionSyntaxError",
 ]

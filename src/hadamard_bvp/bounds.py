@@ -30,7 +30,6 @@ from .errors import (
     OrderOutOfRange,
     QuadratureFailure,
     ResultUnderflow,
-    ZeroLambda,
 )
 from .gammafn import gamma
 from .kernel import mho, omega
@@ -121,8 +120,6 @@ def lambda_nonexistence_check(p: FracParams, lam: float) -> Verdict:
     """Eigenvalue variant: NoNontrivialSolution iff |lambda| < eigen bound."""
     if not math.isfinite(lam):
         raise DomainInvalid(f"lambda must be finite, got {lam!r}")
-    if lam == 0.0:
-        raise ZeroLambda("lambda = 0 makes the eigenvalue test vacuous")
     return Verdict.from_comparison(eigenvalue_bound(p), abs(lam))
 
 
@@ -171,12 +168,14 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     pinned down by bisection, so that each adaptive sub-problem integrates a
     smooth branch of |q|.  Each panel uses a fixed 15-node Gauss rule; a
     panel is accepted when splitting it changes the result by less than its
-    share of the tolerance.  Past depth 48 (a panel a few ulps wide, at an
-    integrable cusp say) a panel is accepted anyway and its error estimate
-    is added to a running slack.  QuadratureFailure is raised when the slack
-    exceeds tol or the recursion exhausts its budget of 200 000 panels,
-    which in practice means |q| is not integrable or too rough for the scan
-    resolution.  NonFiniteResult is raised as soon as a pair of panels, or
+    share of the tolerance.  A panel narrower than its width floor,
+    max(64 ulps of its midpoint, 2^-48 (t2 - t1)), is accepted anyway and
+    its error estimate is added to a running slack: below 64 ulps, halving
+    no longer tells a jump or a cusp apart, and the relative term caps the
+    depth near t = 0, where ulps are tiny.  QuadratureFailure is raised when
+    the slack exceeds tol or the recursion exhausts its budget of 200 000
+    panels, which in practice means |q| is not integrable or too rough for
+    the scan resolution.  NonFiniteResult is raised as soon as a pair of panels, or
     the sum over the segments between sign changes, overflows.  q is
     evaluated only through ``coefficient.sampler``, which decides whether a
     value is valid: one that is not a real number is an EvalError, and one
@@ -209,9 +208,9 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     breakpoints.append(t2)
 
     budget = [200_000]  # panel evaluations, shared across segments
-    slack = [0.0]  # error estimates of the panels accepted past the depth limit
+    slack = [0.0]  # error estimates of the panels accepted at the width floor
 
-    def adapt(a: float, b: float, whole: float, tol_here: float, depth: int) -> float:
+    def adapt(a: float, b: float, whole: float, tol_here: float) -> float:
         mid = 0.5 * (a + b)
         left = _gauss_panel(sample, a, mid)
         right = _gauss_panel(sample, mid, b)
@@ -224,23 +223,21 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         error = abs(pair - whole)
         if error <= tol_here:
             return pair
-        if depth > 48:
+        if b - a < max(64.0 * math.ulp(mid), 2.0**-48 * (t2 - t1)):
             slack[0] += error
             if slack[0] > tol:
                 raise QuadratureFailure(
                     f"adaptive quadrature does not converge on [{a!r}, {b!r}]"
                 )
             return pair
-        return adapt(a, mid, left, 0.5 * tol_here, depth + 1) + adapt(
-            mid, b, right, 0.5 * tol_here, depth + 1
-        )
+        return adapt(a, mid, left, 0.5 * tol_here) + adapt(mid, b, right, 0.5 * tol_here)
 
     total = 0.0
     for a, b in zip(breakpoints, breakpoints[1:]):
         if b <= a:
             continue
         share = tol * (b - a) / (t2 - t1)
-        total = finite(total + adapt(a, b, _gauss_panel(sample, a, b), max(share, 1e-300), 0))
+        total = finite(total + adapt(a, b, _gauss_panel(sample, a, b), share))
     return float(total)
 
 

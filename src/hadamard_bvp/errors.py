@@ -59,10 +59,6 @@ class ResultUnderflow(HadamardBVPError):
     exit_code = 3
 
 
-class ZeroLambda(DomainInvalid):
-    """The eigenvalue candidate is zero, for which the test is vacuous."""
-
-
 class EvalError(HadamardBVPError):
     """A coefficient could not be evaluated (log of non-positive, 1/0, ...)."""
 

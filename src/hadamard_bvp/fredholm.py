@@ -79,8 +79,9 @@ class NystromResult(
     eigenvalue modulus of the continuous problem.
     ``eigenvector_boundary_residual`` is max(|v(t1)|, |v(t2)|) / max|v| for
     v = K x, where x is the dominant Ritz vector padded with zeros at t1
-    and t2; it is 0.0 when v satisfies the boundary conditions exactly,
-    which the zero boundary rows of K ensure.
+    and t2.  It is 0.0 by assembly, since the first and last rows of K are
+    zero, and stays only because the JSON schema of ``hbvp eigen`` carries
+    it.
     """
 
     __slots__ = ()

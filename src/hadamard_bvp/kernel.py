@@ -76,17 +76,21 @@ class GreenMaxReport(
     __slots__ = ()
 
 
-def _log_coord(p: FracParams, t: float, name: str) -> float:
-    if not (p.t1 <= t <= p.t2):
-        raise DomainInvalid(f"{name}={t!r} outside [{p.t1!r}, {p.t2!r}]")
-    # Clamp away one-ulp excursions from the log; the t-space check above is
-    # the authoritative one.
+def _x(p: FracParams, t: float) -> float:
+    """ln(t/t1) for t in [t1, t2], which the caller has checked; the clamp
+    takes away one-ulp excursions of the log."""
     return min(max(log_ratio(t, p.t1), 0.0), p.L)
 
 
+def _log_coord(p: FracParams, t: float) -> float:
+    if not (p.t1 <= t <= p.t2):
+        raise DomainInvalid(f"t={t!r} outside [{p.t1!r}, {p.t2!r}]")
+    return _x(p, t)
+
+
 def _xi(p: FracParams, t: float, s: float, below: bool) -> float:
-    """Xi at (t, s); ``below`` selects Xi2 (s <= t)."""
-    x, y = _log_coord(p, t, "t"), _log_coord(p, s, "s")
+    """Xi at (t, s), a point of the square; ``below`` selects Xi2 (s <= t)."""
+    x, y = _x(p, t), _x(p, s)
     upper = x**p.a * max(p.L - y, 0.0) ** p.b
     if not below:
         return upper / (p.L**p.a * s)
@@ -111,19 +115,18 @@ def green_eval(p: FracParams, t: float, s: float) -> float:
     """G(t, s) on the closed square [t1, t2]^2 (signed value)."""
     if not (p.t1 <= t <= p.t2 and p.t1 <= s <= p.t2):
         raise DomainInvalid(f"(t, s)=({t!r}, {s!r}) outside [{p.t1!r}, {p.t2!r}]^2")
-    branch = xi1(p, t, s) if t <= s else xi2(p, t, s)
-    return branch / p.gamma_sk
+    return _xi(p, t, s, t > s) / p.gamma_sk
 
 
 def diag_h(p: FracParams, t: float) -> float:
     """Diagonal profile h(t) = x^a (L - x)^b / t for t in [t1, t2]."""
-    x = _log_coord(p, t, "t")
+    x = _log_coord(p, t)
     return x**p.a * max(p.L - x, 0.0) ** p.b / t
 
 
 def zeta(p: FracParams, t: float) -> float:
     """Left-edge profile |Xi2(t, t1)| = x^b (1 - (x/L)^kappa) / t1."""
-    x = _log_coord(p, t, "t")
+    x = _log_coord(p, t)
     return x**p.b * (1.0 - (x / p.L) ** p.kappa) / p.t1
 
 

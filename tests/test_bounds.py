@@ -15,7 +15,6 @@ from hadamard_bvp import (
     QuadratureFailure,
     Table,
     VerdictKind,
-    ZeroLambda,
     eigenvalue_bound,
     green_max,
     integrate_abs_q,
@@ -97,8 +96,10 @@ def test_lambda_verdicts():
     # Exact tie is not a strict inequality.
     tie = lambda_nonexistence_check(EX_A, eigenvalue_bound(EX_A))
     assert tie.kind is VerdictKind.Inconclusive
-    with pytest.raises(ZeroLambda):
-        lambda_nonexistence_check(EX_A, 0.0)
+    # lambda = 0 is q = 0, whose only solution is x = 0.
+    zero = lambda_nonexistence_check(EX_A, 0.0)
+    assert zero.kind is VerdictKind.NoNontrivialSolution and zero.q_integral == 0.0
+    assert nonexistence_check(EX_A, Constant(0.0)).kind is zero.kind
     with pytest.raises(DomainInvalid):
         lambda_nonexistence_check(EX_A, math.nan)
     with pytest.raises(DomainInvalid):
@@ -318,16 +319,16 @@ def test_table_integral_errors():
 
 @pytest.mark.parametrize("c, t1, t2", [(4.651, 2.01, 21.6), (3.3, 1.0, 5.0)])
 def test_integral_through_a_cusp(c, t1, t2):
-    # The recursion passes its depth limit at the cusp of |t - c|^(1/2); the
-    # panels it accepts there are a few ulps wide and their error is tiny.
+    # The recursion reaches its width floor at the cusp of |t - c|^(1/2); the
+    # panels it accepts there are a few dozen ulps wide and their error is tiny.
     got = integrate_abs_q(Expression(parse_expr(f"abs(t-{c})^0.5")), t1, t2)
     exact = 2.0 / 3.0 * ((c - t1) ** 1.5 + (t2 - c) ** 1.5)
     assert abs(got - exact) <= 1e-12
 
 
-def test_depth_limit_slack_is_bounded_by_tol():
+def test_width_floor_slack_is_bounded_by_tol():
     # A jump of q is a kink the scan cannot see: the panel holding it is
-    # accepted past the depth limit while its error stays below tol ...
+    # accepted at the width floor while its error stays below tol ...
     c = 4.51234567
     got = integrate_abs_q(lambda t: 1.0 if t < c else 3.0, 4.0, 5.0)
     assert abs(got - ((c - 4.0) + 3.0 * (5.0 - c))) <= 1e-12
@@ -339,6 +340,16 @@ def test_depth_limit_slack_is_bounded_by_tol():
     # 0.01/abs(t-4.51234567) takes seconds longer).
     with pytest.raises(QuadratureFailure):
         integrate_abs_q(lambda t: 0.01 / abs(t - c), 4.0, 5.0)
+
+
+@pytest.mark.parametrize("t1, width, high", [(4.0, 1e-6, 1e9), (1.0, 1e-9, 1e8)])
+def test_jump_on_a_narrow_interval_does_not_converge(t1, width, high):
+    # Halving such an interval 48 times passes float resolution long before
+    # the panels are narrow enough to see the jump; the width floor stops at
+    # 64 ulps, where the jump still shows, as it does on [4, 5].
+    c = t1 + 0.37 * width
+    with pytest.raises(QuadratureFailure, match="does not converge"):
+        integrate_abs_q(lambda t: 1.0 if t < c else high, t1, t1 + width)
 
 
 def test_integral_domain_validation():

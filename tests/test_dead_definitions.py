@@ -2,13 +2,15 @@
 in its module's ``__all__`` or read elsewhere in the package.  A stand-in
 for a linter's dead-code rule, with no linter dependency.  The package's
 PEP 562 ``__getattr__`` and ``__all__`` itself are exempt: the interpreter
-reads them, not the package."""
+reads them, not the package.  Every error class is also a package export,
+since public functions raise them all."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import hadamard_bvp
+from hadamard_bvp import errors
 
 MODULES = sorted(Path(hadamard_bvp.__file__).parent.glob("*.py"))
 EXEMPT = {"__getattr__", "__all__"}
@@ -73,3 +75,12 @@ def test_detects_a_dead_definition():
     assert _dead_definitions(sources) == [
         "a.py:STALE", "a.py:left_behind", "b.py:_SPARE", "b.py:Unused",
     ]
+
+
+def test_every_error_class_is_exported():
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.HadamardBVPError)]
+    assert len(classes) > 10
+    for cls in classes:
+        assert cls.__name__ in hadamard_bvp.__all__, cls.__name__
+        assert getattr(hadamard_bvp, cls.__name__) is cls

@@ -85,6 +85,14 @@ def test_scalar_modules_defer_the_parser_and_csv(name):
     assert top_level.isdisjoint({*DEFERRED, "csv"})
 
 
+@pytest.mark.parametrize("name", [*SCALAR, *ARRAY, "cli"])
+def test_no_module_imports_a_test_dependency(name):
+    # scipy, mpmath, hypothesis and pytest are test extras, not runtime
+    # dependencies, so not even a function-local import may load them.
+    imported = {module for module, _ in _imports(_tree(name))}
+    assert imported.isdisjoint({"scipy", "mpmath", "hypothesis", "pytest"})
+
+
 def test_no_module_imports_dataclasses():
     for path in PACKAGE.glob("*.py"):
         assert "dataclasses" not in {module for module, _ in _imports(_tree(path.stem))}, path.name
