@@ -168,6 +168,25 @@ def test_bisection_returns_an_exact_root(monkeypatch):
     assert got == 0.2500038146972656 == ((root - 1.0) ** 2 + (2.0 - root) ** 2) / 2.0
 
 
+def test_sign_change_at_t1_leaves_an_empty_segment(monkeypatch):
+    # q is -1 at exactly t1 and +1 elsewhere: the bisection narrows the first
+    # scan cell down to the adjacent floats t1 and t1 + ulp, whose midpoint
+    # rounds to t1, so the segment [t1, t1] is skipped and the rest of the
+    # interval carries the whole integral.
+    t1, t2 = 1.0, 1.0 + 1e-9
+    bisect = bounds._bisect_sign_change
+    found = []
+
+    def recording(*args):
+        found.append(bisect(*args))
+        return found[-1]
+
+    monkeypatch.setattr(bounds, "_bisect_sign_change", recording)
+    got = integrate_abs_q(lambda t: -1.0 if t == t1 else 1.0, t1, t2)
+    assert found == [t1]
+    assert got == t2 - t1
+
+
 @pytest.mark.parametrize(
     "order, rule",
     [(15, (_GL_NODES, _GL_WEIGHTS)), *_GAUSS_LEGENDRE.items()],

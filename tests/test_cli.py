@@ -414,6 +414,21 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--sigma", "1e999", "--kappa", "0.5", "--t1", "1", "--t2", "2"],
+    # The = form: argparse would read a bare -1e999 as an option name.
+    ["check", *PP_A, "--q-const=-1e999"],
+    ["green", "eval", *PP_A, "--t", "1e999", "--s", "1.5"],
+])
+def test_flags_reject_literals_that_overflow(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value must be finite" in captured.err
+
+
 def test_usage_error_exit_codes(tmp_path, capsys):
     code, _, err = run(["bound", "--sigma", "3", "--kappa", "0.5", "--t1", "1", "--t2", "2"], capsys)
     assert code == 2 and "sigma" in err

@@ -123,7 +123,11 @@ def test_reference_eigenvalue_estimate():
     assert res.lambda_min >= EX_A_REF["eigen_bound"]
     assert res.analytic_bound == pytest.approx(EX_A_REF["eigen_bound"], rel=1e-12)
     assert res.satisfied is True
-    assert res.eigenvector_boundary_residual == 0.0
+    # eigenvector_boundary_residual is the constant 0.0 because the boundary
+    # rows and columns of K are exactly zero; check that on this case.
+    K = nystrom_matrix(EX_A, Constant(1.0), 400)
+    for edge in (K[0], K[-1], K[:, 0], K[:, -1]):
+        assert np.all(edge == 0.0)
 
 
 @pytest.mark.parametrize("sigma", [1.1, 1.5, 2.0])
@@ -153,6 +157,21 @@ def test_underflowing_bound_fails_before_assembly(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_zero_spectral_radius_is_convergence_failure(monkeypatch, capsys):
+    import hadamard_bvp.fredholm as fredholm
+
+    # A zero matrix breaks the Arnoldi loop down at once with the one Ritz
+    # value 0; lambda_min = 1/0 must not be formed.
+    monkeypatch.setattr(fredholm, "nystrom_matrix", lambda p, q, n: np.zeros((n, n)))
+    with pytest.raises(ConvergenceFailure, match="collapsed to zero"):
+        min_eigenvalue_modulus(EX_A, 64)
+    argv = ["eigen", "--sigma", "1.75", "--kappa", "0.5", "--t1", "1", "--t2", "2", "--n", "64"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "collapsed to zero" in captured.err
+
+
 def test_krylov_cap_is_convergence_failure(monkeypatch, capsys):
     import hadamard_bvp.fredholm as fredholm
 
@@ -179,7 +198,8 @@ def test_krylov_estimate_matches_dense_interior_block(sigma, ratio, L, n):
     assert (dominant.imag != 0.0) == (ratio >= 0.5)
     res = min_eigenvalue_modulus(p, n)
     assert abs(res.lambda_min - 1.0 / abs(dominant)) <= 1e-12 / abs(dominant)
-    assert res.eigenvector_boundary_residual == 0.0
+    for edge in (K[0], K[-1], K[:, 0], K[:, -1]):
+        assert np.all(edge == 0.0)
 
 
 def test_nystrom_end_nodes_are_the_interval_ends():
