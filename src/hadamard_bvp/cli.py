@@ -48,14 +48,15 @@ import argparse
 import enum
 import math
 import os
+import re
 import sys
 
 from . import __version__
 from .bounds import DEFAULT_TOL, _scan_grid, lyapunov_report, nonexistence_check
 from .coefficient import Constant, load_table
-from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult, ResourceLimit
+from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult
 from .kernel import green_eval, green_max
-from .params import FracParams, parse_decimal, validate
+from .params import _REAL, FracParams, check_size, parse_decimal, validate
 
 __all__ = ["main", "run", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
 
@@ -235,10 +236,7 @@ def cmd_green(args) -> tuple[FracParams, dict, int]:
     elif args.green_cmd == "max":
         payload = _record(green_max(p))
     else:
-        if args.n < 2:
-            raise DomainInvalid(f"grid needs --n >= 2, got {args.n}")
-        if args.n > GRID_MAX_N:
-            raise ResourceLimit(f"grid --n {args.n} exceeds cap {GRID_MAX_N}")
+        check_size("grid", args.n, 2, GRID_MAX_N)
         _write_grid(p, args.n, args.out)
         payload = {"path": args.out, "rows": args.n * args.n}
     return p, payload, 0
@@ -267,6 +265,20 @@ def cmd_selftest(args) -> tuple[None, dict, int]:
     return None, payload, _CHECK_FAILED if payload["failed"] else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token such as ``-1e-3`` as a value.
+
+    argparse takes a token that starts with ``-`` for an option name unless
+    its own pattern of a negative number matches it, and that pattern has no
+    exponent.  This parser uses the literal grammar of the flag values
+    instead; subparsers are built with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(_REAL.pattern + r"\Z")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -277,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--t1", type=_real, required=True, help="left endpoint, t1 > 0")
     pp.add_argument("--t2", type=_real, required=True, help="right endpoint, t2 > t1")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hbvp",
         description=(
             "Green's function maxima, Lyapunov-type integral bounds, and "

@@ -73,8 +73,9 @@ _knot = itemgetter(0)
 class Table(Coefficient, namedtuple("Table", "points")):
     """Sampled coefficient, linear interpolation in (ln t, value).
 
-    Knots must be strictly increasing with positive t; at least two knots.
-    Queries outside the knot range raise OutOfTableRange.
+    Knots must be finite, strictly increasing and positive, and values
+    finite; at least two knots.  Queries outside the knot range raise
+    OutOfTableRange.
     """
 
     __slots__ = ()
@@ -83,6 +84,9 @@ class Table(Coefficient, namedtuple("Table", "points")):
         pts = tuple((float(t), float(v)) for t, v in points)
         if len(pts) < 2:
             raise DomainInvalid("table needs at least 2 points")
+        for t, v in pts:
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise DomainInvalid(f"table entries must be finite, got t={t!r}, q={v!r}")
         for (ta, _), (tb, _) in zip(pts, pts[1:]):
             if not ta < tb:
                 raise DomainInvalid(f"table knots must be strictly increasing, got {ta!r} >= {tb!r}")

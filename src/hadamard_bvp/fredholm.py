@@ -45,9 +45,9 @@ import numpy as np
 
 from .bounds import eigenvalue_bound, lambda_nonexistence_check
 from .coefficient import Constant, sampler
-from .errors import ConvergenceFailure, DomainInvalid, ResourceLimit
+from .errors import ConvergenceFailure
 from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
-from .params import FracParams, VerdictKind
+from .params import FracParams, VerdictKind, check_size
 
 __all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus"]
 
@@ -129,10 +129,7 @@ def nystrom_matrix(p: FracParams, q, n: int) -> np.ndarray:
     block's rows of K are formed in place as it arrives, outer(a, S) first,
     then minus the block, then times the scale.
     """
-    if not (isinstance(n, int) and n >= 8):
-        raise DomainInvalid(f"nystrom matrix needs integer n >= 8, got {n!r}")
-    if n > MATRIX_MAX_N:
-        raise ResourceLimit(f"nystrom matrix n={n} exceeds cap {MATRIX_MAX_N}")
+    check_size("nystrom matrix", n, 8, MATRIX_MAX_N)
     m = _mesh(p, n)
     scale = np.array(sampler(q)(_nodes(p, m).tolist())) / p.gamma_sk
     a = (m.u / p.L) ** p.a
@@ -161,14 +158,14 @@ def min_eigenvalue_modulus(p: FracParams, n: int) -> NystromResult:
     |h_{m+1,m} y_m| is at most ``_RITZ_TOL`` times its modulus, or is exact
     (a breakdown, or a basis that spans B).  Raises ConvergenceFailure when
     ``KRYLOV_MAX`` vectors do not reach that, and ResultUnderflow, before
-    assembly, if the analytic bound rounds to 0.  ``satisfied`` is the
-    verdict of ``bounds.lambda_nonexistence_check`` on lambda_min: the bound
-    holds when that verdict is Inconclusive.  The estimate stops at
+    assembly, if the analytic bound rounds to 0; DomainInvalid or
+    ResourceLimit come first, for an n outside 32 to ``MATRIX_MAX_N``.
+    ``satisfied`` is the verdict of ``bounds.lambda_nonexistence_check`` on
+    lambda_min: the bound holds when that verdict is Inconclusive.  The estimate stops at
     lambda_min; ``eigenvector_boundary_residual`` is returned as the constant
     0.0 that the zero boundary rows of K guarantee.
     """
-    if not (isinstance(n, int) and n >= 32):
-        raise DomainInvalid(f"eigenvalue estimate needs integer n >= 32, got {n!r}")
+    check_size("eigenvalue estimate", n, 32, MATRIX_MAX_N)
     eigenvalue_bound(p)  # ResultUnderflow before the assembly
     B = nystrom_matrix(p, Constant(1.0), n)[1:-1, 1:-1]
     dim = n - 2

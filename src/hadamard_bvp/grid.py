@@ -24,8 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainInvalid, ResourceLimit
-from .params import FracParams
+from .params import FracParams, check_size
 
 __all__ = ["green_max_bruteforce"]
 
@@ -150,10 +149,7 @@ def green_max_bruteforce(p: FracParams, n: int) -> tuple[float, tuple[float, flo
     ``BRUTEFORCE_MAX_N`` and DomainInvalid for n < 16 or an n that is not
     an int.
     """
-    if not (isinstance(n, int) and n >= 16):
-        raise DomainInvalid(f"bruteforce grid needs integer n >= 16, got {n!r}")
-    if n > BRUTEFORCE_MAX_N:
-        raise ResourceLimit(f"bruteforce grid n={n} exceeds cap {BRUTEFORCE_MAX_N}")
+    check_size("bruteforce grid", n, 16, BRUTEFORCE_MAX_N)
 
     L = p.L
     h = L / (n - 1)

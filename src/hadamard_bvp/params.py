@@ -23,7 +23,7 @@ import math
 import re
 from collections import namedtuple
 
-from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange
+from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange, ResourceLimit
 from .gammafn import gamma
 
 __all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "log_width", "validate"]
@@ -44,6 +44,18 @@ def parse_decimal(text: str, kind: type = float):
     if (_INT if kind is int else _REAL).fullmatch(text) is None:
         raise ValueError(f"not {'an integer' if kind is int else 'a real number'}: {text!r}")
     return kind(text)
+
+
+def check_size(what: str, n, least: int, cap: int) -> None:
+    """Check a count ``n`` such as a mesh or grid size: ``least`` <= n <= ``cap``.
+
+    Raises DomainInvalid unless n is an int of at least ``least``, and
+    ResourceLimit when it exceeds ``cap``; ``what`` names the count's user.
+    """
+    if not (isinstance(n, int) and n >= least):
+        raise DomainInvalid(f"{what} needs integer n >= {least}, got {n!r}")
+    if n > cap:
+        raise ResourceLimit(f"{what} n={n} exceeds cap {cap}")
 
 
 def log_ratio(t: float, t1: float) -> float:

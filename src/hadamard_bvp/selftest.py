@@ -23,12 +23,7 @@ import numpy as np
 from . import bounds, fredholm, grid, kernel, operators
 from .coefficient import Constant
 from .expression import Expression, parse_expr, pretty
-from .errors import (
-    BoundaryOrderUnsupported,
-    DomainInvalid,
-    OrderOutOfRange,
-    UnknownIdentifier,
-)
+from .errors import UnknownIdentifier
 from .gammafn import gamma
 from .params import VerdictKind, log_ratio, validate
 
@@ -81,7 +76,9 @@ GAMMA_REFS = (
 
 _SWEEP_PARAMS = (EX_A, EX_B, validate(1.9, 0.3, 0.5, 4.0))
 _BVP_PARAMS = (EX_A, EX_B, validate(1.3, 0.1, 0.5, 4.0))
-SEED = 20260815  # every seeded sweep starts a fresh generator from it
+# Every seeded sweep starts a fresh generator from SEED, except the first of
+# green.kernel-structure, whose points on the fixed sets come from seed 7.
+SEED = 20260815
 
 
 def random_params(rng):
@@ -92,26 +89,6 @@ def random_params(rng):
     t1 = float(rng.uniform(0.5, 2.0))
     t2 = t1 * math.exp(float(rng.uniform(0.3, 1.5)))
     return validate(sigma, kappa, t1, t2)
-
-
-def _check_params():
-    validate(1.75, 0.5, 1.0, math.e)
-    for bad, err in (
-        ((2.5, 0.5, 1.0, 2.0), OrderOutOfRange),
-        ((1.0, 0.5, 1.0, 2.0), OrderOutOfRange),
-        ((1.75, 0.75, 1.0, 2.0), BoundaryOrderUnsupported),
-        ((1.75, 0.9, 1.0, 2.0), OrderOutOfRange),
-        ((1.75, -0.1, 1.0, 2.0), OrderOutOfRange),
-        ((1.75, 0.5, -1.0, 2.0), DomainInvalid),
-        ((1.75, 0.5, 2.0, 2.0), DomainInvalid),
-        ((1.75, 0.5, 1.0, math.inf), DomainInvalid),
-    ):
-        try:
-            validate(*bad)
-        except err:
-            continue
-        return False, f"validate accepted {bad}"
-    return True, "all invalid parameter sets rejected"
 
 
 def _check_gamma():
@@ -338,17 +315,6 @@ def _check_parser():
     return True, f"{len(cases)} evaluations, {len(corpus)} round-trips"
 
 
-def _check_nystrom_structure():
-    K = fredholm.nystrom_matrix(EX_A, Constant(1.0), 64)
-    # Exactly 0, as ``fredholm`` documents: the eigen solve drops them.
-    if np.any(K[[0, -1], :] != 0.0) or np.any(K[:, [0, -1]] != 0.0):
-        return False, "boundary row/column not zero"
-    K0 = fredholm.nystrom_matrix(EX_A, Constant(0.0), 16)
-    if float(np.max(np.abs(K0))) != 0.0:
-        return False, "zero coefficient gave nonzero matrix"
-    return True, "zero row at t1, zero column at t2, zero matrix for q=0"
-
-
 def _check_nystrom_eigen():
     worst = 0.0
     for p, ref, n in ((EX_A, EX_A_REF, 128), (EX_B, EX_B_REF, 128), (EX_A, EX_A_REF, 400)):
@@ -424,7 +390,6 @@ def _check_bvp_residual():
 
 
 _CHECKS = (
-    ("params.validation", _check_params),
     ("gamma.reference-values", _check_gamma),
     ("green.reference-max", _check_green_reference),
     ("green.kernel-structure", _check_green_structure),
@@ -436,7 +401,6 @@ _CHECKS = (
     ("operators.power-rule", _check_power_rule),
     ("operators.inversion", _check_inversion),
     ("coefficient.parser", _check_parser),
-    ("fredholm.nystrom-structure", _check_nystrom_structure),
     ("fredholm.eigen-example", _check_nystrom_eigen),
 )
 

@@ -25,9 +25,7 @@ CRITERIA = {
 
 # The checks that no criterion names.
 OTHER_CHECKS = (
-    "params.validation",
     "gamma.reference-values",
-    "fredholm.nystrom-structure",
     "green.bvp-residual",
 )
 

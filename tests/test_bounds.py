@@ -315,9 +315,9 @@ def test_table_integral_errors():
         integrate_abs_q(q, 0.5, 2.0)
     with pytest.raises(OutOfTableRange):
         integrate_abs_q(q, 1.5, 3.0)
-    # A value that is not finite fails like an evaluation would, but only on
-    # the knot intervals that overlap [t1, t2].
-    q = Table(((1.0, 1.0), (2.0, math.inf), (3.0, 1.0), (4.0, 2.0)))
+    # A slope that overflows, here on [2, 2.5], fails like an evaluation
+    # would, but only on the knot intervals that overlap [t1, t2].
+    q = Table(((1.0, 1.0), (2.0, 1e308), (2.5, -1e308), (3.0, 1.0), (4.0, 2.0)))
     with pytest.raises(EvalError):
         integrate_abs_q(q, 1.5, 2.5)
     exact = _exact_table_integral(q.points, 3.0, 4.0)

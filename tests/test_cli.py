@@ -416,8 +416,8 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bound", "--sigma", "1e999", "--kappa", "0.5", "--t1", "1", "--t2", "2"],
-    # The = form: argparse would read a bare -1e999 as an option name.
-    ["check", *PP_A, "--q-const=-1e999"],
+    # Two tokens: -1e999 is read as a value, not as an option name.
+    ["check", *PP_A, "--q-const", "-1e999"],
     ["green", "eval", *PP_A, "--t", "1e999", "--s", "1.5"],
 ])
 def test_flags_reject_literals_that_overflow(argv, capsys):
@@ -427,6 +427,25 @@ def test_flags_reject_literals_that_overflow(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "value must be finite" in captured.err
+
+
+def test_negative_values_in_exponent_form_take_two_tokens(capsys):
+    spaced = run(["check", *PP_A, "--q-const", "-1e-3", "--json"], capsys)
+    joined = run(["check", *PP_A, "--q-const=-1e-3", "--json"], capsys)
+    assert spaced == joined and spaced[0] == 0
+    code, out, err = run(["green", "eval", *PP_A, "--t", "1.5", "--s", "-2.5E+2"], capsys)
+    assert code == 2 and out == "" and "outside" in err
+
+
+def test_an_expression_that_starts_with_a_minus_needs_the_equals_form(capsys):
+    # -ln(t) is not a number, so as its own token it reads as an option name.
+    with pytest.raises(SystemExit) as info:
+        main(["check", *PP_A, "--q-expr", "-ln(t)"])
+    assert info.value.code == 2
+    assert "argument --q-expr: expected one argument" in capsys.readouterr().err
+    code, out, _ = run(["check", *PP_A, "--q-expr=-ln(t)", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["payload"]["q_integral"] == pytest.approx(1.0)
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):

@@ -244,6 +244,28 @@ def test_table_validation_and_range():
         eval_coefficient(tbl, 2.5)
 
 
+@pytest.mark.parametrize("points", [
+    ((1.0, 0.5), (math.inf, 1.0)),
+    ((1.0, 0.5), (2.0, math.inf)),
+    ((1.0, math.nan), (2.0, 1.0)),
+    ((math.nan, 0.5), (2.0, 1.0)),
+], ids=["inf-knot", "inf-value", "nan-value", "nan-knot"])
+def test_table_rejects_non_finite_entries(points):
+    with pytest.raises(DomainInvalid, match="table entries must be finite"):
+        Table(points)
+
+
+@pytest.mark.parametrize(
+    "rows", ["1.0,0.5\n1e999,1.0\n", "1.0,0.5\n2.0,-1e999\n"], ids=["knot", "value"]
+)
+def test_load_table_rejects_cells_that_overflow(tmp_path, rows):
+    # 1e999 is a decimal literal, but it overflows to inf.
+    path = tmp_path / "q.csv"
+    path.write_text("t,q\n" + rows)
+    with pytest.raises(DomainInvalid, match="table entries must be finite"):
+        load_table(str(path))
+
+
 def test_load_table(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text("t,q\n1.0,0.5\n2.0,1.5\n4.0,-1.0\n")

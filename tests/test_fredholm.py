@@ -266,6 +266,8 @@ def test_size_validation():
         nystrom_matrix(EX_A, Constant(1.0), MATRIX_MAX_N + 1)
     with pytest.raises(DomainInvalid):
         min_eigenvalue_modulus(EX_A, 16)
+    with pytest.raises(ResourceLimit):
+        min_eigenvalue_modulus(EX_A, MATRIX_MAX_N + 1)
 
 
 def test_table_range_error_propagates():
