@@ -24,16 +24,10 @@ import math
 from collections import namedtuple
 
 from .coefficient import Coefficient, Table, sampler
-from .errors import (
-    DomainInvalid,
-    NonFiniteResult,
-    OrderOutOfRange,
-    QuadratureFailure,
-    ResultUnderflow,
-)
+from .errors import DomainInvalid, NonFiniteResult, QuadratureFailure, ResultUnderflow
 from .gammafn import gamma
 from .kernel import mho, omega
-from .params import FracParams, Verdict, log_width
+from .params import FracParams, Verdict, _check_interval, _check_sigma, log_width
 
 __all__ = [
     "LyapunovReport",
@@ -182,8 +176,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     that is not finite is an EvalError from a Coefficient and a
     QuadratureFailure from a plain callable.
     """
-    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
-        raise DomainInvalid(f"need 0 < t1 < t2, got {t1!r}, {t2!r}")
+    _check_interval(t1, t2)
     if not tol > 0.0:
         raise DomainInvalid(f"tolerance must be positive, got {tol!r}")
     if isinstance(q, Table):
@@ -252,8 +245,7 @@ def reference_bound_kappa0(sigma: float, t1: float, t2: float) -> float:
     larger one by Vieta, and rho is formed only at the end, so neither
     cancellation on narrow intervals nor t1 t2 at extreme t1 costs digits.
     """
-    if not (math.isfinite(sigma) and 1.0 < sigma <= 2.0):
-        raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
+    _check_sigma(sigma)
     L = log_width(t1, t2)
     a = sigma - 1.0
     x = a * L / (a + 0.5 * L + math.sqrt(a * a + 0.25 * L * L))

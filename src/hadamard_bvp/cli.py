@@ -139,19 +139,18 @@ def _render(command: str, p: FracParams | None, payload: dict, as_json: bool) ->
 def _literal(kind: type):
     """The argparse type of a flag that takes a ``kind`` (float or int).
 
-    Accepts ASCII decimal literals only (`parse_decimal`): the constant name
-    `e` is not a value (pass 2.718281828459045), and a literal that
-    overflows to a non-finite value is rejected.
+    `parse_decimal` alone decides what a flag value is, as it does for a
+    table cell: an ASCII decimal literal, finite if a float, so the constant
+    name `e` is not a value (pass 2.718281828459045) and ``1e999`` is a
+    usage error.  An int flag takes any size here; each command checks its
+    count (`check_size`), so an oversize ``--n`` exits 2 with ResourceLimit.
     """
 
     def parse(text: str):
         try:
-            value = parse_decimal(text, kind)
+            return parse_decimal(text, kind)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"value must be finite: {text!r}")
-        return value
 
     return parse
 

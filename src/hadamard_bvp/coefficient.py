@@ -212,8 +212,9 @@ def load_table(path: str) -> Table:
 
     The file is UTF-8, with or without the byte-order mark that spreadsheet
     "CSV UTF-8" exports write; other bytes are a DomainInvalid.  Every cell
-    is an ASCII decimal literal (``parse_decimal``); a cell that is not is a
-    DomainInvalid naming ``<path>:<line>``.
+    is read by ``parse_decimal``, as flag values are: an ASCII decimal
+    literal that is finite.  A cell that is not, ``1_5`` or ``1e999`` say,
+    is a DomainInvalid naming ``<path>:<line>``.
     """
     import csv
 

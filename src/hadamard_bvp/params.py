@@ -14,6 +14,13 @@ coordinates come from ``log_ratio(t, t1) = log1p((t - t1)/t1)``, whose
 difference t - t1 is exact on narrow intervals where t/t1 would lose the
 digits that ln keeps; b is formed as (sigma - 1) - kappa because sigma - 1
 is exact and sigma - kappa is not.
+
+This module is also the one home of the scalar input rules, each written
+once: `parse_decimal` reads every flag value and table cell (an ASCII
+decimal literal, finite if a float), `check_size` bounds every count,
+`_check_interval` requires a finite 0 < t1 < t2 and `_check_sigma` the
+window 1 < sigma <= 2.  ``bounds`` calls the last two for the inputs it
+takes without a FracParams.
 """
 
 from __future__ import annotations
@@ -36,14 +43,20 @@ _INT = re.compile(r"[+-]?[0-9]+")
 def parse_decimal(text: str, kind: type = float):
     """``kind`` (float or int) of ``text``, an ASCII decimal literal.
 
-    Surrounding whitespace is stripped.  Raises ValueError for anything else
-    that ``float`` or ``int`` would accept: underscores (``2_7``), non-ASCII
-    digits, and the names ``inf``, ``nan`` and ``infinity``.
+    This is the one rule for every flag value and table cell.  Surrounding
+    whitespace is stripped.  Raises ValueError for anything else that
+    ``float`` or ``int`` would accept: underscores (``2_7``), non-ASCII
+    digits, and the names ``inf``, ``nan`` and ``infinity``; and for a float
+    literal that overflows (``1e999``).  An int is exact, so it is returned
+    at any size; a count's bounds are `check_size`'s.
     """
     text = text.strip()
     if (_INT if kind is int else _REAL).fullmatch(text) is None:
         raise ValueError(f"not {'an integer' if kind is int else 'a real number'}: {text!r}")
-    return kind(text)
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"value must be finite: {text!r}")
+    return value
 
 
 def check_size(what: str, n, least: int, cap: int) -> None:
@@ -70,15 +83,26 @@ def log_ratio(t: float, t1: float) -> float:
     return math.log1p(ratio)
 
 
+def _check_interval(t1: float, t2: float) -> None:
+    """Raise DomainInvalid unless t1 and t2 are finite with 0 < t1 < t2."""
+    if not 0.0 < t1 < t2 < math.inf:  # false for a nan at either end
+        raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
+
+
+def _check_sigma(sigma: float) -> None:
+    """Raise OrderOutOfRange unless 1 < sigma <= 2, which nan and +-inf fail."""
+    if not 1.0 < sigma <= 2.0:
+        raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
+
+
 def log_width(t1: float, t2: float) -> float:
     """L = ln(t2/t1) of the interval [t1, t2].
 
-    Raises DomainInvalid unless t1 and t2 are finite with 0 < t1 < t2 and
-    t2/t1 lies within the float range, i.e. L below about 709.8.  The closed
-    forms are not validated on wider intervals.
+    Raises DomainInvalid unless t1 and t2 are finite with 0 < t1 < t2
+    (`_check_interval`) and t2/t1 lies within the float range, i.e. L below
+    about 709.8.  The closed forms are not validated on wider intervals.
     """
-    if not (math.isfinite(t1) and math.isfinite(t2) and 0.0 < t1 < t2):
-        raise DomainInvalid(f"need 0 < t1 < t2, got t1={t1!r}, t2={t2!r}")
+    _check_interval(t1, t2)
     if (t2 - t1) / t1 == math.inf:
         raise DomainInvalid(f"t2/t1 exceeds the float range for t1={t1!r}, t2={t2!r}")
     return log_ratio(t2, t1)
@@ -100,8 +124,7 @@ class FracParams(namedtuple("FracParams", "sigma kappa t1 t2")):
         for name, value in (("sigma", sigma), ("kappa", kappa), ("t1", t1), ("t2", t2)):
             if not math.isfinite(value):
                 raise DomainInvalid(f"{name} must be finite, got {value!r}")
-        if not 1.0 < sigma <= 2.0:
-            raise OrderOutOfRange(f"sigma must satisfy 1 < sigma <= 2, got {sigma!r}")
+        _check_sigma(sigma)
         a = sigma - 1.0
         if kappa == a:
             raise BoundaryOrderUnsupported(

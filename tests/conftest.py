@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import time
 
@@ -19,3 +20,34 @@ def selftest_run():
     ``test_embedded_check_passes`` share each check's one run.
     ``selftest_run.__wrapped__`` runs a check afresh."""
     return functools.cache(_run_check)
+
+
+def _openblas_core() -> str | None:
+    """The name of the core that numpy's OpenBLAS, once loaded, dispatches to."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and "/" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+@pytest.fixture(scope="session")
+def dispatch_key() -> str:
+    """The kernels that decide the last bits of numpy's output here: numpy's
+    dispatch targets for float64 ``power`` and ``exp``, and the OpenBLAS
+    core.  The frozen digests of array output are recorded per key."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name="^(power|exp)$", signature="float64")
+    power = info["power"]["ddd"]["current"]
+    exp = info["exp"]["dd"]["current"]
+    return f"power={power} exp={exp} blas={_openblas_core()}"

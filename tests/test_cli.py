@@ -223,17 +223,27 @@ def test_green_grid_rejects_a_last_point_beyond_the_float_range(tmp_path, capsys
 
 
 # SHA-256 of `eigen --json --n 400` stdout for the paper's example.  The
-# Nystrom matrix and the Arnoldi solve go through numpy's SIMD kernels, so
-# this digest holds only where numpy dispatches the same ones: with its
-# AVX-512 kernels switched off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-# AVX512_SPR") the output differs and the test fails.
-EIGEN_400_SHA256 = "f657a9f524f668da84f3d64776ba906d81894af07568cf316a27f5770519b897"
+# Nystrom matrix and the Arnoldi solve go through numpy's SIMD kernels and
+# OpenBLAS, so the digest is recorded per dispatch key (the `dispatch_key`
+# fixture); a machine whose key has none fails.
+EIGEN_400_SHA256 = {
+    "power=X86_V4 exp=X86_V4 blas=SkylakeX":
+        "f657a9f524f668da84f3d64776ba906d81894af07568cf316a27f5770519b897",
+    "power=X86_V4 exp=X86_V4 blas=Haswell":
+        "9b87b29bf84da58886886a3ae96110703478e265f8b4cc990baa6c26e4e9f840",
+    "power=baseline(X86_V2) exp=X86_V3 blas=SkylakeX":
+        "83b97e42c1cc6ae478c21b0adc73e1c1970df96e3c6083773b93db7d9e7ef689",
+    "power=baseline(X86_V2) exp=X86_V3 blas=Haswell":
+        "302998d491802dd920c5f5ff789bef71cd1d3a0982de432bfae8b18f4762cde1",
+}
 
 
-def test_eigen_json_bytes_are_frozen(capsys):
+def test_eigen_json_bytes_are_frozen(capsys, dispatch_key):
     code, out, _ = run(["eigen", *PP_A, "--n", "400", "--json"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EIGEN_400_SHA256
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert dispatch_key in EIGEN_400_SHA256, f"no digest recorded for {dispatch_key}: {got}"
+    assert got == EIGEN_400_SHA256[dispatch_key]
 
 
 @pytest.mark.parametrize("name", ["tab\there.csv", "new\nline.csv", 'quote"back\\slash.csv'])
@@ -427,6 +437,28 @@ def test_flags_reject_literals_that_overflow(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "value must be finite" in captured.err
+
+
+# A 401-digit count: an int literal is exact at any size, and too large for
+# a float.
+_HUGE_N = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", [["eigen"], ["green", "grid", "--out", os.devnull]],
+                         ids=["eigen", "grid"])
+def test_an_oversize_count_is_a_resource_limit(command, capsys):
+    code, out, err = run([*command, *PP_A, "--n", _HUGE_N], capsys)
+    assert (code, out) == (2, "")
+    assert "exceeds cap" in err and "Traceback" not in err
+
+
+def test_an_oversize_count_exits_2_from_the_entry_point():
+    done = subprocess.run(
+        [sys.executable, "-m", "hadamard_bvp", "eigen", *PP_A, "--n", _HUGE_N],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds cap" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_negative_values_in_exponent_form_take_two_tokens(capsys):

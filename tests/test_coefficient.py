@@ -259,10 +259,11 @@ def test_table_rejects_non_finite_entries(points):
     "rows", ["1.0,0.5\n1e999,1.0\n", "1.0,0.5\n2.0,-1e999\n"], ids=["knot", "value"]
 )
 def test_load_table_rejects_cells_that_overflow(tmp_path, rows):
-    # 1e999 is a decimal literal, but it overflows to inf.
+    # 1e999 is a decimal literal, but it overflows to inf; parse_decimal
+    # rejects it while the cell's line is known.
     path = tmp_path / "q.csv"
     path.write_text("t,q\n" + rows)
-    with pytest.raises(DomainInvalid, match="table entries must be finite"):
+    with pytest.raises(DomainInvalid, match=r"q\.csv:3: value must be finite"):
         load_table(str(path))
 
 

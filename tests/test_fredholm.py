@@ -305,13 +305,22 @@ def test_non_finite_value_at_one_node_is_the_samplers_error():
 
 # SHA-256 over the operators' reprs and the Nystrom matrix bytes, as
 # computed before the product-integration weights were cached; any change
-# to a bit of the core's output shows here.  The bits depend on numpy's SIMD
-# dispatch: with its AVX-512 kernels switched off
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") the test fails.
-OPERATORS_SHA256 = "ea08ae88e2e908bdc9a74472e280acce9595a20fb15f3c16e38cd8f9a8b31881"
+# to a bit of the core's output shows here.  The bits depend on the kernels
+# numpy and OpenBLAS dispatch to, so the digest is recorded per dispatch key
+# (the `dispatch_key` fixture); a machine whose key has none fails.
+OPERATORS_SHA256 = {
+    "power=X86_V4 exp=X86_V4 blas=SkylakeX":
+        "ea08ae88e2e908bdc9a74472e280acce9595a20fb15f3c16e38cd8f9a8b31881",
+    "power=X86_V4 exp=X86_V4 blas=Haswell":
+        "32ea0153efa603d5d889f5237adf9a7706c78087520de7aeecb1d5106dbb9da6",
+    "power=baseline(X86_V2) exp=X86_V3 blas=SkylakeX":
+        "762bb99b379b2976e19cbea74c51161727ebd1f752834ba0c7bfd2dcb93115da",
+    "power=baseline(X86_V2) exp=X86_V3 blas=Haswell":
+        "1afc57c80c481eae666fb2ae521fc330fd2f4b03aa687c85d08203ab5288a4c7",
+}
 
 
-def test_operator_outputs_are_frozen():
+def test_operator_outputs_are_frozen(dispatch_key):
     from hadamard_bvp import composition_check, hadamard_derivative, hadamard_integral
 
     f = lambda s: s * math.cos(s) + math.log(s) ** 0.5
@@ -322,4 +331,6 @@ def test_operator_outputs_are_frozen():
     for p in (EX_A, EX_B):
         for n in (33, 64, 128):
             digest.update(nystrom_matrix(p, Constant(1.0), n).tobytes())
-    assert digest.hexdigest() == OPERATORS_SHA256
+    got = digest.hexdigest()
+    assert dispatch_key in OPERATORS_SHA256, f"no digest recorded for {dispatch_key}: {got}"
+    assert got == OPERATORS_SHA256[dispatch_key]

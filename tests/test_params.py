@@ -117,9 +117,14 @@ def test_verdict_soundness_bitwise():
 
 def test_parse_decimal_takes_only_ascii_decimal_literals():
     for text, value in (("1.5", 1.5), (" 2 ", 2.0), ("1.", 1.0), (".5", 0.5), ("-3e2", -300.0),
-                        ("+1E-5", 1e-5), (repr(1e16), 1e16), (repr(0.1), 0.1), ("1e999", math.inf)):
+                        ("+1E-5", 1e-5), (repr(1e16), 1e16), (repr(0.1), 0.1), ("1e-999", 0.0)):
         assert parse_decimal(text) == value
     assert parse_decimal("-064", int) == -64
+    # An int is exact at any size; a float literal that overflows is refused.
+    assert parse_decimal("1" + "0" * 400, int) == 10**400
+    for text in ("1e999", " -1E+400 "):
+        with pytest.raises(ValueError, match="value must be finite"):
+            parse_decimal(text)
     # float() and int() accept all of these.
     for text in ("2_7", "١", "１", "inf", "-nan", "Infinity", "1e", ".", ""):
         with pytest.raises(ValueError, match="not a real number"):
