@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from collections import namedtuple
 
 from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange, ResourceLimit
@@ -48,11 +49,21 @@ def parse_decimal(text: str, kind: type = float):
     ``float`` or ``int`` would accept: underscores (``2_7``), non-ASCII
     digits, and the names ``inf``, ``nan`` and ``infinity``; and for a float
     literal that overflows (``1e999``).  An int is exact, so it is returned
-    at any size; a count's bounds are `check_size`'s.
+    at any length the interpreter converts (``sys.get_int_max_str_digits``,
+    4300 digits by default, leading zeros not counted); a longer one is a
+    ValueError that gives its digit count.  A count's bounds are
+    `check_size`'s.
     """
     text = text.strip()
     if (_INT if kind is int else _REAL).fullmatch(text) is None:
         raise ValueError(f"not {'an integer' if kind is int else 'a real number'}: {text!r}")
+    if kind is int:
+        sign = "-" if text.startswith("-") else ""
+        digits = text.lstrip("+-").lstrip("0") or "0"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and len(digits) > limit:
+            raise ValueError(f"integer literal of {len(digits)} digits exceeds cap {limit} digits")
+        text = sign + digits
     value = kind(text)
     if kind is float and not math.isfinite(value):
         raise ValueError(f"value must be finite: {text!r}")

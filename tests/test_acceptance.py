@@ -29,6 +29,10 @@ OTHER_CHECKS = (
     "green.bvp-residual",
 )
 
+# Warm runtime budget in s of green.bvp-residual, whose derivative leg is
+# the power rule: a numerical stencil in its place takes 40 to 47 ms.
+BVP_RESIDUAL_BUDGET = 20e-3
+
 
 def _assert_criterion(num, selftest_run):
     names, budget = CRITERIA[num]
@@ -89,3 +93,11 @@ def test_criterion_8_kernel_shape_properties(selftest_run):
 
 def test_criterion_9_parser_round_trips(selftest_run):
     _assert_criterion(9, selftest_run)
+
+
+def test_bvp_residual_runs_within_its_budget(selftest_run):
+    result, _ = selftest_run("green.bvp-residual")  # pays for first calls
+    result, elapsed = selftest_run.__wrapped__("green.bvp-residual")
+    assert result["ok"], result["detail"]
+    print(f"green.bvp-residual: PASS - {result['detail']}, {elapsed * 1e3:.2f} ms")
+    assert elapsed < BVP_RESIDUAL_BUDGET

@@ -461,6 +461,28 @@ def test_an_oversize_count_exits_2_from_the_entry_point():
     assert "exceeds cap" in done.stderr and "Traceback" not in done.stderr
 
 
+# More digits than the interpreter converts to an int (4300 by default).
+_LONG_N = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command", [["eigen"], ["green", "grid", "--out", os.devnull]],
+                         ids=["eigen", "grid"])
+def test_a_count_past_the_digit_limit_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, *PP_A, "--n", _LONG_N])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integer literal of 5001 digits exceeds cap" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
+def test_leading_zeros_do_not_count_toward_the_digit_limit(capsys):
+    code, out, err = run(["eigen", *PP_A, "--n", "0" * 5000 + "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "needs integer n >= 32, got 5" in err
+
+
 def test_negative_values_in_exponent_form_take_two_tokens(capsys):
     spaced = run(["check", *PP_A, "--q-const", "-1e-3", "--json"], capsys)
     joined = run(["check", *PP_A, "--q-const=-1e-3", "--json"], capsys)

@@ -122,6 +122,10 @@ def test_parse_decimal_takes_only_ascii_decimal_literals():
     assert parse_decimal("-064", int) == -64
     # An int is exact at any size; a float literal that overflows is refused.
     assert parse_decimal("1" + "0" * 400, int) == 10**400
+    # Leading zeros do not count toward the interpreter's digit limit.
+    assert parse_decimal("-" + "0" * 5000 + "5", int) == -5
+    with pytest.raises(ValueError, match="integer literal of 5001 digits exceeds cap"):
+        parse_decimal("1" + "0" * 5000, int)
     for text in ("1e999", " -1E+400 "):
         with pytest.raises(ValueError, match="value must be finite"):
             parse_decimal(text)

@@ -74,6 +74,17 @@ def test_bvp_residual_fails_when_only_the_nystrom_exponents_are_swapped(monkeypa
     assert result["detail"].startswith("K h off the closed form")
 
 
+def test_bvp_residual_takes_no_numerical_derivative(monkeypatch):
+    # D^sigma u comes from the power rule; operators.inversion covers
+    # hadamard_derivative.
+    def refuse(*args):
+        raise AssertionError("hadamard_derivative called")
+
+    monkeypatch.setattr(operators, "hadamard_derivative", refuse)
+    [result] = run_selftests(name_filter="green.bvp-residual")
+    assert result["ok"], result["detail"]
+
+
 def _change(module, name, change):
     """A break: each result of ``module.name`` passes through ``change``,
     which also gets the call's arguments."""
@@ -142,6 +153,11 @@ BREAKS = {
     "kh-at-the-ends": ("green.bvp-residual",
                        _change(fredholm, "nystrom_matrix", lambda k, p, q, n: k + 1.0),
                        "K h does not vanish at t1 and t2"),
+    # Within the K h leg's 1e-9; the exact derivative leg must see it.
+    "u-coefficient": ("green.bvp-residual",
+                      _change(selftest, "_bvp_solution",
+                              lambda r, p, m: (r[0] * (1 + 1e-10), *r[1:])),
+                      r"D\^sigma u \+ D\^kappa h = "),
     "integral": ("bounds.integral-verdicts",
                  _change(bounds, "integrate_abs_q", lambda v, *args: v * (1 + 1e-6)),
                  r"integral of \|ln\| = "),
