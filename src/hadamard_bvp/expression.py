@@ -3,9 +3,10 @@
 The expression grammar is deliberately tiny: one variable ``t``, the
 arithmetic operators ``+ - * / ^`` (``^`` right-associative, binding tighter
 than unary minus), and the functions ``ln, exp, sin, cos, abs, sqrt``.
-Numbers are plain decimals with an optional exponent part; implicit
+Numbers are unsigned decimals with an optional exponent part, read by
+``params.parse_decimal`` as flag values and table cells are; implicit
 multiplication is not supported.  Expressions nest at most ``MAX_DEPTH``
-levels deep.
+levels deep and hold at most ``MAX_TOKENS`` tokens.
 
 The package loads this module on first use of one of its names, so that
 the commands that take no ``--q-expr`` do not pay for it at start-up.
@@ -20,6 +21,7 @@ from operator import add, mul, sub, truediv
 
 from .coefficient import Coefficient
 from .errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
+from .params import DECIMAL, parse_decimal
 
 __all__ = [
     "Expression",
@@ -31,6 +33,7 @@ __all__ = [
     "Call",
     "FUNCTIONS",
     "MAX_DEPTH",
+    "MAX_TOKENS",
     "parse_expr",
     "pretty",
 ]
@@ -82,7 +85,7 @@ class Call(ExprNode, namedtuple("Call", "func arg")):
 # Lexer / parser
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"(?P<num>{DECIMAL})"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
 )
@@ -101,6 +104,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         if src[pos].isspace():
             pos += 1
             continue
+        if len(tokens) == MAX_TOKENS:
+            raise ExpressionSyntaxError(f"expression longer than {MAX_TOKENS} tokens", pos, ())
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             raise ExpressionSyntaxError(
@@ -133,6 +138,12 @@ _NEG_LEVEL = 3
 # nodes' repr recurse once per level, so this keeps all of them far below
 # the interpreter's recursion limit.
 MAX_DEPTH = 100
+
+# Most tokens accepted, the end of input not counted.  Parsing, printing
+# and each evaluation take time in proportion to the tree's size, which
+# depth alone does not bound: a balanced sum of n terms nests only about
+# 2 log2 n levels deep.
+MAX_TOKENS = 4096
 
 
 class _Parser:
@@ -206,7 +217,10 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text)), 1
+            try:
+                return Num(parse_decimal(text)), 1
+            except ValueError as exc:  # a literal that overflows
+                raise ExpressionSyntaxError(str(exc), offset, ()) from None
         if kind == "ident":
             self.advance()
             if self.peek()[:2] == ("op", "("):
@@ -231,7 +245,8 @@ def parse_expr(src: str) -> ExprNode:
     """Parse a coefficient expression into an AST.
 
     Raises ExpressionSyntaxError (with byte offset and the accepted token
-    kinds, none for nesting deeper than ``MAX_DEPTH``) or UnknownIdentifier.
+    kinds, none for a literal that overflows, more than ``MAX_TOKENS``
+    tokens or nesting deeper than ``MAX_DEPTH``) or UnknownIdentifier.
     """
     if not isinstance(src, str) or not src.strip():
         raise ExpressionSyntaxError("empty expression", 0, ("expression",))
@@ -279,7 +294,12 @@ def _render(node: ExprNode, required: int) -> str:
 
 
 def pretty(node: ExprNode) -> str:
-    """Canonical textual form; reparsing yields a structurally equal tree."""
+    """Canonical textual form.
+
+    Reparsing it yields a structurally equal tree for every tree that
+    ``parse_expr`` built.  A hand-built tree need not round-trip: ``Num(-1.0)``
+    prints ``-1.0``, which reparses as ``Neg(Num(1.0))``.
+    """
     return _render(node, 1)
 
 

@@ -16,10 +16,11 @@ digits that ln keeps; b is formed as (sigma - 1) - kappa because sigma - 1
 is exact and sigma - kappa is not.
 
 This module is also the one home of the scalar input rules, each written
-once: `parse_decimal` reads every flag value and table cell (an ASCII
-decimal literal, finite if a float), `check_size` bounds every count,
-`_check_interval` requires a finite 0 < t1 < t2 and `_check_sigma` the
-window 1 < sigma <= 2.  ``bounds`` calls the last two for the inputs it
+once: `parse_decimal` reads every flag value, table cell and expression
+literal (an ASCII decimal literal, finite if a float; ``DECIMAL`` is its
+unsigned grammar), `check_size` bounds every count, `_check_interval`
+requires a finite 0 < t1 < t2 and `_check_sigma` the window
+1 < sigma <= 2.  ``bounds`` calls the last two for the inputs it
 takes without a FracParams.
 """
 
@@ -36,15 +37,20 @@ from .gammafn import gamma
 
 __all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "log_width", "validate"]
 
-# ASCII decimal literals: [0-9], not \d, which matches any Unicode digit.
-_REAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# An unsigned ASCII decimal literal: [0-9], not \d, which matches any
+# Unicode digit.  Its groups capture nothing, so a pattern that embeds it in
+# a named group (the expression tokenizer) still reads the token kind from
+# ``lastgroup``.
+DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_REAL = re.compile(r"[+-]?" + DECIMAL)
 _INT = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_decimal(text: str, kind: type = float):
     """``kind`` (float or int) of ``text``, an ASCII decimal literal.
 
-    This is the one rule for every flag value and table cell.  Surrounding
+    This is the one rule for every flag value, table cell and expression
+    literal (the last unsigned, a sign being an operator there).  Surrounding
     whitespace is stripped.  Raises ValueError for anything else that
     ``float`` or ``int`` would accept: underscores (``2_7``), non-ASCII
     digits, and the names ``inf``, ``nan`` and ``infinity``; and for a float

@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -16,8 +17,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hadamard_bvp import __version__, cli, validate
-from hadamard_bvp.errors import NonFiniteResult
+from hadamard_bvp import __version__, cli, load_table, parse_expr, pretty, validate
+from hadamard_bvp.errors import DomainInvalid, ExpressionSyntaxError, NonFiniteResult
+from hadamard_bvp.expression import Num
 from hadamard_bvp.cli import GRID_MAX_N, _build_parser, _to_json, main
 from hadamard_bvp.grid import _green_xy
 from hadamard_bvp.selftest import EX_A_REF
@@ -437,6 +439,56 @@ def test_flags_reject_literals_that_overflow(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "value must be finite" in captured.err
+
+
+# One corpus for the three readers of a number the user types: a flag, a
+# table cell and an expression literal.  Each reads the value given, or
+# refuses the literal as one that overflows.
+_READ_AS = {".5": 0.5, "2.": 2.0, "1E+3": 1000.0, "1.7976931348623157e308": sys.float_info.max,
+            "1e-400": 0.0}
+_OVERFLOWING = ("1e309", "1e999", "9" * 400)
+
+
+@pytest.mark.parametrize("text", sorted(_READ_AS))
+def test_flags_cells_and_expressions_read_a_literal_alike(text, tmp_path, capsys):
+    value = _READ_AS[text]
+    path = tmp_path / "q.csv"
+    path.write_text(f"t,q\n1,{text}\n3,{text}\n")
+    assert load_table(str(path)).points == ((1.0, value), (3.0, value))
+    tree = parse_expr(text)
+    assert tree == Num(value) and parse_expr(pretty(tree)) == tree
+    # The same double makes the same report; the largest float's |q|
+    # integral overflows (exit 3), after the flag has been read.
+    flag = run(["check", *PP_A, "--q-const", text, "--json"], capsys)
+    assert flag == run(["check", *PP_A, "--q-expr", text, "--json"], capsys)
+    assert flag[0] == (3 if value == sys.float_info.max else 0)
+
+
+@pytest.mark.parametrize("text", _OVERFLOWING, ids=["1e309", "1e999", "400 digits"])
+def test_flags_cells_and_expressions_refuse_a_literal_that_overflows(text, tmp_path, capsys):
+    message = f"value must be finite: {text!r}"
+    with pytest.raises(SystemExit) as info:
+        main(["check", *PP_A, "--q-const", text])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    path = tmp_path / "q.csv"
+    path.write_text(f"t,q\n1,0.5\n3,{text}\n")
+    with pytest.raises(DomainInvalid, match=re.escape(f"q.csv:3: {message}")):
+        load_table(str(path))
+    with pytest.raises(ExpressionSyntaxError, match=re.escape(f"{message} at offset 0")) as info:
+        parse_expr(text)
+    assert info.value.offset == 0
+
+
+def test_an_overflowing_expression_literal_exits_2_from_the_entry_point():
+    done = subprocess.run(
+        [sys.executable, "-m", "hadamard_bvp", "check", *PP_A, "--q-expr", "1e400/1e400",
+         "--json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: value must be finite: '1e400' at offset 0\n"
 
 
 # A 401-digit count: an int literal is exact at any size, and too large for

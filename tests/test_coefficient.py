@@ -19,7 +19,7 @@ from hadamard_bvp import (
     parse_expr,
     pretty,
 )
-from hadamard_bvp.expression import MAX_DEPTH, BinOp, Call, Neg, Num, Var
+from hadamard_bvp.expression import MAX_DEPTH, MAX_TOKENS, BinOp, Call, Neg, Num, Var
 from hadamard_bvp.selftest import SEED
 
 
@@ -91,6 +91,10 @@ def test_syntax_errors_report_offset_and_expectations():
         parse_expr("")
     with pytest.raises(SyntaxError):
         parse_expr("1+2)")
+    # A literal that overflows a float is refused where it starts.
+    with pytest.raises(ExpressionSyntaxError, match="value must be finite: '1e400' at offset 2$") as info:
+        parse_expr("2*1e400*t")
+    assert (info.value.offset, info.value.expected) == (2, ())
 
     # The tokenizer's two rejections: a character no token starts with, and
     # one that is not ASCII.
@@ -134,6 +138,9 @@ def test_round_trip_corpus():
     for _ in range(30):
         ast = _random_expr(rng, 4)
         assert parse_expr(pretty(ast)) == ast, pretty(ast)
+    # The parser builds no negative number, so a hand-built one reparses
+    # as a negation.
+    assert parse_expr(pretty(Num(-1.0))) == Neg(Num(1.0))
 
 
 def test_eval_determinism():
@@ -184,6 +191,26 @@ def test_nesting_depth_is_limited(kind):
     assert info.value.expected == ()
     with pytest.raises(ExpressionSyntaxError):
         parse_expr(build(10_000))  # no RecursionError, however deep
+
+
+def _balanced_sum(k):
+    """2^k terms t summed in a balanced tree: 4 * 2^k - 3 tokens, 2k + 1 levels."""
+    return "t" if k == 0 else f"({_balanced_sum(k - 1)}+{_balanced_sum(k - 1)})"
+
+
+def test_token_count_is_limited():
+    # 21 levels deep, so the depth cap lets it through; three or four unary
+    # minus signs bring it to the token cap and one past it.
+    body = _balanced_sum(10)
+    assert len(body) == MAX_TOKENS - 3
+    at_cap = Expression(parse_expr("---" + body))
+    assert at_cap.eval(1.5) == -1536.0
+    assert parse_expr(pretty(at_cap.ast)) == at_cap.ast
+    assert parse_expr(" ".join("---" + body)) == at_cap.ast  # whitespace is no token
+    message = f"expression longer than {MAX_TOKENS} tokens at offset {MAX_TOKENS}$"
+    with pytest.raises(ExpressionSyntaxError, match=message) as info:
+        parse_expr("----" + body)
+    assert (info.value.offset, info.value.expected) == (MAX_TOKENS, ())
 
 
 def test_operator_outside_the_table_is_rejected():
