@@ -10,10 +10,12 @@ compares against |lambda|.  Equality is always classified Inconclusive: the
 necessary condition is non-strict, so only a strict violation of it proves
 nonexistence.
 
-The |q| integral runs on Python floats only: a table's integral has a
-closed form, and the adaptive quadrature for every other coefficient has
-its 15-node Gauss-Legendre rule written out as literals (equal, bit for bit,
-to ``numpy.polynomial.legendre.leggauss(15)``) and builds its scan grid with
+The |q| integral runs on Python floats only.  A coefficient that has a
+closed form (an ``abs_integral`` method: in ``coefficient``, a constant and
+a table) is integrated by it, so which kinds have one is decided there and
+not here.  The adaptive quadrature for every other coefficient has its
+15-node Gauss-Legendre rule written out as literals (equal, bit for bit, to
+``numpy.polynomial.legendre.leggauss(15)``) and builds its scan grid with
 the same arithmetic as ``numpy.linspace``, so the bound and verdict commands
 never load numpy and the coefficient only ever sees plain floats.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .coefficient import Coefficient, Table, sampler
+from .coefficient import Coefficient, finite_integral, sampler
 from .errors import DomainInvalid, NonFiniteResult, QuadratureFailure, ResultUnderflow
 from .gammafn import gamma
 from .kernel import mho, omega
@@ -57,6 +59,10 @@ _GL_WEIGHTS = (
     0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
 )
+# The weights halved, exactly, for a panel sum scaled by b - a: the plain
+# weights sum to 2, so their sum can overflow below an integral that does not.
+# Scaled by the half-width, they give the same bits unless a term is subnormal.
+_GL_HALF_WEIGHTS = tuple(0.5 * w for w in _GL_WEIGHTS)
 
 
 class LyapunovReport(namedtuple("LyapunovReport", "gamma_sk bound eigen_bound")):
@@ -121,10 +127,11 @@ def _gauss_panel(sample, a: float, b: float) -> float:
     """The 15-node Gauss rule for the integral of |q| over [a, b], from q's sampler."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    values = sample([mid + half * node for node in _GL_NODES])
     total = 0.0
-    for weight, value in zip(_GL_WEIGHTS, sample([mid + half * node for node in _GL_NODES])):
+    for weight, value in zip(_GL_HALF_WEIGHTS, values):
         total += weight * abs(value)
-    return half * total
+    return (b - a) * total
 
 
 def _scan_grid(t1: float, t2: float, n: int = 257) -> list[float]:
@@ -156,11 +163,12 @@ def _bisect_sign_change(sample, a: float, b: float, fa: float, width: float) -> 
 def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     """Estimate of the integral of |q| over [t1, t2].
 
-    A Table is integrated in closed form (``Table.abs_integral``), without
-    evaluating it, and ``tol`` plays no part.  Any other q is integrated
-    adaptively.  Sign changes of q are first bracketed on a scan grid and
-    pinned down by bisection, so that each adaptive sub-problem integrates a
-    smooth branch of |q|.  Each panel uses a fixed 15-node Gauss rule; a
+    A q with a closed form, an ``abs_integral(t1, t2)`` method (a Constant:
+    |c| (t2 - t1); a Table), is integrated by it without being sampled, and
+    ``tol`` plays no part.  Any other q is integrated adaptively.  Sign
+    changes of q are first bracketed on a scan grid and pinned down by
+    bisection, so that each adaptive sub-problem integrates a smooth
+    branch of |q|.  Each panel uses a fixed 15-node Gauss rule; a
     panel is accepted when splitting it changes the result by less than its
     share of the tolerance.  A panel narrower than its width floor,
     max(64 ulps of its midpoint, 2^-48 (t2 - t1)), is accepted anyway and
@@ -169,8 +177,9 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     depth near t = 0, where ulps are tiny.  QuadratureFailure is raised when
     the slack exceeds tol or the recursion exhausts its budget of 200 000
     panels, which in practice means |q| is not integrable or too rough for
-    the scan resolution.  NonFiniteResult is raised as soon as a pair of panels, or
-    the sum over the segments between sign changes, overflows.  q is
+    the scan resolution.  NonFiniteResult is raised as soon as a pair of
+    panels, or the sum over the segments between sign changes, overflows; a
+    panel's own weighted sum overflows only when its value does.  q is
     evaluated only through ``coefficient.sampler``, which decides whether a
     value is valid: one that is not a real number is an EvalError, and one
     that is not finite is an EvalError from a Coefficient and a
@@ -179,14 +188,9 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
     _check_interval(t1, t2)
     if not tol > 0.0:
         raise DomainInvalid(f"tolerance must be positive, got {tol!r}")
-    if isinstance(q, Table):
+    if hasattr(q, "abs_integral"):
         return q.abs_integral(t1, t2)
     sample = sampler(q)
-
-    def finite(value: float) -> float:
-        if value == math.inf:  # a sum of |q| values is never nan or -inf
-            raise NonFiniteResult(f"integral of |q| over [{t1!r}, {t2!r}] is not finite")
-        return value
 
     # Locate kinks of |q|: sign changes of q on a fixed scan grid.
     scan = _scan_grid(t1, t2)
@@ -207,7 +211,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         mid = 0.5 * (a + b)
         left = _gauss_panel(sample, a, mid)
         right = _gauss_panel(sample, mid, b)
-        pair = finite(left + right)
+        pair = finite_integral(left + right, t1, t2)
         budget[0] -= 2
         if budget[0] <= 0:
             raise QuadratureFailure(
@@ -230,7 +234,7 @@ def integrate_abs_q(q, t1: float, t2: float, tol: float = DEFAULT_TOL) -> float:
         if b <= a:
             continue
         share = tol * (b - a) / (t2 - t1)
-        total = finite(total + adapt(a, b, _gauss_panel(sample, a, b), share))
+        total = finite_integral(total + adapt(a, b, _gauss_panel(sample, a, b), share), t1, t2)
     return float(total)
 
 

@@ -10,7 +10,10 @@ knots t_k < t < t_{k+1} a table is v_k + s_k ln(t/t_k), with the slope
 s_k = (v_{k+1} - v_k) / ln(t_{k+1}/t_k) and both logarithms formed by
 ``params.log_ratio``; at a knot it is the knot's value exactly.  So the
 integral of |q| over a range of the table has a closed form,
-``Table.abs_integral``, and a table is never sampled to integrate it.
+``Table.abs_integral``, as a constant's has, ``Constant.abs_integral``.
+``bounds.integrate_abs_q`` takes the closed form of every coefficient that
+defines ``abs_integral``, so this module alone decides which kinds have
+one, and a constant or a table is never sampled to integrate it.
 
 ``sampler(q)`` is the one place that decides whether a value of q is valid,
 for a Coefficient and for a plain callable alike: ``bounds.integrate_abs_q``,
@@ -46,6 +49,14 @@ class Constant(Coefficient, namedtuple("Constant", "value")):
 
     def eval(self, t: float) -> float:
         return self.value
+
+    def abs_integral(self, t1: float, t2: float) -> float:
+        """Integral of |q| over [t1, t2], |c| (t2 - t1), with no sampling of
+        q: the same floats as a flat Table's closed form.  c is checked as
+        a value sampled at t1 would be (EvalError); NonFiniteResult when
+        the product overflows."""
+        value = _checked((self.value,), (t1,), EvalError)[0]
+        return finite_integral(abs(value) * (t2 - t1), t1, t2)
 
 
 # Coefficients (n - 1)/n! of d^n in phi(d) = (d - 1) e^d + 1, from n = 20
@@ -163,9 +174,15 @@ class Table(Coefficient, namedtuple("Table", "points")):
             total = math.fsum(pieces)
         except OverflowError:
             total = math.inf
-        if not math.isfinite(total):
-            raise NonFiniteResult(f"integral of |q| over [{t1!r}, {t2!r}] is not finite")
-        return total
+        return finite_integral(total, t1, t2)
+
+
+def finite_integral(total: float, t1: float, t2: float) -> float:
+    """``total``, an integral of |q| over [t1, t2] or a part of it, unless it
+    overflowed: NonFiniteResult then."""
+    if not math.isfinite(total):
+        raise NonFiniteResult(f"integral of |q| over [{t1!r}, {t2!r}] is not finite")
+    return total
 
 
 def _checked(values, ts, fault):

@@ -123,6 +123,21 @@ def test_verdict_flips_at_critical_scaling():
     assert above.kind is VerdictKind.Inconclusive
 
 
+def test_constant_integral_is_the_flat_tables_closed_form():
+    # Near the threshold, where a last-bit difference flips the verdict: a
+    # constant and the flat two-knot table give the same bits, |c| (t2 - t1).
+    rng = np.random.default_rng(SEED)
+    for _ in range(100):
+        p = random_params(rng)
+        width = p.t2 - p.t1
+        for j in range(-6, 7):
+            c = lyapunov_bound(p) / width * (1.0 + j * 2.0**-52)
+            const = nonexistence_check(p, Constant(c))
+            flat = nonexistence_check(p, Table(((p.t1, c), (p.t2, c))))
+            assert const.kind is flat.kind
+            assert const.q_integral == flat.q_integral == abs(c) * width
+
+
 def test_integral_with_interior_kink():
     q = Expression(parse_expr("ln(t) - 0.5"))
     got = integrate_abs_q(q, 1.0, math.e, tol=1e-9)
@@ -386,6 +401,8 @@ def test_eval_error_propagates_from_coefficient():
         nonexistence_check(EX_A, q)
     with pytest.raises(EvalError, match="not a real number"):
         nonexistence_check(EX_A, Constant(1j))
+    with pytest.raises(EvalError, match=r"evaluated to nan at t=1\.0$"):
+        nonexistence_check(EX_A, Constant(math.nan))
 
 
 def test_bisection_checks_the_values_it_samples():

@@ -491,6 +491,20 @@ def test_an_overflowing_expression_literal_exits_2_from_the_entry_point():
     assert done.stderr == "error: value must be finite: '1e400' at offset 0\n"
 
 
+@pytest.mark.parametrize("q", [["--q-const", "1e308"], ["--q-expr", "1e308*(t/t)"]],
+                         ids=["const", "expr"])
+def test_a_finite_integral_near_the_float_maximum_exits_0_from_the_entry_point(q):
+    # |q| (t2 - t1) = 5e307: neither the constant's closed form nor a Gauss
+    # panel's weighted sum may overflow on the way there.
+    done = subprocess.run(
+        [sys.executable, "-m", "hadamard_bvp", "check", "--sigma", "1.75", "--kappa", "0.5",
+         "--t1", "1", "--t2", "1.5", *q, "--json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"q_integral": 5.0000000000000001e+307' in done.stdout
+
+
 # A 401-digit count: an int literal is exact at any size, and too large for
 # a float.
 _HUGE_N = "1" + "0" * 400
