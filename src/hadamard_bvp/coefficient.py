@@ -29,10 +29,17 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import DomainInvalid, EvalError, NonFiniteResult, OutOfTableRange, QuadratureFailure
+from .errors import (
+    DomainInvalid, EvalError, NonFiniteResult, OutOfTableRange, QuadratureFailure, ResourceLimit,
+)
 from .params import log_ratio, parse_decimal
 
-__all__ = ["Coefficient", "Constant", "Table", "eval_coefficient", "load_table"]
+__all__ = ["Coefficient", "Constant", "TABLE_MAX_CHARS", "Table", "eval_coefficient", "load_table"]
+
+# Most characters `load_table` reads from a file (16 Mi): about 430 000 rows
+# of two 17-digit cells, or 1.8 million of the shortest.  It stops reading at
+# the cap, so a larger file, or one with no line break, costs no more.
+TABLE_MAX_CHARS = 2**24
 
 
 class Coefficient:
@@ -115,10 +122,15 @@ class Table(Coefficient, namedtuple("Table", "points")):
         (ta, va), (tb, vb) = self.points[k], self.points[k + 1]
         return (vb - va) / log_ratio(tb, ta)
 
-    def eval(self, t: float) -> float:
+    def _check_range(self, t: float) -> None:
+        """OutOfTableRange unless the knots cover t."""
         pts = self.points
-        if not (pts[0][0] <= t <= pts[-1][0]):
+        if not pts[0][0] <= t <= pts[-1][0]:
             raise OutOfTableRange(f"t={t!r} outside table range [{pts[0][0]!r}, {pts[-1][0]!r}]")
+
+    def eval(self, t: float) -> float:
+        self._check_range(t)
+        pts = self.points
         k = bisect.bisect_right(pts, t, key=_knot) - 1
         tk, vk = pts[k]
         if t == tk:
@@ -141,12 +153,9 @@ class Table(Coefficient, namedtuple("Table", "points")):
         [t1, t2], EvalError for a slope that is not finite and
         NonFiniteResult when a term or the sum overflows.
         """
+        self._check_range(t1)
+        self._check_range(t2)
         pts = self.points
-        for t in (t1, t2):
-            if not pts[0][0] <= t <= pts[-1][0]:
-                raise OutOfTableRange(
-                    f"t={t!r} outside table range [{pts[0][0]!r}, {pts[-1][0]!r}]"
-                )
         first = bisect.bisect_right(pts, t1, key=_knot) - 1
         end = bisect.bisect_left(pts, t2, key=_knot)
         pieces = []
@@ -224,6 +233,18 @@ def sampler(q):
     return lambda ts: _checked(list(map(f, ts)), ts, fault)
 
 
+def _capped_lines(fh, path: str):
+    """The lines of ``fh``, opened from ``path``; ResourceLimit once they pass
+    ``TABLE_MAX_CHARS`` characters, without reading the rest of the line
+    that passes the cap."""
+    budget = TABLE_MAX_CHARS
+    while line := fh.readline(budget + 1):
+        budget -= len(line)
+        if budget < 0:
+            raise ResourceLimit(f"{path}: table exceeds cap {TABLE_MAX_CHARS} characters")
+        yield line
+
+
 def load_table(path: str) -> Table:
     """Read a CSV table with header ``t,q`` into a Table coefficient.
 
@@ -231,25 +252,31 @@ def load_table(path: str) -> Table:
     "CSV UTF-8" exports write; other bytes are a DomainInvalid.  Every cell
     is read by ``parse_decimal``, as flag values are: an ASCII decimal
     literal that is finite.  A cell that is not, ``1_5`` or ``1e999`` say,
-    is a DomainInvalid naming ``<path>:<line>``.
+    or one longer than the csv module's field limit, is a DomainInvalid
+    naming ``<path>:<line>``, the line its row ends on.  A file of more than
+    ``TABLE_MAX_CHARS`` characters is a ResourceLimit.
     """
     import csv
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = csv.reader(_capped_lines(fh, path))
         try:
-            rows = list(csv.reader(fh))
+            if [cell.strip() for cell in next(rows, [])] != ["t", "q"]:
+                raise DomainInvalid(f"{path}: expected CSV header 't,q'")
+            points = []
+            for row in rows:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise DomainInvalid(
+                        f"{path}:{rows.line_num}: expected two columns, got {len(row)}"
+                    )
+                try:
+                    points.append((parse_decimal(row[0]), parse_decimal(row[1])))
+                except ValueError as exc:
+                    raise DomainInvalid(f"{path}:{rows.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DomainInvalid(f"{path}: not UTF-8 text") from exc
-    if not rows or [cell.strip() for cell in rows[0]] != ["t", "q"]:
-        raise DomainInvalid(f"{path}: expected CSV header 't,q'")
-    points = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DomainInvalid(f"{path}:{lineno}: expected two columns, got {len(row)}")
-        try:
-            points.append((parse_decimal(row[0]), parse_decimal(row[1])))
-        except ValueError as exc:
-            raise DomainInvalid(f"{path}:{lineno}: {exc}") from exc
+        except csv.Error as exc:
+            raise DomainInvalid(f"{path}:{rows.line_num}: {exc}") from exc
     return Table(points=tuple(points))

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hadamard_bvp import __version__, cli, load_table, parse_expr, pretty, validate
+from hadamard_bvp import __version__, cli, coefficient, load_table, parse_expr, pretty, validate
 from hadamard_bvp.errors import DomainInvalid, ExpressionSyntaxError, NonFiniteResult
 from hadamard_bvp.expression import Num
 from hadamard_bvp.cli import GRID_MAX_N, _build_parser, _to_json, main
@@ -392,6 +392,21 @@ def test_table_cells_take_only_ascii_decimal_literals(tmp_path, capsys):
     assert run(["check", *PP_A, "--q-table", str(path)], capsys)[0] == 0
 
 
+def test_an_oversize_table_cell_or_file_exits_2(tmp_path, capsys, monkeypatch):
+    # A cell past the csv module's field limit is named by its line; a file
+    # past the cap is refused once the cap is read, line break or not.
+    path = tmp_path / "q.csv"
+    path.write_text("t,q\n" + "1" * 200_000 + ",0.5\n3,0.5\n")
+    code, out, err = run(["check", *PP_A, "--q-table", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {path}:2: field larger than field limit (131072)" in err
+    monkeypatch.setattr(coefficient, "TABLE_MAX_CHARS", 16)
+    path.write_text("t,q\n" + "0" * 16)
+    code, out, err = run(["check", *PP_A, "--q-table", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {path}: table exceeds cap 16 characters" in err
+
+
 _PROBLEM_FLAGS = {"--sigma", "--kappa", "--t1", "--t2"}
 
 # Each leaf command's options: exactly the flags the command reads.
@@ -753,7 +768,7 @@ def test_cli_import_defers_the_parser_and_csv():
 
 def test_cli_import_defers_quadrature_modules():
     # The package loads grid, operators and fredholm on first use of one of
-    # their names; every exported name still resolves.
+    # their names; every exported name resolves to its module's object.
     code = (
         "import hadamard_bvp.cli, sys\n"
         "print(sorted(m for m in ('hadamard_bvp.grid', 'hadamard_bvp.operators',"
@@ -765,11 +780,9 @@ def test_cli_import_defers_quadrature_modules():
     assert out.strip() == "[]"
     import hadamard_bvp
 
-    for name in hadamard_bvp.__all__:
-        assert getattr(hadamard_bvp, name) is not None, name
-    assert hadamard_bvp.hadamard_integral is hadamard_bvp.operators.hadamard_integral
-    assert hadamard_bvp.nystrom_matrix is hadamard_bvp.fredholm.nystrom_matrix
-    assert hadamard_bvp.green_max_bruteforce is hadamard_bvp.grid.green_max_bruteforce
+    assert hadamard_bvp.__all__ == ["__version__", *hadamard_bvp._LAZY_MODULE]
+    for name, module in hadamard_bvp._LAZY_MODULE.items():
+        assert getattr(hadamard_bvp, name) is getattr(getattr(hadamard_bvp, module), name), name
     with pytest.raises(AttributeError):
         hadamard_bvp.no_such_name
 

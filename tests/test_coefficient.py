@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hadamard_bvp import (
     Expression,
     ExpressionSyntaxError,
     OutOfTableRange,
+    ResourceLimit,
     Table,
     UnknownIdentifier,
+    coefficient,
     eval_coefficient,
     load_table,
     parse_expr,
@@ -313,6 +316,10 @@ def test_load_table(tmp_path):
     with pytest.raises(DomainInvalid) as info:
         load_table(str(bad))
     assert str(info.value) == f"{bad}:3: expected two columns, got 3"
+    # A quoted cell may span lines; a later row is named by its own line.
+    bad.write_text('t,q\n"1\n",0.5\n2.0,x\n')
+    with pytest.raises(DomainInvalid, match=r"bad\.csv:4: not a real number: 'x'$"):
+        load_table(str(bad))
 
 
 def test_load_table_reads_a_utf8_byte_order_mark(tmp_path):
@@ -328,6 +335,38 @@ def test_load_table_rejects_bytes_that_are_not_utf8(tmp_path):
     bad.write_bytes(b"t,q\n1.0,0.5\xff\n2.0,1.5\n")
     with pytest.raises(DomainInvalid, match=r"latin1\.csv: not UTF-8 text$"):
         load_table(str(bad))
+
+
+def test_load_table_reads_up_to_its_cap(tmp_path, monkeypatch):
+    # The cap counts every character, line breaks too; a file one past it
+    # is a ResourceLimit whichever line passes it.
+    text = "t,q\n1.0,0.5\n2.0,1.5\n"
+    path = tmp_path / "q.csv"
+    path.write_text(text)
+    monkeypatch.setattr(coefficient, "TABLE_MAX_CHARS", len(text))
+    assert load_table(str(path)) == Table(((1.0, 0.5), (2.0, 1.5)))
+    for extra in ("\n", "3.0,2.5\n"):
+        path.write_text(text + extra)
+        with pytest.raises(ResourceLimit, match=rf"q\.csv: table exceeds cap {len(text)} characters$"):
+            load_table(str(path))
+
+
+def test_load_table_stops_reading_a_line_at_its_cap(tmp_path, monkeypatch):
+    # One line of 16 times the cap, with no line break: the reader stops at
+    # the cap instead of holding the whole line.
+    monkeypatch.setattr(coefficient, "TABLE_MAX_CHARS", 2**20)
+    path = tmp_path / "q.csv"
+    with open(path, "w") as fh:
+        fh.write("t,q\n")
+        fh.write("1" * (16 * coefficient.TABLE_MAX_CHARS))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="table exceeds cap"):
+            load_table(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * coefficient.TABLE_MAX_CHARS
 
 
 def test_eval_coefficient_rejects_non_coefficients():

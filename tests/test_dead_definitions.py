@@ -1,9 +1,11 @@
 """Every module-level function, class or constant of the package is exported
 in its module's ``__all__`` or read elsewhere in the package.  A stand-in
 for a linter's dead-code rule, with no linter dependency.  The package's
-PEP 562 ``__getattr__`` and ``__all__`` itself are exempt: the interpreter
-reads them, not the package.  Every error class is also a package export,
-since public functions raise them all."""
+``__all__`` is derived from its ``_LAZY`` table, so the names of that table
+are its exports.  The package's PEP 562 ``__getattr__`` and ``__dir__`` and
+``__all__`` itself are exempt: the interpreter reads them, not the package.
+Every error class is also a package export, since public functions raise
+them all."""
 
 import ast
 from collections import Counter
@@ -13,7 +15,7 @@ import hadamard_bvp
 from hadamard_bvp import errors
 
 MODULES = sorted(Path(hadamard_bvp.__file__).parent.glob("*.py"))
-EXEMPT = {"__getattr__", "__all__"}
+EXEMPT = {"__getattr__", "__dir__", "__all__"}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -38,11 +40,19 @@ def _defined(node: ast.stmt) -> list[str]:
 
 
 def _exported(tree: ast.Module) -> set[str]:
+    """The literal entries of a module's ``__all__`` and the names of its
+    ``_LAZY`` table, {module: names}."""
+    exported = set()
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
-        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+        for target in (t.id for t in targets if isinstance(t, ast.Name)):
+            if target == "__all__":
+                exported.update(ast.literal_eval(elt) for elt in node.value.elts
+                                if not isinstance(elt, ast.Starred))
+            elif target == "_LAZY":
+                exported.update(name for names in ast.literal_eval(node.value).values()
+                                for name in names)
+    return exported
 
 
 def _dead_definitions(sources: dict[str, str]) -> list[str]:

@@ -1,10 +1,14 @@
 """Which modules load numpy is decided by the module graph, not inside
 function bodies: the scalar modules never import it, the array modules
 import it once at the top, and the CLI imports only `fredholm` and
-`selftest`, only inside the commands that need them (never numpy or `grid`).  The expression parser is a scalar
-module that, like the array modules, loads only on first use."""
+`selftest`, only inside the commands that need them (never numpy or `grid`).
+The package itself imports none of its modules: each loads on first use of
+one of its names.  The expression parser is a scalar module that, like the
+array modules, no other scalar module imports at the top."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,9 +22,11 @@ SCALAR = (
 )
 ARRAY = ("fredholm", "grid", "operators", "selftest")
 LOADS_NUMPY = {"numpy", *ARRAY}
-# Loaded on first use: the package's _LAZY modules.  The other scalar modules
-# and the CLI import them, and csv, only inside functions.
-DEFERRED = ("expression", "fredholm", "grid", "operators")
+# The package's _LAZY table: every module but the entry points and the
+# self-check, each loaded on first use of one of its names.
+LIBRARY = sorted({*SCALAR, *ARRAY} - {"__init__", "__main__", "selftest"})
+# The other scalar modules and the CLI import these only inside functions.
+DEFERRED = ("expression", "fredholm", "grid", "operators", "csv")
 
 
 def _imports(tree: ast.AST) -> list[tuple[str, bool]]:
@@ -75,14 +81,31 @@ def test_cli_imports_array_modules_only_in_commands():
     assert nested_imports & LOADS_NUMPY == {"fredholm", "selftest"}
 
 
-def test_lazy_modules_are_the_deferred_ones():
-    assert sorted(hadamard_bvp._LAZY) == sorted(DEFERRED)
+def test_lazy_modules_are_the_library():
+    assert sorted(hadamard_bvp._LAZY) == LIBRARY
+
+
+def test_the_package_loads_no_module_before_first_use():
+    # In a fresh interpreter: `import hadamard_bvp` loads none of its modules,
+    # dir() already lists every export, and a module name yields the module.
+    code = (
+        "import hadamard_bvp, sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hadamard_bvp.')))\n"
+        "print(sorted(set(hadamard_bvp.__all__) - set(dir(hadamard_bvp))))\n"
+        "from hadamard_bvp import errors\n"
+        "print(errors is sys.modules['hadamard_bvp.errors'],"
+        " hadamard_bvp.kernel is sys.modules['hadamard_bvp.kernel'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout.splitlines() == ["[]", "[]", "True True"]
 
 
 @pytest.mark.parametrize("name", [name for name in (*SCALAR, "cli") if name not in DEFERRED])
 def test_scalar_modules_defer_the_parser_and_csv(name):
     top_level = {module for module, nested in _imports(_tree(name)) if not nested}
-    assert top_level.isdisjoint({*DEFERRED, "csv"})
+    assert top_level.isdisjoint(DEFERRED)
 
 
 @pytest.mark.parametrize("name", [*SCALAR, *ARRAY, "cli"])

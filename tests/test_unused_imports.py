@@ -1,6 +1,7 @@
 """Every name a module of the package or of its tests imports is used, or
-re-exported in ``__all__``.  A stand-in for a linter's unused-import rule,
-with no linter dependency."""
+re-exported in ``__all__`` or, in the package's ``__init__``, in the
+``_LAZY`` table its ``__all__`` is derived from.  A stand-in for a linter's
+unused-import rule, with no linter dependency."""
 
 import ast
 from pathlib import Path
@@ -23,8 +24,13 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
-        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-            used.update(ast.literal_eval(node.value))
+        for target in (t.id for t in targets if isinstance(t, ast.Name)):
+            if target == "__all__":
+                used.update(ast.literal_eval(elt) for elt in node.value.elts
+                            if not isinstance(elt, ast.Starred))
+            elif target == "_LAZY":
+                used.update(name for names in ast.literal_eval(node.value).values()
+                            for name in names)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
