@@ -38,8 +38,11 @@ array evaluation `grid._green_xy`.  Likewise the expression parser
 
 `run` is the process entry point of `hbvp` and `python -m hadamard_bvp`: it
 calls `main` and ends the process with `os._exit`, skipping atexit hooks and
-interpreter teardown.  `main` itself never ends the process, so tests and
-benchmarks call it in-process.
+interpreter teardown.  It is also the one place that writes `os.environ`:
+it defaults ``OPENBLAS_THREAD_TIMEOUT`` to 4 for the process it owns, so
+that OpenBLAS's idle worker does not spin while numpy loads (see `run`).
+`main` itself never ends the process nor touches the environment, so tests
+and benchmarks call it in-process.
 """
 
 from __future__ import annotations
@@ -363,7 +366,15 @@ def run() -> None:
     A reader that closes stdout early (``hbvp ... | head``) ends the process
     with exit code 1 and nothing on stderr.  A usage error (argparse's
     SystemExit) and an uncaught exception leave through the normal exit.
+
+    Before `main`, and so before `eigen` or `selftest` loads numpy, the
+    process's ``OPENBLAS_THREAD_TIMEOUT`` defaults to 4, OpenBLAS's least:
+    an idle OpenBLAS worker then sleeps after about 2^4 cycles instead of
+    spinning for about 2^28 while numpy loads, time the main thread loses
+    on a machine with no spare core.  The thread count stays as it is, and
+    with it every digit.  A value already in the environment is kept.
     """
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     try:
         code = main()
         for stream in (sys.stdout, sys.stderr):

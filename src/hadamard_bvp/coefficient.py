@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from operator import itemgetter
 
 from .errors import (
@@ -98,7 +99,7 @@ class Table(Coefficient, namedtuple("Table", "points")):
 
     __slots__ = ()
 
-    def __new__(cls, points: tuple[tuple[float, float], ...]):
+    def __new__(cls, points: Iterable[tuple[float, float]]):
         pts = tuple((float(t), float(v)) for t, v in points)
         if len(pts) < 2:
             raise DomainInvalid("table needs at least 2 points")
@@ -245,6 +246,21 @@ def _capped_lines(fh, path: str):
         yield line
 
 
+def _knots(rows, path: str):
+    """The ``(t, q)`` pair of each data row of the csv reader ``rows``, read
+    by ``parse_decimal``; blank rows are skipped and any other row that is
+    not two cells is a DomainInvalid naming ``<path>:<line>``."""
+    for row in rows:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DomainInvalid(f"{path}:{rows.line_num}: expected two columns, got {len(row)}")
+        try:
+            yield parse_decimal(row[0]), parse_decimal(row[1])
+        except ValueError as exc:
+            raise DomainInvalid(f"{path}:{rows.line_num}: {exc}") from exc
+
+
 def load_table(path: str) -> Table:
     """Read a CSV table with header ``t,q`` into a Table coefficient.
 
@@ -254,7 +270,9 @@ def load_table(path: str) -> Table:
     literal that is finite.  A cell that is not, ``1_5`` or ``1e999`` say,
     or one longer than the csv module's field limit, is a DomainInvalid
     naming ``<path>:<line>``, the line its row ends on.  A file of more than
-    ``TABLE_MAX_CHARS`` characters is a ResourceLimit.
+    ``TABLE_MAX_CHARS`` characters is a ResourceLimit.  The Table is built
+    from the rows as they are read, so the knots are held once, not also in
+    a list while it is made.
     """
     import csv
 
@@ -263,20 +281,8 @@ def load_table(path: str) -> Table:
         try:
             if [cell.strip() for cell in next(rows, [])] != ["t", "q"]:
                 raise DomainInvalid(f"{path}: expected CSV header 't,q'")
-            points = []
-            for row in rows:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise DomainInvalid(
-                        f"{path}:{rows.line_num}: expected two columns, got {len(row)}"
-                    )
-                try:
-                    points.append((parse_decimal(row[0]), parse_decimal(row[1])))
-                except ValueError as exc:
-                    raise DomainInvalid(f"{path}:{rows.line_num}: {exc}") from exc
+            return Table(_knots(rows, path))
         except UnicodeDecodeError as exc:
             raise DomainInvalid(f"{path}: not UTF-8 text") from exc
         except csv.Error as exc:
             raise DomainInvalid(f"{path}:{rows.line_num}: {exc}") from exc
-    return Table(points=tuple(points))

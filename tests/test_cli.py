@@ -875,6 +875,8 @@ PROCESS_ARGV = {
     "green-max": ["green", "max", *PP_A],
     "green-grid": ["green", "grid", *PP_A, "--n", "64", "--out", "GRID", "--json"],
     "eigen": ["eigen", *PP_A, "--n", "64", "--json"],
+    "eigen-400": ["eigen", *PP_A, "--n", "400", "--json"],
+    "eigen-1024": ["eigen", *PP_A, "--n", "1024", "--json"],
     "selftest": ["selftest", "--filter", "gamma"],
     "exit-2": ["bound", "--sigma", "3", "--kappa", "0.5", "--t1", "1", "--t2", "2"],
     "exit-3": ["check", *PP_A, "--q-expr", "ln(t-3)"],
@@ -884,9 +886,11 @@ PROCESS_ARGV = {
 
 
 @pytest.mark.parametrize("name", list(PROCESS_ARGV))
-def test_process_entry_matches_main(tmp_path, capsys, name):
+def test_process_entry_matches_main(tmp_path, capsys, dispatch_key, name):
     # `python -m hadamard_bvp` ends through cli.run; its stdout bytes, stderr
-    # and exit code are those of main called in-process.
+    # and exit code are those of main called in-process.  From n of about
+    # 800 up, eigen's digits depend on OpenBLAS's thread count, so the
+    # n = 1024 case holds the child to the thread count of this process.
     grid_csv = tmp_path / "grid.csv"
     paths = {"TABLE": str(_table_100(tmp_path)), "GRID": str(grid_csv)}
     argv = [paths.get(arg, arg) for arg in PROCESS_ARGV[name]]
@@ -898,7 +902,50 @@ def test_process_entry_matches_main(tmp_path, capsys, name):
     assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
     if name == "green-grid":
         assert hashlib.sha256(grid_csv.read_bytes()).hexdigest() == GRID_64_SHA256
+    if name == "eigen-400":
+        assert hashlib.sha256(done.stdout).hexdigest() == EIGEN_400_SHA256[dispatch_key]
     assert code == {"exit-2": 2, "exit-3": 3, "exit-4": 4}.get(name, 0)
+
+
+def test_run_sets_the_openblas_thread_timeout_before_numpy_loads():
+    # cli.run defaults OPENBLAS_THREAD_TIMEOUT to 4 before main, which is
+    # where numpy would load; a value the process already has is kept.
+    code = (
+        "import os, sys\n"
+        "from hadamard_bvp import cli\n"
+        "def probe():\n"
+        "    print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules)\n"
+        "    return 0\n"
+        "cli.main = probe\n"
+        "cli.run()\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    for preset, shown in ((None, "4"), ("30", "30")):
+        child_env = env if preset is None else {**env, "OPENBLAS_THREAD_TIMEOUT": preset}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{shown} False\n", "")
+
+
+def test_library_use_leaves_the_environment_alone():
+    # Only cli.run writes os.environ: importing the package, loading every
+    # module it exports and calling main in-process change nothing.
+    code = (
+        "import contextlib, io, os\n"
+        "before = dict(os.environ)\n"
+        "import hadamard_bvp\n"
+        "from hadamard_bvp.cli import main\n"
+        "for name in hadamard_bvp.__all__:\n"
+        "    getattr(hadamard_bvp, name)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({['eigen', *PP_A, '--n', '64', '--json']!r}) == 0\n"
+        f"    assert main({['bound', *PP_A]!r}) == 0\n"
+        "print(dict(os.environ) == before)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])

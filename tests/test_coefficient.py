@@ -369,6 +369,23 @@ def test_load_table_stops_reading_a_line_at_its_cap(tmp_path, monkeypatch):
     assert peak < 3 * coefficient.TABLE_MAX_CHARS
 
 
+def test_load_table_builds_each_knot_once(tmp_path):
+    # The Table is made from the rows as they are read: one (t, q) pair and
+    # two floats per knot, about 120 bytes, not a list of pairs copied into
+    # a second set (about 193 bytes per knot).
+    n = 50_000
+    path = tmp_path / "q.csv"
+    path.write_text("t,q\n" + "".join(f"{k},0\n" for k in range(1, n + 1)))
+    tracemalloc.start()
+    try:
+        table = load_table(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.points) == n
+    assert peak < 140 * n
+
+
 def test_eval_coefficient_rejects_non_coefficients():
     with pytest.raises(DomainInvalid):
         eval_coefficient(lambda t: t, 1.0)
