@@ -28,7 +28,6 @@ _LAZY = {
     ),
     "expression": ("Expression", "parse_expr", "pretty"),
     "fredholm": ("NystromResult", "min_eigenvalue_modulus", "nystrom_matrix"),
-    "gammafn": ("gamma", "reciprocal_gamma"),
     "grid": ("green_max_bruteforce",),
     "kernel": (
         "GreenMaxReport", "MaxBranch", "critical_x2", "diag_h", "discriminant", "green_eval",
@@ -38,7 +37,9 @@ _LAZY = {
         "OperatorKind", "composition_check", "hadamard_derivative", "hadamard_integral",
         "power_rule_reference",
     ),
-    "params": ("FracParams", "Verdict", "VerdictKind", "log_ratio", "validate"),
+    "params": (
+        "FracParams", "Verdict", "VerdictKind", "gamma", "log_ratio", "reciprocal_gamma", "validate",
+    ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = ["__version__", *_LAZY_MODULE]

@@ -27,9 +27,8 @@ from collections import namedtuple
 
 from .coefficient import Coefficient, finite_integral, sampler
 from .errors import DomainInvalid, NonFiniteResult, QuadratureFailure, ResultUnderflow
-from .gammafn import gamma
 from .kernel import mho, omega
-from .params import FracParams, Verdict, _check_interval, _check_sigma, log_width
+from .params import FracParams, Verdict, _check_interval, _check_sigma, gamma, log_width
 
 __all__ = [
     "LyapunovReport",

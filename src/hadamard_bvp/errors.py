@@ -42,7 +42,10 @@ class DifferenceInstability(HadamardBVPError):
 
 
 class ConvergenceFailure(HadamardBVPError):
-    """An iterative eigenvalue computation failed to settle within budget."""
+    """A root or eigenvalue computation did not give a usable result: the
+    Nystrom eigenvalue iteration failed to settle within budget, or the
+    closed-form stationarity roots of ``kernel.critical_x2`` failed their
+    bracket check."""
 
     exit_code = 3
 

@@ -63,9 +63,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficient import sampler
-from .errors import DifferenceInstability, DomainInvalid, QuadratureFailure
-from .gammafn import gamma, reciprocal_gamma
-from .params import log_ratio
+from .errors import DifferenceInstability, DomainInvalid, NonFiniteResult, QuadratureFailure
+from .params import gamma, log_ratio, reciprocal_gamma
 
 __all__ = [
     "OperatorKind",
@@ -368,7 +367,7 @@ def _integral_at_end(m: _Mesh, order: float, values) -> float:
     [(_, r)] = _product_weights(m, _kernel_exponent(order), np.array([len(m.u) - 1]))
     total = float(np.dot(r[0, 1:-1], values))
     if not math.isfinite(total):
-        raise QuadratureFailure(
+        raise NonFiniteResult(
             f"integral of order {order!r} at u={float(m.u[-1])!r} is not finite"
         )
     return total / scale

@@ -21,7 +21,14 @@ literal (an ASCII decimal literal, finite if a float; ``DECIMAL`` is its
 unsigned grammar), `check_size` bounds every count, `_check_interval`
 requires a finite 0 < t1 < t2 and `_check_sigma` the window
 1 < sigma <= 2.  ``bounds`` calls the last two for the inputs it
-takes without a FracParams.
+takes without a FracParams.  The gamma rule is here too: `gamma` takes a
+finite x > 0 and `reciprocal_gamma` any finite x (0 at the poles), and
+either overflowing double precision (x past 171.6) is a NonFiniteResult.
+The problem itself needs only small arguments (sigma - kappa lies in
+(1, 2), and the kernel and bound constants stay below 4), but the public
+operators take any order.  Both are ``math.gamma`` (platform libm,
+Lanczos-class), well below a 1e-12 relative error where it matters, so
+there is no reason to hand-roll an approximation.
 """
 
 from __future__ import annotations
@@ -32,10 +39,14 @@ import re
 import sys
 from collections import namedtuple
 
-from .errors import BoundaryOrderUnsupported, DomainInvalid, OrderOutOfRange, ResourceLimit
-from .gammafn import gamma
+from .errors import (
+    BoundaryOrderUnsupported, DomainInvalid, NonFiniteResult, OrderOutOfRange, ResourceLimit,
+)
 
-__all__ = ["FracParams", "Verdict", "VerdictKind", "log_ratio", "log_width", "validate"]
+__all__ = [
+    "FracParams", "Verdict", "VerdictKind", "gamma", "log_ratio", "log_width", "reciprocal_gamma",
+    "validate",
+]
 
 # An unsigned ASCII decimal literal: [0-9], not \d, which matches any
 # Unicode digit.  Its groups capture nothing, so a pattern that embeds it in
@@ -123,6 +134,42 @@ def log_width(t1: float, t2: float) -> float:
     if (t2 - t1) / t1 == math.inf:
         raise DomainInvalid(f"t2/t1 exceeds the float range for t1={t1!r}, t2={t2!r}")
     return log_ratio(t2, t1)
+
+
+def _libm_gamma(x: float) -> float:
+    """``math.gamma``, with its overflow a NonFiniteResult."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise NonFiniteResult(f"gamma({x!r}) overflows double precision") from None
+
+
+def gamma(x: float) -> float:
+    """Euler gamma for x > 0; raises DomainInvalid otherwise, and
+    NonFiniteResult past x = 171.6, where it overflows."""
+    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+        raise DomainInvalid(f"gamma requires finite x > 0, got {x!r}")
+    return _libm_gamma(x)
+
+
+def reciprocal_gamma(x: float) -> float:
+    """1/gamma(x), extended by 0 at the poles x = 0, -1, -2, ...
+
+    The reciprocal gamma function is entire; defining it as 0 at the poles
+    makes differentiation formulas for log-power functions total (terms whose
+    coefficient hits a pole simply drop out).  x must be finite, as for
+    gamma: DomainInvalid otherwise.  Where gamma(x) or 1/gamma(x) is not a
+    finite non-zero double (x past 171.6, or below about -171.5) this raises
+    NonFiniteResult.
+    """
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+        raise DomainInvalid(f"reciprocal_gamma requires finite x, got {x!r}")
+    if x <= 0 and x == math.floor(x):
+        return 0.0
+    g = _libm_gamma(x)
+    if g == 0.0 or not math.isfinite(1.0 / g):
+        raise NonFiniteResult(f"1/gamma({x!r}) overflows double precision")
+    return 1.0 / g
 
 
 class FracParams(namedtuple("FracParams", "sigma kappa t1 t2")):

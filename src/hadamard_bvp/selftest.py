@@ -26,8 +26,7 @@ from . import bounds, fredholm, grid, kernel, operators
 from .coefficient import Constant
 from .expression import Expression, parse_expr, pretty
 from .errors import UnknownIdentifier
-from .gammafn import gamma
-from .params import VerdictKind, log_ratio, validate
+from .params import VerdictKind, gamma, log_ratio, validate
 
 __all__ = ["run_selftests", "SELFTEST_NAMES"]
 
@@ -60,22 +59,6 @@ EX_B_REF = {
     "lambda_min": 7.93111312499393,
 }
 
-# Gamma at 50-digit precision.
-GAMMA_REFS = (
-    (0.001, 999.42377248459547),
-    (0.5, 1.7724538509055160),
-    (1.0, 1.0),
-    (1.25, 0.90640247705547708),
-    (1.5, 0.88622692545275801),
-    (2.0, 1.0),
-    (3.0, 2.0),
-    (3.7, 4.1706517837966032),
-    (10.0, 362880.0),
-    (25.5, 3.0867705405286968e24),
-    (29.999, 8.8118883281841422e30),
-    (30.0, 8.8417619937397020e30),
-)
-
 _SWEEP_PARAMS = (EX_A, EX_B, validate(1.9, 0.3, 0.5, 4.0))
 _BVP_PARAMS = (EX_A, EX_B, validate(1.3, 0.1, 0.5, 4.0))
 # Every seeded sweep starts a fresh generator from SEED, except the first of
@@ -91,17 +74,6 @@ def random_params(rng):
     t1 = float(rng.uniform(0.5, 2.0))
     t2 = t1 * math.exp(float(rng.uniform(0.3, 1.5)))
     return validate(sigma, kappa, t1, t2)
-
-
-def _check_gamma():
-    worst = max(abs(gamma(x) - r) / r for x, r in GAMMA_REFS)
-    if worst > 1e-12:
-        return False, f"gamma relative error {worst:.2e}"
-    xs = np.linspace(0.1, 10.0, 200)
-    rec = max(abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0) for x in xs)
-    if rec > 1e-10:
-        return False, f"recurrence defect {rec:.2e}"
-    return True, f"reference rel err {worst:.1e}, recurrence {rec:.1e}"
 
 
 def _check_green_reference():
@@ -389,7 +361,6 @@ def _check_bvp_residual():
 
 
 _CHECKS = (
-    ("gamma.reference-values", _check_gamma),
     ("green.reference-max", _check_green_reference),
     ("green.kernel-structure", _check_green_structure),
     ("green.bruteforce-agreement", _check_green_bruteforce),

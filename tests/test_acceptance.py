@@ -24,10 +24,7 @@ CRITERIA = {
 }
 
 # The checks that no criterion names.
-OTHER_CHECKS = (
-    "gamma.reference-values",
-    "green.bvp-residual",
-)
+OTHER_CHECKS = ("green.bvp-residual",)
 
 # Warm runtime budget in s of green.bvp-residual, whose derivative leg is
 # the power rule: a numerical stencil in its place takes 40 to 47 ms.

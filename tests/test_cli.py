@@ -877,7 +877,7 @@ PROCESS_ARGV = {
     "eigen": ["eigen", *PP_A, "--n", "64", "--json"],
     "eigen-400": ["eigen", *PP_A, "--n", "400", "--json"],
     "eigen-1024": ["eigen", *PP_A, "--n", "1024", "--json"],
-    "selftest": ["selftest", "--filter", "gamma"],
+    "selftest": ["selftest", "--filter", "green.reference"],
     "exit-2": ["bound", "--sigma", "3", "--kappa", "0.5", "--t1", "1", "--t2", "2"],
     "exit-3": ["check", *PP_A, "--q-expr", "ln(t-3)"],
     "exit-4": ["eigen", "--sigma", "1.8", "--kappa", "0.3", "--t1", "1", "--t2", "8",
@@ -949,7 +949,7 @@ def test_library_use_leaves_the_environment_alone():
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [["bound", *PP_A], ["selftest", "--filter", "gamma"]],
+@pytest.mark.parametrize("argv", [["bound", *PP_A], ["selftest", "--filter", "green.reference"]],
                          ids=["bound", "selftest"])
 def test_closed_stdout_exits_1_quietly(argv, buffered):
     # A reader that is gone before the first write: print raises

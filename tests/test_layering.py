@@ -17,8 +17,7 @@ import hadamard_bvp
 
 PACKAGE = Path(hadamard_bvp.__file__).parent
 SCALAR = (
-    "__init__", "__main__", "bounds", "coefficient", "errors", "expression", "gammafn", "kernel",
-    "params",
+    "__init__", "__main__", "bounds", "coefficient", "errors", "expression", "kernel", "params",
 )
 ARRAY = ("fredholm", "grid", "operators", "selftest")
 LOADS_NUMPY = {"numpy", *ARRAY}

@@ -6,7 +6,7 @@ from hadamard_bvp import FracParams, bounds, fredholm, kernel, operators, selfte
 from hadamard_bvp.errors import UnknownIdentifier
 from hadamard_bvp.expression import parse_expr
 from hadamard_bvp.params import VerdictKind
-from hadamard_bvp.selftest import EX_A, EX_B, GAMMA_REFS, SELFTEST_NAMES, run_selftests
+from hadamard_bvp.selftest import EX_A, EX_B, SELFTEST_NAMES, run_selftests
 
 # FracParams with the kernel exponents a = sigma - 1 and b = sigma - kappa - 1
 # exchanged.
@@ -24,7 +24,6 @@ def test_embedded_check_passes(name, selftest_run):
 
 def test_check_list_is_pinned():
     assert SELFTEST_NAMES == (
-        "gamma.reference-values",
         "green.reference-max",
         "green.kernel-structure",
         "green.bruteforce-agreement",
@@ -110,17 +109,8 @@ def _parse_instead(text, outcome):
     return lambda monkeypatch: monkeypatch.setattr(selftest, "parse_expr", parse)
 
 
-_GAMMA_XS = {x for x, _ in GAMMA_REFS}
-
 # (check, break, pattern its failure detail matches), one or more per check.
 BREAKS = {
-    "gamma-reference": ("gamma.reference-values",
-                        _change(selftest, "gamma", lambda g, x: g * (1 + 1e-9)),
-                        "gamma relative error"),
-    "gamma-recurrence": ("gamma.reference-values",
-                         _change(selftest, "gamma",
-                                 lambda g, x: g if x in _GAMMA_XS else g * (1 + 1e-9 * x)),
-                         "recurrence defect"),
     "green-max-field": ("green.reference-max",
                         _change(kernel, "green_max",
                                 lambda r, p: r._replace(max_abs_g=r.max_abs_g * (1 + 1e-9))),
