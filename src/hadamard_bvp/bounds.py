@@ -30,17 +30,6 @@ from .errors import DomainInvalid, NonFiniteResult, QuadratureFailure, ResultUnd
 from .kernel import mho, omega
 from .params import FracParams, Verdict, _check_interval, _check_sigma, gamma, log_width
 
-__all__ = [
-    "LyapunovReport",
-    "lyapunov_bound",
-    "eigenvalue_bound",
-    "nonexistence_check",
-    "lambda_nonexistence_check",
-    "integrate_abs_q",
-    "reference_bound_kappa0",
-    "lyapunov_report",
-]
-
 DEFAULT_TOL = 1e-9
 
 # Fixed 15-node Gauss-Legendre rule used on every adaptive panel.

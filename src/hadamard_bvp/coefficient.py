@@ -35,8 +35,6 @@ from .errors import (
 )
 from .params import log_ratio, parse_decimal
 
-__all__ = ["Coefficient", "Constant", "TABLE_MAX_CHARS", "Table", "eval_coefficient", "load_table"]
-
 # Most characters `load_table` reads from a file (16 Mi): about 430 000 rows
 # of two 17-digit cells, or 1.8 million of the shortest.  It stops reading at
 # the cap, so a larger file, or one with no line break, costs no more.

@@ -23,21 +23,6 @@ from .coefficient import Coefficient
 from .errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
 from .params import DECIMAL, parse_decimal
 
-__all__ = [
-    "Expression",
-    "ExprNode",
-    "Num",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "FUNCTIONS",
-    "MAX_DEPTH",
-    "MAX_TOKENS",
-    "parse_expr",
-    "pretty",
-]
-
 FUNCTIONS = {
     "ln": math.log,
     "exp": math.exp,

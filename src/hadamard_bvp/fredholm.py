@@ -21,7 +21,9 @@ product-integration weights, taken from the last rows to the first in one
 reused buffer, so it needs one n x n array plus one block of 128 rows:
 128 MB at the cap ``MATRIX_MAX_N`` = 4000.  q is sampled at the nodes through
 ``coefficient.sampler``, which decides whether its values are valid, as it
-does for the operators: q is a Coefficient or a plain callable.
+does for the operators: q is a Coefficient or a plain callable.  Each block
+is checked as it is formed, so finite values of q whose entries of K
+overflow raise NonFiniteResult, and no returned K holds an inf or a nan.
 
 Boundary structure: the node set contains t1 and t2 explicitly with zero
 quadrature weight.  G(t1, .) = 0 and G(., t2) contributes nothing, so row 0
@@ -45,11 +47,9 @@ import numpy as np
 
 from .bounds import eigenvalue_bound, lambda_nonexistence_check
 from .coefficient import Constant, sampler
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, NonFiniteResult
 from .operators import PANEL_ORDER, _graded_mesh, _Mesh, _product_weights
 from .params import FracParams, VerdictKind, check_size
-
-__all__ = ["NystromResult", "nystrom_matrix", "min_eigenvalue_modulus"]
 
 MATRIX_MAX_N = 4000
 
@@ -124,6 +124,8 @@ def nystrom_matrix(p: FracParams, q, n: int) -> np.ndarray:
 
     q is a Coefficient or a plain callable, sampled at every node through
     ``coefficient.sampler``, which decides whether its values are valid.
+    Finite values whose entries of K overflow (q near the float maximum)
+    raise NonFiniteResult: no entry of a returned K is inf or nan.
     K is built in one pass over the blocks of R, which come from the last
     rows to the first in one buffer: the first block ends with S, and each
     block's rows of K are formed in place as it arrives, outer(a, S) first,
@@ -131,16 +133,20 @@ def nystrom_matrix(p: FracParams, q, n: int) -> np.ndarray:
     """
     check_size("nystrom matrix", n, 8, MATRIX_MAX_N)
     m = _mesh(p, n)
-    scale = np.array(sampler(q)(_nodes(p, m).tolist())) / p.gamma_sk
+    q_values = np.array(sampler(q)(_nodes(p, m).tolist()))
     a = (m.u / p.L) ** p.a
     k = np.empty((n, n))
     s = None
-    for block, r in _product_weights(m, p.b, np.arange(n)):
-        if s is None:  # the first block ends with row n - 1: S = R at x = L
-            s = r[-1].copy()
-        rows = np.multiply.outer(a[block], s, out=k[block])
-        rows -= r
-        rows *= scale
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked per block
+        scale = q_values / p.gamma_sk
+        for block, r in _product_weights(m, p.b, np.arange(n)):
+            if s is None:  # the first block ends with row n - 1: S = R at x = L
+                s = r[-1].copy()
+            rows = np.multiply.outer(a[block], s, out=k[block])
+            rows -= r
+            rows *= scale
+            if not np.isfinite(rows).all():
+                raise NonFiniteResult(f"nystrom matrix n={n}: q times the weights overflows")
     return k
 
 

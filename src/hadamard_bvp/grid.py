@@ -26,8 +26,6 @@ import numpy as np
 
 from .params import FracParams, check_size
 
-__all__ = ["green_max_bruteforce"]
-
 # Largest accepted grid size for the brute-force search.  Branch and bound
 # usually evaluates about one percent of the grid; when nothing prunes, it
 # touches all of about n^2 kernel values, so this caps work at ~17M.

@@ -40,23 +40,6 @@ from collections import namedtuple
 from .errors import ConvergenceFailure, DomainInvalid
 from .params import FracParams, log_ratio
 
-__all__ = [
-    "GreenMaxReport",
-    "MaxBranch",
-    "xi1",
-    "xi2",
-    "green_eval",
-    "diag_h",
-    "zeta",
-    "discriminant",
-    "critical_x2",
-    "t_star",
-    "t_hat",
-    "omega",
-    "mho",
-    "green_max",
-]
-
 
 class MaxBranch(enum.Enum):
     Diagonal = "Diagonal"

@@ -47,6 +47,12 @@ The derivative of order a in (0, 2] is computed as delta^n applied to the
 (n - a)-order integral (n = ceil(a), delta = t d/dt), with the delta powers
 realised as centred differences in x = ln t plus one Richardson step.
 
+The interval rule is the one ``FracParams`` keeps, ``params.log_width``:
+t1 <= t (t1 < t for the derivative), finite and positive, with t/t1 within
+the float range, else DomainInvalid; so every node t1 e^u is a float.  At
+integer order the derivative samples f itself at t1 e^(x0 + h), past t,
+and that e^(x0 + h) must not overflow either.
+
 f is a Coefficient or a plain callable, evaluated only through
 ``coefficient.sampler``, which decides whether a value is valid: a value
 that is not a real number is an EvalError, and one that is not finite is an
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
@@ -64,15 +71,7 @@ import numpy as np
 
 from .coefficient import sampler
 from .errors import DifferenceInstability, DomainInvalid, NonFiniteResult, QuadratureFailure
-from .params import gamma, log_ratio, reciprocal_gamma
-
-__all__ = [
-    "OperatorKind",
-    "hadamard_integral",
-    "hadamard_derivative",
-    "power_rule_reference",
-    "composition_check",
-]
+from .params import gamma, log_width, reciprocal_gamma
 
 # Gauss-Legendre order of every product-integration panel, here and in the
 # Nystrom matrix of ``fredholm``.
@@ -83,6 +82,8 @@ PANELS = 64
 _GRADING = 0.25
 # Rows of the product-integration weights formed at a time.
 _BLOCK_ROWS = 128
+# Largest u whose e^u is a float: math.exp overflows past it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class OperatorKind(enum.Enum):
@@ -382,9 +383,8 @@ def _integral(order: float, sample, t1: float, U: float) -> float:
 
 
 def _log_span(t1: float, t: float) -> float:
-    if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 <= t):
-        raise DomainInvalid(f"need 0 < t1 <= t, got t1={t1!r}, t={t!r}")
-    return log_ratio(t, t1)
+    """ln(t/t1): 0.0 at t = t1, else `params.log_width`'s rule, t/t1 in the float range."""
+    return 0.0 if 0.0 < t1 == t < math.inf else log_width(t1, t)
 
 
 def hadamard_integral(order: float, f, t1: float, t: float) -> float:
@@ -409,16 +409,20 @@ def hadamard_derivative(order: float, f, t1: float, t: float) -> float:
 
     The stencil differences the (n - order)-order integral at u = x0 +- h
     directly, with x0 = ln(t/t1), so no stencil point goes through t-space
-    and back.  Raises DifferenceInstability when the Richardson error
-    estimate of the centred difference exceeds 1% of the result scale,
-    which signals that quadrature noise dominates the stencil.
+    and back.  t1 < t must satisfy `params.log_width`'s rule, and at integer
+    order, where f itself is sampled at t1 e^(x0 + h), e^(x0 + h) must not
+    overflow either (DomainInvalid).  Raises DifferenceInstability when the
+    Richardson error estimate of the centred difference exceeds 1% of the
+    result scale, which signals that quadrature noise dominates the stencil.
     """
     if not (math.isfinite(order) and 0.0 < order <= 2.0):
         raise DomainInvalid(f"derivative order must lie in (0, 2], got {order!r}")
-    if not (math.isfinite(t1) and math.isfinite(t) and 0.0 < t1 < t):
-        raise DomainInvalid(f"need 0 < t1 < t, got t1={t1!r}, t={t!r}")
+    x0 = log_width(t1, t)
+    h = 1e-4 * x0
     n = math.ceil(order)
     inner = n - order
+    if inner == 0.0 and x0 + h > _LOG_FLOAT_MAX:  # f is sampled at t1 e^(x0 + h)
+        raise DomainInvalid(f"the stencil point u={x0 + h!r} past t={t!r} overflows t1*e^u")
     sample = sampler(f)
 
     def G(x: float) -> float:
@@ -426,8 +430,6 @@ def hadamard_derivative(order: float, f, t1: float, t: float) -> float:
             return sample([t1 * math.exp(x)])[0]
         return _integral(inner, sample, t1, x)
 
-    x0 = log_ratio(t, t1)
-    h = 1e-4 * x0
     g0 = G(x0) if n == 2 else None  # shared by both second differences
 
     def delta_n(step: float) -> float:

@@ -43,11 +43,6 @@ from .errors import (
     BoundaryOrderUnsupported, DomainInvalid, NonFiniteResult, OrderOutOfRange, ResourceLimit,
 )
 
-__all__ = [
-    "FracParams", "Verdict", "VerdictKind", "gamma", "log_ratio", "log_width", "reciprocal_gamma",
-    "validate",
-]
-
 # An unsigned ASCII decimal literal: [0-9], not \d, which matches any
 # Unicode digit.  Its groups capture nothing, so a pattern that embeds it in
 # a named group (the expression tokenizer) still reads the token kind from
@@ -228,6 +223,10 @@ class FracParams(namedtuple("FracParams", "sigma kappa t1 t2")):
         return gamma(self.sigma - self.kappa)
 
 
+# The bundle's second documented name: its constructor is the one check.
+validate = FracParams
+
+
 class VerdictKind(enum.Enum):
     NoNontrivialSolution = "NoNontrivialSolution"
     Inconclusive = "Inconclusive"
@@ -251,7 +250,3 @@ class Verdict(namedtuple("Verdict", "kind bound q_integral")):
             kind = VerdictKind.Inconclusive
         return Verdict(kind=kind, bound=bound, q_integral=q_integral)
 
-
-def validate(sigma: float, kappa: float, t1: float, t2: float) -> FracParams:
-    """Return the frozen bundle; :class:`FracParams` checks the invariants."""
-    return FracParams(sigma=sigma, kappa=kappa, t1=t1, t2=t2)

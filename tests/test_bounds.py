@@ -254,8 +254,11 @@ def test_overflowing_integral_fails_at_once():
 
 
 def test_quadrature_gives_up_on_non_integrable_spike():
+    # inf at the spike itself, should a node land there: sampler makes it a
+    # QuadratureFailure, as the spike's growth is.
     with pytest.raises(QuadratureFailure):
-        integrate_abs_q(lambda t: abs(t - 2.0) ** -0.5, 1.0, math.e, tol=1e-13)
+        integrate_abs_q(lambda t: abs(t - 2.0) ** -0.5 if t != 2.0 else math.inf,
+                        1.0, math.e, tol=1e-13)
 
 
 def _exact_table_integral(points, t1, t2):
@@ -371,9 +374,9 @@ def test_width_floor_slack_is_bounded_by_tol():
         integrate_abs_q(lambda t: 1.0 if t < c else 1e9, 4.0, 5.0)
     # A non-integrable singularity still fails (it spends the whole budget,
     # so the test passes a plain callable: the parsed expression
-    # 0.01/abs(t-4.51234567) takes seconds longer).
+    # 0.01/abs(t-4.51234567) takes seconds longer), inf at c itself.
     with pytest.raises(QuadratureFailure):
-        integrate_abs_q(lambda t: 0.01 / abs(t - c), 4.0, 5.0)
+        integrate_abs_q(lambda t: 0.01 / abs(t - c) if t != c else math.inf, 4.0, 5.0)
 
 
 @pytest.mark.parametrize("t1, width, high", [(4.0, 1e-6, 1e9), (1.0, 1e-9, 1e8)])

@@ -25,7 +25,7 @@ from hadamard_bvp import (
 )
 from hadamard_bvp import operators
 from hadamard_bvp.cli import main
-from hadamard_bvp.errors import ResultUnderflow
+from hadamard_bvp.errors import NonFiniteResult, ResultUnderflow
 from hadamard_bvp.fredholm import MATRIX_MAX_N, _mesh, _nodes
 from hadamard_bvp.grid import _green_xy
 from hadamard_bvp.selftest import EX_A, EX_A_REF, EX_B
@@ -285,6 +285,21 @@ def test_constant_coefficient_gives_one_matrix_in_every_form(p, n):
     k = nystrom_matrix(p, Constant(c), n)
     assert np.array_equal(nystrom_matrix(p, Table(((p.t1, c), (p.t2, c))), n), k)
     assert np.array_equal(nystrom_matrix(p, lambda t: c, n), k)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(EX_A, 1.7e308), (FracParams(1.75, 0.5, 1.0, 1e300), 1e308)],
+    ids=["scale", "weights"],
+)
+def test_overflowing_matrix_is_a_non_finite_result(p, q):
+    # q / Gamma(sigma - kappa) overflows at 1.7e308, and q times weights up
+    # to about 195 at 1e308 on a wide interval; tier-1 turns any numpy
+    # warning into an error.
+    with pytest.raises(NonFiniteResult, match=r"^nystrom matrix n=32: q times the weights") as info:
+        nystrom_matrix(p, lambda s: q, 32)
+    assert info.value.exit_code == 3
+    assert np.isfinite(nystrom_matrix(EX_A, lambda s: 1e308, 32)).all()
 
 
 def test_non_finite_value_at_one_node_is_the_samplers_error():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hadamard_bvp import (
+    Constant,
     DifferenceInstability,
     DomainInvalid,
     EvalError,
@@ -415,3 +416,33 @@ def test_non_finite_integral_names_u_as_a_plain_float():
     with pytest.raises(NonFiniteResult, match=r"at u=2\.995732273553991 is not finite$"):
         with np.errstate(over="ignore"):
             hadamard_integral(2.0, lambda s: 1e308, 1.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hadamard_integral(1.5, Constant(1.0), 1e-300, 1e300),
+        lambda: composition_check(0.5, 0.5, Constant(1.0), 1e-300, 1e300),
+        lambda: hadamard_derivative(0.5, Constant(1.0), 1e-300, 1e300),
+        lambda: power_rule_reference(OperatorKind.Integral, 1.5, 1.5, 1e-300, 1e300),
+    ],
+    ids=["integral", "composition", "derivative", "power-rule"],
+)
+def test_interval_past_the_float_range_is_domain_invalid(call):
+    # t/t1 = 1e600 is rejected as FracParams rejects it (params.log_width),
+    # before any node t1 e^u overflows.
+    with pytest.raises(DomainInvalid, match="t2/t1 exceeds the float range") as info:
+        call()
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_integer_order_stencil_past_the_float_range_is_domain_invalid(order):
+    # t/t1 = 1.79e308 is a float, but at integer order f itself is sampled
+    # at t1 e^(x0 + h), with h = 1e-4 x0, and e^(x0 + h) overflows.
+    t1, t = 1e-300, 1e-300 * 1.79e308
+    with pytest.raises(DomainInvalid, match=r"overflows t1\*e\^u$"):
+        hadamard_derivative(order, Constant(1.0), t1, t)
+    # A fractional order samples f only below t: D^0.5 1 = x0^-0.5 / Gamma(0.5).
+    exact = log_ratio(t, t1) ** -0.5 / math.gamma(0.5)
+    assert abs(hadamard_derivative(0.5, Constant(1.0), t1, t) - exact) <= 1e-6 * exact

@@ -1,7 +1,9 @@
 """Every name a module of the package or of its tests imports is used, or
-re-exported in ``__all__`` or, in the package's ``__init__``, in the
-``_LAZY`` table its ``__all__`` is derived from.  A stand-in for a linter's
-unused-import rule, with no linter dependency."""
+re-exported: in the package's ``__init__``, in the ``_LAZY`` table its
+``__all__`` is derived from, and elsewhere in the module's own ``__all__``,
+which only ``cli``, ``selftest`` and test modules may have (the library
+modules ``_LAZY`` names assign none; ``test_dead_definitions`` holds that).
+A stand-in for a linter's unused-import rule, with no linter dependency."""
 
 import ast
 from pathlib import Path
