@@ -12,6 +12,12 @@ take the problem flags --sigma, --kappa, --t1 and --t2):
     selftest    --filter
 
 A command accepts only the flags it reads; any other flag is a usage error.
+Each leaf command is declared once, in `_LEAVES`.  `main` parses through
+`_parse_args`: when argv starts with a leaf's words it builds only that
+leaf's parser (`_leaf_parser`); the full tree (`_build_parser`) is built
+only for anything else (no command, an unknown one, help at the top level or
+for `green`) and for a leaf call that leaves arguments over, so that usage
+text and errors are the same either way.
 Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 3 numerical failure, 4 eigenvalue-bound violation (which would falsify the
 analytic bound and must never pass silently).  Codes 2 and 3 come from the
@@ -281,16 +287,77 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(_REAL.pattern + r"\Z")
 
 
+def _problem_flags(parser: argparse.ArgumentParser) -> None:
+    """The problem flags, which every command but selftest takes."""
+    parser.add_argument("--sigma", type=_real, required=True, help="leading order, 1 < sigma <= 2")
+    parser.add_argument(
+        "--kappa", type=_real, required=True, help="inner order, 0 < kappa < sigma-1"
+    )
+    parser.add_argument("--t1", type=_real, required=True, help="left endpoint, t1 > 0")
+    parser.add_argument("--t2", type=_real, required=True, help="right endpoint, t2 > t1")
+
+
+def _check_flags(parser: argparse.ArgumentParser) -> None:
+    _problem_flags(parser)
+    parser.add_argument("--tol", type=_real, default=DEFAULT_TOL, help="quadrature tolerance")
+    grp = parser.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--q-const", type=_real, help="constant coefficient value")
+    grp.add_argument("--q-expr", help="coefficient expression in t, e.g. 'ln(t)'")
+    grp.add_argument("--q-table", help="CSV file with header 't,q'")
+
+
+def _green_eval_flags(parser: argparse.ArgumentParser) -> None:
+    _problem_flags(parser)
+    parser.add_argument("--t", type=_real, required=True)
+    parser.add_argument("--s", type=_real, required=True)
+
+
+def _green_grid_flags(parser: argparse.ArgumentParser) -> None:
+    _problem_flags(parser)
+    parser.add_argument(
+        "--n", type=_literal(int), default=100, help=f"grid points per axis (2 to {GRID_MAX_N})"
+    )
+    parser.add_argument("--out", required=True, help="output CSV path")
+
+
+def _eigen_flags(parser: argparse.ArgumentParser) -> None:
+    _problem_flags(parser)
+    parser.add_argument("--n", type=_literal(int), default=400, help="mesh size (>= 32)")
+
+
+def _selftest_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--filter", help="only run checks whose name contains this")
+
+
+# Each leaf command once: its words, its help line and the function that adds
+# its flags besides --json.  A two-word leaf belongs to the group named by its
+# first word; the parsed args name the first word in `command` and the second
+# in `<group>_cmd`.
+_LEAVES = {
+    ("bound",): ("closed-form bound report", _problem_flags),
+    ("check",): ("nonexistence verdict for q", _check_flags),
+    ("green", "eval"): ("G(t, s) at a point", _green_eval_flags),
+    ("green", "max"): ("closed-form maximum report", _problem_flags),
+    ("green", "grid"): ("CSV grid of G values", _green_grid_flags),
+    ("eigen",): ("Nystrom eigenvalue check", _eigen_flags),
+    ("selftest",): ("run embedded checks", _selftest_flags),
+}
+_GROUPS = {"green": "Green's function values and maxima"}
+
+
+def _add_flags(parser: argparse.ArgumentParser, words: tuple[str, ...]) -> argparse.ArgumentParser:
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    _LEAVES[words][1](parser)
+    return parser
+
+
+def _leaf_parser(words: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of one leaf command, as the full tree builds it."""
+    return _add_flags(_Parser(prog=" ".join(("hbvp", *words))), words)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    pp = argparse.ArgumentParser(add_help=False)
-    pp.add_argument("--sigma", type=_real, required=True, help="leading order, 1 < sigma <= 2")
-    pp.add_argument("--kappa", type=_real, required=True, help="inner order, 0 < kappa < sigma-1")
-    pp.add_argument("--t1", type=_real, required=True, help="left endpoint, t1 > 0")
-    pp.add_argument("--t2", type=_real, required=True, help="right endpoint, t2 > t1")
-
+    """The full tree: the top parser, each group's and each leaf's."""
     top = _Parser(
         prog="hbvp",
         description=(
@@ -300,35 +367,36 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("bound", parents=[common, pp], help="closed-form bound report")
-
-    p_check = sub.add_parser("check", parents=[common, pp], help="nonexistence verdict for q")
-    p_check.add_argument("--tol", type=_real, default=DEFAULT_TOL, help="quadrature tolerance")
-    grp = p_check.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--q-const", type=_real, help="constant coefficient value")
-    grp.add_argument("--q-expr", help="coefficient expression in t, e.g. 'ln(t)'")
-    grp.add_argument("--q-table", help="CSV file with header 't,q'")
-
-    p_green = sub.add_parser("green", help="Green's function values and maxima")
-    gsub = p_green.add_subparsers(dest="green_cmd", required=True)
-    g_eval = gsub.add_parser("eval", parents=[common, pp], help="G(t, s) at a point")
-    g_eval.add_argument("--t", type=_real, required=True)
-    g_eval.add_argument("--s", type=_real, required=True)
-    gsub.add_parser("max", parents=[common, pp], help="closed-form maximum report")
-    g_grid = gsub.add_parser("grid", parents=[common, pp], help="CSV grid of G values")
-    g_grid.add_argument(
-        "--n", type=_literal(int), default=100, help=f"grid points per axis (2 to {GRID_MAX_N})"
-    )
-    g_grid.add_argument("--out", required=True, help="output CSV path")
-
-    p_eigen = sub.add_parser("eigen", parents=[common, pp], help="Nystrom eigenvalue check")
-    p_eigen.add_argument("--n", type=_literal(int), default=400, help="mesh size (>= 32)")
-
-    p_self = sub.add_parser("selftest", parents=[common], help="run embedded checks")
-    p_self.add_argument("--filter", help="only run checks whose name contains this")
-
+    groups = {}
+    for words, (help_line, _) in _LEAVES.items():
+        choices = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(dest=f"{words[0]}_cmd", required=True)
+            choices = groups[words[0]]
+        _add_flags(choices.add_parser(words[-1], help=help_line), words)
     return top
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` (default ``sys.argv[1:]``) as the full tree would.
+
+    When argv starts with the words of a leaf command, only that leaf's
+    parser is built, and it parses the rest as the tree's subparser does.
+    Anything else (no command, a group or an unknown word, help at the top
+    level) and a leaf call that leaves arguments over go through the full
+    tree, so its usage text and errors stay those of the top level.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for words in (tuple(argv[:1]), tuple(argv[:2])):
+        if words in _LEAVES:
+            args, extras = _leaf_parser(words).parse_known_args(argv[len(words):])
+            if not extras:
+                for dest, word in zip(("command", f"{words[0]}_cmd"), words):
+                    setattr(args, dest, word)
+                return args
+    return _build_parser().parse_args(argv)
 
 
 _DISPATCH = {
@@ -341,7 +409,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         p, payload, exit_code = _DISPATCH[args.command](args)
         report = _render(args.command, p, payload, args.json)

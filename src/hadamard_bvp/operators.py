@@ -366,7 +366,8 @@ def _integral_at_end(m: _Mesh, order: float, values) -> float:
     of the function with ``values`` at the interior nodes."""
     scale = gamma(order)  # NonFiniteResult, before any weight, past order 171.6
     [(_, r)] = _product_weights(m, _kernel_exponent(order), np.array([len(m.u) - 1]))
-    total = float(np.dot(r[0, 1:-1], values))
+    with np.errstate(over="ignore", invalid="ignore"):  # the sum is checked below
+        total = float(np.dot(r[0, 1:-1], values))
     if not math.isfinite(total):
         raise NonFiniteResult(
             f"integral of order {order!r} at u={float(m.u[-1])!r} is not finite"
@@ -498,9 +499,10 @@ def composition_check(sigma: float, kappa: float, f, t1: float, t: float) -> tup
     # I^kappa f at every interior node: all rows of R for b = kappa - 1.
     scale = gamma(kappa)  # NonFiniteResult, before any weight, past order 171.6
     inner = np.empty(len(interior))
-    for block, r in _product_weights(m, _kernel_exponent(kappa), interior):
-        inner[block] = r[:, 1:-1] @ fv
-    inner /= scale
+    with np.errstate(over="ignore", invalid="ignore"):  # _integral_at_end checks the sums
+        for block, r in _product_weights(m, _kernel_exponent(kappa), interior):
+            inner[block] = r[:, 1:-1] @ fv
+        inner /= scale
     nested = _integral_at_end(m, sigma, inner)
     direct = _integral_at_end(m, sigma + kappa, fv)
     return nested, direct

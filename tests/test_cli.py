@@ -434,11 +434,62 @@ def _leaf_options(parser, command=()):
 
 def test_each_command_takes_only_the_flags_it_reads(capsys):
     assert dict(_leaf_options(_build_parser())) == COMMAND_OPTIONS
+    # The parser main builds alone for a leaf call holds the same options.
+    alone = {c: next(_leaf_options(cli._leaf_parser(tuple(c.split()))))[1] for c in COMMAND_OPTIONS}
+    assert alone == COMMAND_OPTIONS
     for argv in (["bound", *PP_A, "--tol", "1e-6"], ["selftest", "--seed", "1"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_a_leaf_call_builds_one_parser(monkeypatch, capsys):
+    # main builds the invoked leaf's parser, not the 9-parser tree.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["bound", *PP_A], ["green", "eval", *PP_A, "--t", "1.5", "--s", "2"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1
+    capsys.readouterr()
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The Namespace ``parse(argv)`` returns, or its exit code; then stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, *capsys.readouterr()
+
+
+def test_parsing_a_leaf_alone_matches_the_full_tree(capsys):
+    # Help, successes and usage errors, byte for byte, against the tree.
+    corpus = [
+        ["--help"], ["green", "--help"], *([*c.split(), "--help"] for c in COMMAND_OPTIONS),
+        *PROCESS_ARGV.values(),
+        ["bound", "--sigma", "1.75"],
+        ["check", *PP_A, "--q-c", "0.5"],
+        ["check", *PP_A, "--q", "0.5"],
+        ["bound", *PP_A[:-1], "e"],
+        ["eigen", *PP_A, "--n", "6_4"],
+        ["check", *PP_A, "--q-expr", "-ln(t)"],
+        ["check", *PP_A, "--q-expr=-ln(t)"],
+        ["check", *PP_A, "--q-const", "1", "--q-expr", "t"],
+        ["bound", *PP_A, "--tol", "1"],
+        ["bound", *PP_A, "stray"],
+        ["bogus", *PP_A], [], ["green"], ["green", "bogus"],
+    ]
+    for argv in corpus:
+        tree = _parse_outcome(lambda v: _build_parser().parse_args(v), argv, capsys)
+        assert _parse_outcome(cli._parse_args, argv, capsys) == tree, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -882,6 +933,8 @@ PROCESS_ARGV = {
     "exit-3": ["check", *PP_A, "--q-expr", "ln(t-3)"],
     "exit-4": ["eigen", "--sigma", "1.8", "--kappa", "0.3", "--t1", "1", "--t2", "8",
                "--n", "64", "--json"],
+    # Arguments the leaf leaves over: a usage error of the top level.
+    "leftover": ["bound", *PP_A, "--tol", "1"],
 }
 
 
@@ -894,7 +947,10 @@ def test_process_entry_matches_main(tmp_path, capsys, dispatch_key, name):
     grid_csv = tmp_path / "grid.csv"
     paths = {"TABLE": str(_table_100(tmp_path)), "GRID": str(grid_csv)}
     argv = [paths.get(arg, arg) for arg in PROCESS_ARGV[name]]
-    code, out, err = run(argv, capsys)
+    try:
+        code, out, err = run(argv, capsys)
+    except SystemExit as exc:  # argparse's usage error
+        code, (out, err) = exc.code, capsys.readouterr()
     grid_csv.unlink(missing_ok=True)  # the child writes its own grid
     done = subprocess.run(
         [sys.executable, "-m", "hadamard_bvp", *argv], capture_output=True, timeout=120
@@ -904,7 +960,9 @@ def test_process_entry_matches_main(tmp_path, capsys, dispatch_key, name):
         assert hashlib.sha256(grid_csv.read_bytes()).hexdigest() == GRID_64_SHA256
     if name == "eigen-400":
         assert hashlib.sha256(done.stdout).hexdigest() == EIGEN_400_SHA256[dispatch_key]
-    assert code == {"exit-2": 2, "exit-3": 3, "exit-4": 4}.get(name, 0)
+    if name == "leftover":
+        assert err.startswith("usage: hbvp [-h]") and "unrecognized arguments: --tol 1" in err
+    assert code == {"exit-2": 2, "exit-3": 3, "exit-4": 4, "leftover": 2}.get(name, 0)
 
 
 def test_run_sets_the_openblas_thread_timeout_before_numpy_loads():

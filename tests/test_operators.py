@@ -412,10 +412,13 @@ def test_smallest_orders_still_integrate(order):
 
 
 def test_non_finite_integral_names_u_as_a_plain_float():
-    # The order-2 weights add up to (ln 20)^2 / 2 = 4.5, so the sum overflows.
+    # The order-2 weights add up to (ln 20)^2 / 2 = 4.5, so the sum overflows;
+    # so do composition_check's inner order-2 integrals.  numpy's overflow
+    # warning stays inside: under -W error it would be raised in its place.
     with pytest.raises(NonFiniteResult, match=r"at u=2\.995732273553991 is not finite$"):
-        with np.errstate(over="ignore"):
-            hadamard_integral(2.0, lambda s: 1e308, 1.0, 20.0)
+        hadamard_integral(2.0, lambda s: 1e308, 1.0, 20.0)
+    with pytest.raises(NonFiniteResult, match=r"at u=2\.995732273553991 is not finite$"):
+        composition_check(1.0, 2.0, lambda s: 1e308, 1.0, 20.0)
 
 
 @pytest.mark.parametrize(
