@@ -12,19 +12,21 @@ take the problem flags --sigma, --kappa, --t1 and --t2):
     selftest    --filter
 
 A command accepts only the flags it reads; any other flag is a usage error.
-Each leaf command is declared once, in `_LEAVES`.  `main` parses through
-`_parse_args`: when argv starts with a leaf's words it builds only that
-leaf's parser (`_leaf_parser`); the full tree (`_build_parser`) is built
-only for anything else (no command, an unknown one, help at the top level or
-for `green`) and for a leaf call that leaves arguments over, so that usage
-text and errors are the same either way.
+Each leaf command is one row of `_LEAVES`: its words, help line, flags and
+the `cmd_*` that runs it.  `main` parses through `_parse_args`: when argv
+starts with a leaf's words it builds only that leaf's parser (`_leaf_parser`);
+the full tree (`_build_parser`) is built only for anything else (no command,
+an unknown one, help at the top level or for `green`) and for a leaf call
+that leaves arguments over, so that usage text, errors and the parsed args
+are the same either way.  `main` validates the problem flags once
+(`_params_from`), then runs the leaf's `cmd_*` on the parameters and args.
 Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 3 numerical failure, 4 eigenvalue-bound violation (which would falsify the
 analytic bound and must never pass silently).  Codes 2 and 3 come from the
 package's typed errors (a file that cannot be read is a usage error); codes
-1 and 4 are a command's own result: each `cmd_*` returns its parameters, its
-payload and its exit code, `cmd_selftest` 1 when a check failed and
-`cmd_eigen` 4 when the Nystrom estimate is not `satisfied`.
+1 and 4 are a command's own result: each `cmd_*` returns its payload and its
+exit code, `cmd_selftest` 1 when a check failed and `cmd_eigen` 4 when the
+Nystrom estimate is not `satisfied`.
 
 All output is deterministic for identical flags.  Reals in JSON and CSV are
 printed with 17 significant digits, which round-trips doubles exactly.  A
@@ -67,7 +69,7 @@ from .errors import DomainInvalid, HadamardBVPError, NonFiniteResult
 from .kernel import green_eval, green_max
 from .params import _REAL, FracParams, check_size, parse_decimal, validate
 
-__all__ = ["main", "run", "cmd_bound", "cmd_check", "cmd_green", "cmd_eigen", "cmd_selftest"]
+__all__ = ["main", "run"]
 
 _CHECK_FAILED = 1
 _USAGE_ERROR = 2
@@ -167,16 +169,16 @@ def _literal(kind: type):
 _real = _literal(float)
 
 
-def _params_from(args) -> FracParams:
-    return validate(args.sigma, args.kappa, args.t1, args.t2)
+def _params_from(args) -> FracParams | None:
+    """The validated problem, or None for a command without the problem flags."""
+    return validate(args.sigma, args.kappa, args.t1, args.t2) if "sigma" in vars(args) else None
 
 
-def cmd_bound(args) -> tuple[FracParams, dict, int]:
-    p = _params_from(args)
+def cmd_bound(p: FracParams, args) -> tuple[dict, int]:
     rep = green_max(p)
     payload = _record(lyapunov_report(p))
     payload.update(omega=rep.omega, mho=rep.mho, x2=rep.x2, delta=rep.delta)
-    return p, payload, 0
+    return payload, 0
 
 
 def _coefficient_from(args):
@@ -189,13 +191,12 @@ def _coefficient_from(args):
     return load_table(args.q_table)
 
 
-def cmd_check(args) -> tuple[FracParams, dict, int]:
-    p = _params_from(args)
+def cmd_check(p: FracParams, args) -> tuple[dict, int]:
     q = _coefficient_from(args)
     verdict = nonexistence_check(p, q, tol=args.tol)
     payload = _record(lyapunov_report(p))
     payload.update(q_integral=verdict.q_integral, verdict=verdict.kind.value)
-    return p, payload, 0
+    return payload, 0
 
 
 def _write_grid(p: FracParams, n: int, path: str) -> None:
@@ -236,29 +237,28 @@ def _write_grid(p: FracParams, n: int, path: str) -> None:
             fh.write((t_text + t_text.join(cols)) % tuple(row))
 
 
-def cmd_green(args) -> tuple[FracParams, dict, int]:
-    p = _params_from(args)
-    if args.green_cmd == "eval":
-        value = green_eval(p, args.t, args.s)
-        payload = {"t": args.t, "s": args.s, "value": value}
-    elif args.green_cmd == "max":
-        payload = _record(green_max(p))
-    else:
-        check_size("grid", args.n, 2, GRID_MAX_N)
-        _write_grid(p, args.n, args.out)
-        payload = {"path": args.out, "rows": args.n * args.n}
-    return p, payload, 0
+def cmd_green_eval(p: FracParams, args) -> tuple[dict, int]:
+    return {"t": args.t, "s": args.s, "value": green_eval(p, args.t, args.s)}, 0
 
 
-def cmd_eigen(args) -> tuple[FracParams, dict, int]:
+def cmd_green_max(p: FracParams, args) -> tuple[dict, int]:
+    return _record(green_max(p)), 0
+
+
+def cmd_green_grid(p: FracParams, args) -> tuple[dict, int]:
+    check_size("grid", args.n, 2, GRID_MAX_N)
+    _write_grid(p, args.n, args.out)
+    return {"path": args.out, "rows": args.n * args.n}, 0
+
+
+def cmd_eigen(p: FracParams, args) -> tuple[dict, int]:
     from .fredholm import min_eigenvalue_modulus
 
-    p = _params_from(args)
     result = min_eigenvalue_modulus(p, args.n)
-    return p, _record(result), 0 if result.satisfied else _BOUND_VIOLATION
+    return _record(result), 0 if result.satisfied else _BOUND_VIOLATION
 
 
-def cmd_selftest(args) -> tuple[None, dict, int]:
+def cmd_selftest(p: None, args) -> tuple[dict, int]:
     from .selftest import run_selftests
 
     results = run_selftests(name_filter=args.filter)
@@ -270,7 +270,7 @@ def cmd_selftest(args) -> tuple[None, dict, int]:
         "failed": sum(1 for r in results if not r["ok"]),
         "checks": results,
     }
-    return None, payload, _CHECK_FAILED if payload["failed"] else 0
+    return payload, _CHECK_FAILED if payload["failed"] else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,7 +298,6 @@ def _problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_flags(parser: argparse.ArgumentParser) -> None:
-    _problem_flags(parser)
     parser.add_argument("--tol", type=_real, default=DEFAULT_TOL, help="quadrature tolerance")
     grp = parser.add_mutually_exclusive_group(required=True)
     grp.add_argument("--q-const", type=_real, help="constant coefficient value")
@@ -307,13 +306,11 @@ def _check_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _green_eval_flags(parser: argparse.ArgumentParser) -> None:
-    _problem_flags(parser)
     parser.add_argument("--t", type=_real, required=True)
     parser.add_argument("--s", type=_real, required=True)
 
 
 def _green_grid_flags(parser: argparse.ArgumentParser) -> None:
-    _problem_flags(parser)
     parser.add_argument(
         "--n", type=_literal(int), default=100, help=f"grid points per axis (2 to {GRID_MAX_N})"
     )
@@ -321,7 +318,6 @@ def _green_grid_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _eigen_flags(parser: argparse.ArgumentParser) -> None:
-    _problem_flags(parser)
     parser.add_argument("--n", type=_literal(int), default=400, help="mesh size (>= 32)")
 
 
@@ -329,25 +325,27 @@ def _selftest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--filter", help="only run checks whose name contains this")
 
 
-# Each leaf command once: its words, its help line and the function that adds
-# its flags besides --json.  A two-word leaf belongs to the group named by its
-# first word; the parsed args name the first word in `command` and the second
-# in `<group>_cmd`.
+# Each leaf command once: its words, help line, flag adders (besides --json)
+# and command.  A two-word leaf belongs to the group named by its first word;
+# the parsed args name the first word in `command` and the second in `<group>_cmd`.
 _LEAVES = {
-    ("bound",): ("closed-form bound report", _problem_flags),
-    ("check",): ("nonexistence verdict for q", _check_flags),
-    ("green", "eval"): ("G(t, s) at a point", _green_eval_flags),
-    ("green", "max"): ("closed-form maximum report", _problem_flags),
-    ("green", "grid"): ("CSV grid of G values", _green_grid_flags),
-    ("eigen",): ("Nystrom eigenvalue check", _eigen_flags),
-    ("selftest",): ("run embedded checks", _selftest_flags),
+    ("bound",): ("closed-form bound report", (_problem_flags,), cmd_bound),
+    ("check",): ("nonexistence verdict for q", (_problem_flags, _check_flags), cmd_check),
+    ("green", "eval"): ("G(t, s) at a point", (_problem_flags, _green_eval_flags), cmd_green_eval),
+    ("green", "max"): ("closed-form maximum report", (_problem_flags,), cmd_green_max),
+    ("green", "grid"): ("CSV grid of G values", (_problem_flags, _green_grid_flags), cmd_green_grid),
+    ("eigen",): ("Nystrom eigenvalue check", (_problem_flags, _eigen_flags), cmd_eigen),
+    ("selftest",): ("run embedded checks", (_selftest_flags,), cmd_selftest),
 }
 _GROUPS = {"green": "Green's function values and maxima"}
 
 
 def _add_flags(parser: argparse.ArgumentParser, words: tuple[str, ...]) -> argparse.ArgumentParser:
+    _, flag_groups, cmd = _LEAVES[words]
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    _LEAVES[words][1](parser)
+    for add in flag_groups:
+        add(parser)
+    parser.set_defaults(run=cmd, **dict(zip(("command", f"{words[0]}_cmd"), words)))
     return parser
 
 
@@ -368,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
     groups = {}
-    for words, (help_line, _) in _LEAVES.items():
+    for words, (help_line, *_) in _LEAVES.items():
         choices = sub
         if len(words) == 2:
             if words[0] not in groups:
@@ -393,25 +391,15 @@ def _parse_args(argv) -> argparse.Namespace:
         if words in _LEAVES:
             args, extras = _leaf_parser(words).parse_known_args(argv[len(words):])
             if not extras:
-                for dest, word in zip(("command", f"{words[0]}_cmd"), words):
-                    setattr(args, dest, word)
                 return args
     return _build_parser().parse_args(argv)
-
-
-_DISPATCH = {
-    "bound": cmd_bound,
-    "check": cmd_check,
-    "green": cmd_green,
-    "eigen": cmd_eigen,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        p, payload, exit_code = _DISPATCH[args.command](args)
+        p = _params_from(args)
+        payload, exit_code = args.run(p, args)
         report = _render(args.command, p, payload, args.json)
     except (HadamardBVPError, OSError) as exc:
         # Package errors carry their exit code; a file that cannot be read

@@ -366,13 +366,15 @@ def _integral_at_end(m: _Mesh, order: float, values) -> float:
     of the function with ``values`` at the interior nodes."""
     scale = gamma(order)  # NonFiniteResult, before any weight, past order 171.6
     [(_, r)] = _product_weights(m, _kernel_exponent(order), np.array([len(m.u) - 1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # the sum is checked below
-        total = float(np.dot(r[0, 1:-1], values))
-    if not math.isfinite(total):
+    with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
+        value = float(np.dot(r[0, 1:-1], values)) / scale
+    # Gamma(order) is below 1 for orders between 1 and 2, so a finite sum
+    # can still overflow when divided by it.
+    if not math.isfinite(value):
         raise NonFiniteResult(
             f"integral of order {order!r} at u={float(m.u[-1])!r} is not finite"
         )
-    return total / scale
+    return value
 
 
 def _integral(order: float, sample, t1: float, U: float) -> float:
@@ -459,7 +461,10 @@ def power_rule_reference(
     Derivative: Gamma(k)/Gamma(k - order) * (ln(t/t1))^(k - order - 1)
 
     with 1/Gamma taken as 0 at non-positive integers, which silently kills
-    the terms the derivative annihilates.
+    the terms the derivative annihilates.  Raises NonFiniteResult when the
+    value is not a finite float: when Gamma(k) overflows, or when the power
+    or its product with the coefficient does (a large power of ln(t/t1), or
+    a negative one on a narrow interval).
     """
     if not isinstance(op, OperatorKind):
         raise DomainInvalid(f"op must be an OperatorKind, got {op!r}")
@@ -478,7 +483,13 @@ def power_rule_reference(
         return 0.0
     if X == 0.0 and power < 0.0:
         raise DomainInvalid("negative log-power at t = t1 is unbounded")
-    return coef * X**power
+    try:
+        value = coef * X**power
+    except OverflowError:  # float ** raises where * returns inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"power-rule value of order {order!r} at t={t!r} is not finite")
+    return value
 
 
 def composition_check(sigma: float, kappa: float, f, t1: float, t: float) -> tuple[float, float]:

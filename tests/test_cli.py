@@ -206,7 +206,8 @@ def test_non_finite_payload_is_never_printed(command, key, as_json, capsys):
 def test_nested_non_finite_value_is_never_printed(monkeypatch, payload, key, as_json, capsys):
     # The text report prints no list, yet it is rendered from the same JSON
     # report, so a value nested in one is caught too, named by its key.
-    monkeypatch.setitem(cli._DISPATCH, "bound", lambda args: (None, payload, 0))
+    help_line, flag_groups, _ = cli._LEAVES[("bound",)]
+    monkeypatch.setitem(cli._LEAVES, ("bound",), (help_line, flag_groups, lambda p, args: (payload, 0)))
     code, out, err = run(["bound", *PP_A] + ["--json"] * as_json, capsys)
     assert (code, out, err) == (3, "", f"error: {key} is not finite\n")
 
@@ -328,6 +329,9 @@ PINNED_ARGV = {
 
 @pytest.mark.parametrize("name", list(PAYLOAD_KEYS))
 def test_json_keys_are_pinned(tmp_path, capsys, name):
+    # Every leaf command is pinned, so a new one cannot skip the schema.
+    leaves = {"-".join(words) for words in cli._LEAVES}
+    assert set(PINNED_ARGV) == set(PAYLOAD_KEYS) == leaves
     argv = [str(tmp_path / "grid.csv") if a == "GRID" else a for a in PINNED_ARGV[name]]
     code, out, _ = run([*argv, "--json"], capsys)
     assert code == 0
@@ -348,7 +352,7 @@ def test_main_names_no_command_and_no_payload_key():
     tree = ast.parse(inspect.getsource(cli.main))
     strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
                and isinstance(n.value, str)}
-    keys = set(cli._DISPATCH).union(*PAYLOAD_KEYS.values(), ["ok", "name", "detail"])
+    keys = set().union(*cli._LEAVES, *PAYLOAD_KEYS.values(), ["ok", "name", "detail"])
     assert not strings & keys
 
 
@@ -901,6 +905,23 @@ def test_scalar_commands_load_no_numpy(argv, tmp_path):
         "from hadamard_bvp.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({[*argv, *PP_A, '--json']!r}) == 0\n"
+        + _LOADED_ARRAY_MODULES
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_an_invalid_problem_exits_2_before_eigen_loads_numpy():
+    # main validates the problem flags before it runs a command, so eigen
+    # refuses sigma = 3 without loading fredholm and numpy.
+    argv = ["eigen", "--sigma", "3", "--kappa", "0.5", "--t1", "1", "--t2", "2", "--n", "64"]
+    code = (
+        "import contextlib, io, sys\n"
+        "from hadamard_bvp.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 2\n"
         + _LOADED_ARRAY_MODULES
     )
     out = subprocess.run(

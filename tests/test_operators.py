@@ -419,6 +419,33 @@ def test_non_finite_integral_names_u_as_a_plain_float():
         hadamard_integral(2.0, lambda s: 1e308, 1.0, 20.0)
     with pytest.raises(NonFiniteResult, match=r"at u=2\.995732273553991 is not finite$"):
         composition_check(1.0, 2.0, lambda s: 1e308, 1.0, 20.0)
+    # These sums stay finite, and the values overflow only once divided by
+    # Gamma(order) < 1: Gamma(1.46) = 0.886, and Gamma(1.2) = 0.918 for the
+    # outer integral of composition_check.  The composition case needs a
+    # wider interval: on the first one its inner integral would overflow.
+    t = math.exp((1.46 * 0.95) ** (1 / 1.46))
+    with pytest.raises(NonFiniteResult, match=r"at u=1\.2511594041477079 is not finite$"):
+        hadamard_integral(1.46, lambda s: 1.79e308, 1.0, t)
+    with pytest.raises(NonFiniteResult, match=r"at u=3\.912023005428146 is not finite$"):
+        composition_check(1.2, 0.26, lambda s: 3.2e307, 1.0, 50.0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (OperatorKind.Integral, 85.0, 85.0, 1.0, 1e300),
+        (OperatorKind.Derivative, 1e-9, 170.0, 1.0, 1e300),
+        (OperatorKind.Derivative, 1.9, 1e-300, 1.0, 1.0 + 1e-15),
+        (OperatorKind.Integral, 0.3, 1e-300, 1.0, 1.000000000000001),
+    ],
+    ids=["integral-power", "derivative-power", "derivative-narrow", "integral-narrow"],
+)
+def test_power_rule_reference_overflow_is_a_numerical_failure(args):
+    # (ln 1e300)^169 overflows float **; Gamma(1e-300) = 1e300 times a
+    # negative power of ln(t/t1) of about 1e-15 overflows the product.
+    with pytest.raises(NonFiniteResult, match="is not finite") as info:
+        power_rule_reference(*args)
+    assert info.value.exit_code == 3
 
 
 @pytest.mark.parametrize(
